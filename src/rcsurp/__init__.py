@@ -22,7 +22,6 @@ from .clauses import (
     Linearization,
     Span,
     Variant,
-    aggregate_by_variant,
     clause_metrics,
     parse_clause_annotations,
     relinearize,

@@ -360,27 +360,18 @@ def clause_metrics(
     )
 
 
-@dataclass(frozen=True)
-class VariantCell:
-    n: int
-    mean_adS: float | None
-    mean_avS: float | None
-
-
-def aggregate_by_variant(
-    metrics: Iterable[tuple[ClauseRecord, ClauseMetrics]],
-) -> dict[tuple[Variant, str, str, str], VariantCell]:
-    """Mean adS/avS and record counts per
-    (variant, part, mode, linearization)."""
-    groups: dict[tuple[Variant, str, str, str], list[ClauseMetrics]] = {}
-    for record, m in metrics:
-        groups.setdefault((record.variant, m.part, m.mode, m.linearization), []).append(m)
-    return {
-        key: VariantCell(
-            len(ms), fmean(m.adS for m in ms), fmean(m.avS for m in ms)
-        )
-        for key, ms in groups.items()
-    }
+def check_scorable(records: Iterable[ClauseRecord]) -> None:
+    """Raise one :class:`ValidationError` naming every record whose
+    relative clause or matrix is a single word: with the first word of
+    each part excluded, nothing of it would be left to score."""
+    problems = [
+        f"{r.id}: clause too short to score ({part} has a single word)"
+        for r in records
+        for part, size in (("rc", len(r.rc_span)), ("matrix", len(r.matrix_positions())))
+        if size < 2
+    ]
+    if problems:
+        raise ValidationError(problems)
 
 
 # --- report tables ---------------------------------------------------------
@@ -411,6 +402,24 @@ class TableRow:
     mean_avS: float | None
 
 
+def _summary_rows(
+    plan: Iterable[tuple[Variant, str, Sequence[ClauseRecord], str, str, str]],
+    documents: Mapping[str, Document],
+    scorer: ClauseScorer,
+) -> list[TableRow]:
+    """One row of mean adS/avS per ``(variant, label, records, mode, part,
+    linearization)`` entry of the plan; the means are None without records."""
+    rows = []
+    for variant, label, records, mode, part, linearization in plan:
+        ms = [
+            scorer.metrics(r, documents[r.doc_id], mode, part, linearization)
+            for r in records
+        ]
+        means = (fmean(m.adS for m in ms), fmean(m.avS for m in ms)) if ms else (None, None)
+        rows.append(TableRow(variant, label, len(ms), *means))
+    return rows
+
+
 def build_surprisal_table(
     records: Sequence[ClauseRecord],
     documents: Mapping[str, Document],
@@ -418,24 +427,15 @@ def build_surprisal_table(
     mode: str,
 ) -> list[TableRow]:
     """Per-variant adS/avS summary rows in the standard layout."""
-    rows: list[TableRow] = []
-    for variant in (Variant.EXTRAPOSED, Variant.IN_SITU):
-        of_variant = [r for r in records if r.variant is variant]
-        for label, part, linearization in _TABLE_PLAN[variant]:
-            if not of_variant:
-                rows.append(TableRow(variant, label, 0, None, None))
-                continue
-            ms = [
-                scorer.metrics(r, documents[r.doc_id], mode, part, linearization)
-                for r in of_variant
-            ]
-            rows.append(
-                TableRow(
-                    variant, label, len(ms),
-                    fmean(m.adS for m in ms), fmean(m.avS for m in ms),
-                )
-            )
-    return rows
+    return _summary_rows(
+        (
+            (variant, label, [r for r in records if r.variant is variant],
+             mode, part, linearization)
+            for variant, plan in _TABLE_PLAN.items()
+            for label, part, linearization in plan
+        ),
+        documents, scorer,
+    )
 
 
 def build_hypothetical_table(
@@ -445,24 +445,15 @@ def build_hypothetical_table(
 ) -> list[TableRow]:
     """Combined metrics of extraposed records re-linearized in-situ, the
     counterfactual bundled reading, in both modes."""
-    rows: list[TableRow] = []
     extraposed = [r for r in records if r.variant is Variant.EXTRAPOSED]
-    for mode in MODES:
-        label = f"{COMBINED_LABEL} (as if in-situ, {mode})"
-        if not extraposed:
-            rows.append(TableRow(Variant.EXTRAPOSED, label, 0, None, None))
-            continue
-        ms = [
-            scorer.metrics(r, documents[r.doc_id], mode, "combined", "hypothetical")
-            for r in extraposed
-        ]
-        rows.append(
-            TableRow(
-                Variant.EXTRAPOSED, label, len(ms),
-                fmean(m.adS for m in ms), fmean(m.avS for m in ms),
-            )
-        )
-    return rows
+    return _summary_rows(
+        (
+            (Variant.EXTRAPOSED, f"{COMBINED_LABEL} (as if in-situ, {mode})",
+             extraposed, mode, "combined", "hypothetical")
+            for mode in MODES
+        ),
+        documents, scorer,
+    )
 
 
 def _cell(value: float | None) -> str:

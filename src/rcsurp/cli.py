@@ -20,8 +20,10 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ContextManager, TextIO
 
 from . import accommodation as accom
 from . import clauses as cl
@@ -45,8 +47,6 @@ class RunConfig:
     corpus: list[str] = field(default_factory=list)
     format: str = "vertical"
     punctuation: str = "".join(sorted(DEFAULT_PUNCTUATION))
-    include_punctuation: bool = False
-    unit: str = "lemma"
     content_pos: str = ""
     stoplist: str = ""
     bonus: float = 4.0
@@ -57,7 +57,6 @@ class RunConfig:
     count_distinct: bool = False
     combined_single_exclusion: bool = False
     discount: float | None = None
-    seed: int | None = None  # reserved; the pipeline is deterministic
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -88,6 +87,11 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _open_output(path: str | None) -> ContextManager[TextIO]:
+    """The file at ``path`` opened for writing, or stdout when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+
+
 def _load_corpus(cfg: RunConfig) -> dict[str, Document]:
     if not cfg.corpus:
         raise FileNotFoundError("no corpus path given")
@@ -112,7 +116,7 @@ def _load_corpus(cfg: RunConfig) -> dict[str, Document]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     docs = _load_corpus(cfg)
-    counts = ngram.count_bigrams(docs.values(), cfg.include_punctuation, cfg.unit)
+    counts = ngram.count_bigrams(docs.values())
     if counts.total_bigram_types == 0:
         print("error: corpus contains no countable tokens", file=sys.stderr)
         return 2
@@ -146,22 +150,25 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 
     predicate = cfg.content_predicate()
     factor_cfg = cfg.factor_config()
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+    with _open_output(args.output) as out:
         for i, doc in enumerate(selected):
             annotation = annotate_document(model, doc)
             weighted = accom.accommodate_document(annotation, doc, predicate, factor_cfg)
             accom.write_weighted_tsv(weighted, out, header=(i == 0))
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 
-def _classify_all(
-    mentions: list[giv.ReferentMention], docs: dict[str, Document], cfg: RunConfig
-) -> list[tuple[giv.ReferentMention, giv.SalienceCategory]]:
+def _load_annotations(
+    args: argparse.Namespace, cfg: RunConfig, docs: dict[str, Document]
+) -> tuple[list[cl.ClauseRecord], list[tuple[giv.ReferentMention, giv.SalienceCategory]]]:
+    """Parse the clause and referent annotations against the corpus and
+    classify every mention; all bad mentions are reported together."""
+    with open(args.clauses, encoding="utf-8") as fh:
+        records = cl.parse_clause_annotations(fh, docs)
+    with open(args.referents, encoding="utf-8") as fh:
+        mentions = giv.load_referent_annotations(fh)
     problems = []
+    by_doc: dict[str, list[giv.ReferentMention]] = {}
     for m in mentions:
         if m.doc_id not in docs:
             problems.append(f"mention of {m.referent_id!r}: unknown document {m.doc_id!r}")
@@ -170,28 +177,23 @@ def _classify_all(
                 f"mention of {m.referent_id!r} at [{m.start}, {m.end}) exceeds "
                 f"document {m.doc_id!r}"
             )
+        by_doc.setdefault(m.doc_id, []).append(m)
     if problems:
         raise ValidationError(problems)
-    classified = []
-    by_doc: dict[str, list[giv.ReferentMention]] = {}
-    for m in mentions:
-        by_doc.setdefault(m.doc_id, []).append(m)
-    for doc_mentions in by_doc.values():
-        classified.extend(
-            giv.classify_document(doc_mentions, cfg.salience_window, cfg.count_distinct)
-        )
-    return classified
+    classified = [
+        pair
+        for doc_mentions in by_doc.values()
+        for pair in giv.classify_document(doc_mentions, cfg.salience_window, cfg.count_distinct)
+    ]
+    return records, classified
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     model = ngram.import_arpa(Path(args.model).read_text(encoding="utf-8"))
     docs = _load_corpus(cfg)
-    with open(args.clauses, encoding="utf-8") as fh:
-        records = cl.parse_clause_annotations(fh, docs)
-    with open(args.referents, encoding="utf-8") as fh:
-        mentions = giv.load_referent_annotations(fh)
-    classified = _classify_all(mentions, docs, cfg)
+    records, classified = _load_annotations(args, cfg, docs)
+    cl.check_scorable(records)
 
     scorer = cl.ClauseScorer(
         model,
@@ -203,39 +205,29 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     table2 = cl.build_surprisal_table(records, docs, scorer, "bare")
     table3 = cl.build_surprisal_table(records, docs, scorer, "accommodated")
     hypothetical = cl.build_hypothetical_table(records, docs, scorer)
+    bundle = {
+        "table1.tsv": (giv.write_givenness_tsv, givenness_rows),
+        "table2.tsv": (cl.write_table_tsv, table2),
+        "table3.tsv": (cl.write_table_tsv, table3),
+        "hypotheticals.tsv": (cl.write_table_tsv, hypothetical),
+        "chi_square.tsv": (giv.write_chi_square_tsv, givenness_rows),
+    }
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "table1.tsv", "w", encoding="utf-8") as fh:
-        giv.write_givenness_tsv(givenness_rows, fh)
-    with open(outdir / "table2.tsv", "w", encoding="utf-8") as fh:
-        cl.write_table_tsv(table2, fh)
-    with open(outdir / "table3.tsv", "w", encoding="utf-8") as fh:
-        cl.write_table_tsv(table3, fh)
-    with open(outdir / "hypotheticals.tsv", "w", encoding="utf-8") as fh:
-        cl.write_table_tsv(hypothetical, fh)
-    with open(outdir / "chi_square.tsv", "w", encoding="utf-8") as fh:
-        fh.write("comparison\tstatistic\tp\n")
-        try:
-            statistic, p = giv.new_referent_chi_square(givenness_rows)
-            fh.write(f"new referents, in-situ vs. extraposed rc\t{statistic:.4f}\t{p:.4f}\n")
-        except (ValueError, KeyError):
-            fh.write("new referents, in-situ vs. extraposed rc\tNA\tNA\n")
+    for name, (write, rows) in bundle.items():
+        with open(outdir / name, "w", encoding="utf-8") as fh:
+            write(rows, fh)
 
     inputs = {
         str(name): _sha256_file(Path(name))
         for name in [args.model, args.clauses, args.referents, *cfg.corpus]
     }
-    outputs = {
-        name: _sha256_file(outdir / name)
-        for name in ["table1.tsv", "table2.tsv", "table3.tsv",
-                     "hypotheticals.tsv", "chi_square.tsv"]
-    }
     manifest = {
         "config": asdict(cfg),
         "config_sha256": cfg.sha256(),
         "inputs": inputs,
-        "outputs": outputs,
+        "outputs": {name: _sha256_file(outdir / name) for name in bundle},
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -252,17 +244,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_givenness(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     docs = _load_corpus(cfg)
-    with open(args.clauses, encoding="utf-8") as fh:
-        records = cl.parse_clause_annotations(fh, docs)
-    with open(args.referents, encoding="utf-8") as fh:
-        mentions = giv.load_referent_annotations(fh)
-    classified = _classify_all(mentions, docs, cfg)
+    records, classified = _load_annotations(args, cfg, docs)
     rows = giv.build_givenness_table(records, classified)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            giv.write_givenness_tsv(rows, fh)
-    else:
-        giv.write_givenness_tsv(rows, sys.stdout)
+    with _open_output(args.output) as fh:
+        giv.write_givenness_tsv(rows, fh)
     return 0
 
 
@@ -274,91 +259,75 @@ def cmd_chi2(args: argparse.Namespace) -> int:
 
 # --- argument plumbing ------------------------------------------------------
 
-def _add_corpus_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--corpus", action="append", metavar="PATH",
-                        help="corpus file; repeatable")
-    parser.add_argument("--format", choices=("vertical", "text"),
-                        help="corpus file format (default vertical)")
-    parser.add_argument("--punctuation", metavar="CHARS",
-                        help="characters whose tokens count as punctuation")
-    parser.add_argument("--include-punctuation", action="store_const", const=True,
-                        dest="include_punctuation",
-                        help="keep punctuation tokens in model counts")
-    parser.add_argument("--unit", choices=("lemma", "surface"),
-                        help="modeling unit (default lemma)")
-
-
-def _add_accommodation_options(parser: argparse.ArgumentParser):
-    parser.add_argument("--bonus", type=float, help="first-mention factor (default 4)")
-    parser.add_argument("--wearout", type=int,
-                        help="mention count at which the bonus is gone (default 4)")
-    parser.add_argument("--window", type=int,
-                        help="words of silence per reset point (default 200)")
-    parser.add_argument("--floor", type=int,
-                        help="lowest count a reset can reach (default 2)")
-    parser.add_argument("--content-pos", metavar="TAGS",
-                        help="comma-separated POS tags treated as content words")
-    parser.add_argument("--stoplist", metavar="PATH",
-                        help="function-word lemma list for untagged corpora")
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    # Option groups shared between subcommands, passed on as ``parents=``.
+    config_corpus = argparse.ArgumentParser(add_help=False)
+    config_corpus.add_argument("--config", metavar="PATH",
+                               help="flat key = value defaults file")
+    config_corpus.add_argument("--corpus", action="append", metavar="PATH",
+                               help="corpus file; repeatable")
+    config_corpus.add_argument("--format", choices=("vertical", "text"),
+                               help="corpus file format (default vertical)")
+    config_corpus.add_argument("--punctuation", metavar="CHARS",
+                               help="characters whose tokens count as punctuation")
+
+    accommodation = argparse.ArgumentParser(add_help=False)
+    accommodation.add_argument("--bonus", type=float, help="first-mention factor (default 4)")
+    accommodation.add_argument("--wearout", type=int,
+                               help="mention count at which the bonus is gone (default 4)")
+    accommodation.add_argument("--window", type=int,
+                               help="words of silence per reset point (default 200)")
+    accommodation.add_argument("--floor", type=int,
+                               help="lowest count a reset can reach (default 2)")
+    accommodation.add_argument("--content-pos", metavar="TAGS",
+                               help="comma-separated POS tags treated as content words")
+    accommodation.add_argument("--stoplist", metavar="PATH",
+                               help="function-word lemma list for untagged corpora")
+
+    annotations = argparse.ArgumentParser(add_help=False)
+    annotations.add_argument("--clauses", required=True, metavar="PATH",
+                             help="clause annotation JSON")
+    annotations.add_argument("--referents", required=True, metavar="PATH",
+                             help="referent annotation TSV")
+    annotations.add_argument("--salience-window", type=int,
+                             help="interveners tolerated for a salient re-mention (default 10)")
+    annotations.add_argument("--count-distinct", action="store_const", const=True,
+                             help="count distinct referents instead of mention events")
+
     parser = argparse.ArgumentParser(
         prog="rcsurp",
         description="Surprisal and givenness measurements for relative-clause placement.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train the bigram model and write ARPA")
-    p.add_argument("--config", metavar="PATH", help="flat key = value defaults file")
-    _add_corpus_options(p)
+    p = sub.add_parser("train", parents=[config_corpus],
+                       help="train the bigram model and write ARPA")
     p.add_argument("--discount", type=float, help="override the estimated discount")
     p.add_argument("-o", "--output", required=True, metavar="PATH",
                    help="ARPA output path")
     p.add_argument("--report", metavar="PATH", help="also write the report here")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("surprisal", help="per-lemma surprisal and accommodation TSV")
-    p.add_argument("--config", metavar="PATH")
+    p = sub.add_parser("surprisal", parents=[config_corpus, accommodation],
+                       help="per-lemma surprisal and accommodation TSV")
     p.add_argument("--model", required=True, metavar="PATH", help="ARPA model")
-    _add_corpus_options(p)
-    _add_accommodation_options(p)
     p.add_argument("--doc", action="append", metavar="ID",
                    help="restrict to this document id; repeatable")
     p.add_argument("-o", "--output", metavar="PATH", help="TSV output (default stdout)")
     p.set_defaults(func=cmd_surprisal)
 
-    p = sub.add_parser("analyze", help="emit the full report bundle")
-    p.add_argument("--config", metavar="PATH")
+    p = sub.add_parser("analyze", parents=[config_corpus, accommodation, annotations],
+                       help="emit the full report bundle")
     p.add_argument("--model", required=True, metavar="PATH", help="ARPA model")
-    _add_corpus_options(p)
-    _add_accommodation_options(p)
-    p.add_argument("--clauses", required=True, metavar="PATH",
-                   help="clause annotation JSON")
-    p.add_argument("--referents", required=True, metavar="PATH",
-                   help="referent annotation TSV")
-    p.add_argument("--salience-window", type=int,
-                   help="interveners tolerated for a salient re-mention (default 10)")
-    p.add_argument("--count-distinct", action="store_const", const=True,
-                   dest="count_distinct",
-                   help="count distinct referents instead of mention events")
     p.add_argument("--combined-single-exclusion", action="store_const", const=True,
-                   dest="combined_single_exclusion",
                    help="exclude only the relative pronoun from combined metrics")
     p.add_argument("--outdir", required=True, metavar="DIR",
                    help="directory for the report bundle")
-    p.add_argument("--seed", type=int, help="reserved; the pipeline is deterministic")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("givenness", help="givenness table only")
-    p.add_argument("--config", metavar="PATH")
-    _add_corpus_options(p)
-    p.add_argument("--clauses", required=True, metavar="PATH")
-    p.add_argument("--referents", required=True, metavar="PATH")
-    p.add_argument("--salience-window", type=int)
-    p.add_argument("--count-distinct", action="store_const", const=True,
-                   dest="count_distinct")
-    p.add_argument("-o", "--output", metavar="PATH")
+    p = sub.add_parser("givenness", parents=[config_corpus, annotations],
+                       help="givenness table only")
+    p.add_argument("-o", "--output", metavar="PATH", help="TSV output (default stdout)")
     p.set_defaults(func=cmd_givenness)
 
     p = sub.add_parser("chi2", help="chi-square on a 2x2 table")
@@ -371,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {"include_punctuation", "count_distinct", "combined_single_exclusion"}
+_FLAG_KEYS = {"count_distinct", "combined_single_exclusion"}
 
 
 def _expand_config(argv: list[str]) -> list[str]:

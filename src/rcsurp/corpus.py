@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -236,32 +238,18 @@ def resegment_sentences(doc: Document) -> Document:
     return Document(doc.id, tuple(new_tokens), sentence_index + 1)
 
 
-def lemma_stream(
-    doc: Document, include_punctuation: bool = False
-) -> Iterator[tuple[str, int | None, int]]:
-    """Yield ``(lemma, doc_position, sentence_index)`` in token order."""
+def lemma_stream(doc: Document) -> Iterator[tuple[str, int | None, int]]:
+    """Yield ``(lemma, doc_position, sentence_index)`` of the word tokens
+    in order; punctuation is skipped."""
     for token in doc.tokens:
-        if token.is_punctuation and not include_punctuation:
-            continue
-        yield token.lemma, token.doc_position, token.sentence_index
+        if not token.is_punctuation:
+            yield token.lemma, token.doc_position, token.sentence_index
 
 
-def sentences(
-    doc: Document, include_punctuation: bool = False, unit: str = "lemma"
-) -> Iterator[list[str]]:
-    """Yield per-sentence lists of lemmas (or surfaces with ``unit="surface"``)."""
-    if unit not in ("lemma", "surface"):
-        raise ValueError(f"unknown unit {unit!r}")
-    current: list[str] = []
-    current_index: int | None = None
-    for token in doc.tokens:
-        if current_index is not None and token.sentence_index != current_index:
-            if current:
-                yield current
-            current = []
-        current_index = token.sentence_index
-        if token.is_punctuation and not include_punctuation:
-            continue
-        current.append(token.lemma if unit == "lemma" else token.surface)
-    if current:
-        yield current
+def sentences(doc: Document) -> Iterator[list[str]]:
+    """Yield per-sentence lists of word lemmas; punctuation is skipped, so
+    it is transparent to bigram context."""
+    for _, tokens in groupby(doc.tokens, key=attrgetter("sentence_index")):
+        lemmas = [t.lemma for t in tokens if not t.is_punctuation]
+        if lemmas:
+            yield lemmas

@@ -110,6 +110,8 @@ def load_referent_annotations(source: str | TextIO) -> list[ReferentMention]:
             start, end = int(start_s), int(end_s)
         except ValueError:
             raise ParseError(f"non-integer interval {start_s!r}..{end_s!r}", lineno)
+        if start < 0:
+            raise ParseError(f"negative interval start {start}", lineno)
         if end <= start:
             raise ParseError(f"empty interval [{start}, {end})", lineno)
         if inferable_s not in ("0", "1") or topic_s not in ("0", "1"):
@@ -263,3 +265,15 @@ def new_referent_chi_square(rows: Sequence[GivennessRow]) -> tuple[float, float]
         in_situ.new, in_situ.total - in_situ.new,
         extraposed.new, extraposed.total - extraposed.new,
     )
+
+
+def write_chi_square_tsv(rows: Sequence[GivennessRow], fh: TextIO) -> None:
+    """The new-referent chi-square row; ``NA`` when the table is degenerate."""
+    try:
+        statistic, p = new_referent_chi_square(rows)
+    except (ValueError, KeyError):
+        cells = "NA\tNA"
+    else:
+        cells = f"{statistic:.4f}\t{p:.4f}"
+    fh.write("comparison\tstatistic\tp\n")
+    fh.write(f"new referents, in-situ vs. extraposed rc\t{cells}\n")

@@ -110,20 +110,16 @@ class BigramCounts:
         return self.c1[START]
 
 
-def count_bigrams(
-    docs: Iterable[Document],
-    include_punctuation: bool = False,
-    unit: str = "lemma",
-) -> BigramCounts:
-    """Count padded within-sentence bigrams over all documents.
+def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
+    """Count padded within-sentence lemma bigrams over all documents.
 
-    Each sentence is wrapped in one start and one end symbol; no bigram
+    Punctuation is transparent, as in the scorer. Each sentence is wrapped in one start and one end symbol; no bigram
     crosses a sentence boundary. Sentences without any countable token
     contribute nothing.
     """
     counts = BigramCounts()
     for doc in docs:
-        for sentence in sentences(doc, include_punctuation, unit):
+        for sentence in sentences(doc):
             padded = [START] + sentence + [END]
             for symbol in padded:
                 counts.c1[symbol] += 1
@@ -244,11 +240,7 @@ def train_kn(
     )
 
 
-def perplexity(
-    model: KneserNeyBigramModel,
-    docs: Iterable[Document],
-    include_punctuation: bool = False,
-) -> float:
+def perplexity(model: KneserNeyBigramModel, docs: Iterable[Document]) -> float:
     """2 to the mean per-event surprisal in bits.
 
     Events are every in-sentence token plus the sentence-end symbol; the
@@ -257,7 +249,7 @@ def perplexity(
     total_bits = 0.0
     events = 0
     for doc in docs:
-        for sentence in sentences(doc, include_punctuation):
+        for sentence in sentences(doc):
             chain = [START] + sentence + [END]
             for left, right in zip(chain, chain[1:]):
                 total_bits += -math.log2(model.prob(left, right))
@@ -310,7 +302,8 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     """Reconstruct a model from ARPA text (orders 1 and 2 only).
 
     Raises :class:`ParseError` with a line number on malformed headers,
-    inconsistent n-gram counts, non-numeric fields, or truncation. The
+    inconsistent n-gram counts, non-numeric or out-of-range fields (a log
+    probability above 0, a power of ten that overflows), or truncation. The
     reserved symbols must be present among the unigrams.
     """
     declared: dict[int, int] = {}
@@ -342,11 +335,17 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     if set(declared) != {1, 2}:
         raise ParseError(f"expected orders 1 and 2, declared {sorted(declared)}")
 
-    def parse_log10(field: str, lineno: int) -> float:
+    def parse_log10(field: str, lineno: int, probability: bool = True) -> float:
+        # A backoff weight may be positive, a log probability may not; the
+        # power of ten must be a finite float either way.
         try:
-            return float(field)
-        except ValueError:
-            raise ParseError(f"non-numeric log probability {field!r}", lineno)
+            lp = float(field)
+            valid = math.isfinite(10.0 ** lp) and not (probability and lp > 0.0)
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ParseError(f"non-numeric or out-of-range log10 value {field!r}", lineno)
+        return lp
 
     i = skip_blank(i)
     if i >= n or lines[i].strip() != "\\1-grams:":
@@ -359,7 +358,7 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         lp = parse_log10(fields[0], i + 1)
         word = fields[1]
         unigram_p[word] = 0.0 if lp <= _LOG10_ZERO else 10.0 ** lp
-        bow[word] = 10.0 ** parse_log10(fields[2], i + 1)
+        bow[word] = 10.0 ** parse_log10(fields[2], i + 1, probability=False)
         i += 1
 
     i = skip_blank(i)

@@ -111,6 +111,33 @@ def test_import_non_numeric_field(toy_model):
     assert "line" in str(exc.value)
 
 
+def _set_first_entry_field(text, section, column, value):
+    """Replace one field of the first entry under ``section``; returns the
+    new text and that entry's line number."""
+    lines = text.splitlines()
+    i = lines.index(section) + 1
+    fields = lines[i].split("\t")
+    fields[column] = value
+    lines[i] = "\t".join(fields)
+    return "\n".join(lines) + "\n", i + 1
+
+
+@pytest.mark.parametrize("section, column, value", [
+    ("\\1-grams:", 0, "400.0"),
+    ("\\2-grams:", 0, "0.5"),
+    ("\\1-grams:", 2, "400.0"),
+], ids=["unigram-overflow", "bigram-above-zero", "backoff-overflow"])
+def test_import_out_of_range_log10(toy_model, section, column, value):
+    text, lineno = _set_first_entry_field(export_arpa(toy_model), section, column, value)
+    with pytest.raises(ParseError, match=f"line {lineno}:"):
+        import_arpa(text)
+
+
+def test_import_positive_backoff_weight(toy_model):
+    text, _ = _set_first_entry_field(export_arpa(toy_model), "\\1-grams:", 2, "0.5")
+    assert import_arpa(text).bow[START] == pytest.approx(10 ** 0.5)
+
+
 def test_import_inconsistent_counts(toy_model):
     text = export_arpa(toy_model).replace("ngram 2=6", "ngram 2=7")
     with pytest.raises(ParseError):

@@ -20,7 +20,6 @@ from rcsurp import (
 )
 from rcsurp.accommodation import accommodation_factors
 from rcsurp.clauses import (
-    aggregate_by_variant,
     build_surprisal_table,
     clause_metrics,
     render_table,
@@ -296,24 +295,7 @@ def test_invalid_mode_part_linearization(extraposed_record, doc, model):
         scorer.metrics(extraposed_record, doc, linearization="diagonal")
 
 
-# --- aggregation ------------------------------------------------------------
-
-def test_aggregate_single_record(extraposed_record, doc, model):
-    metrics = ClauseScorer(model).metrics(extraposed_record, doc, part="rc")
-    summary = aggregate_by_variant([(extraposed_record, metrics)])
-    cell = summary[(Variant.EXTRAPOSED, "rc", "bare", "attested")]
-    assert cell.n == 1
-    assert cell.mean_adS == metrics.adS
-    assert cell.mean_avS == metrics.avS
-
-
-def test_aggregate_means():
-    a = ClauseMetrics.from_values([10.0], "bare", "attested", "rc")
-    b = ClauseMetrics.from_values([14.0], "bare", "attested", "rc")
-    record = ClauseRecord("x", "d", Variant.EXTRAPOSED, (Span(0, 2),), Span(2, 4), 1)
-    summary = aggregate_by_variant([(record, a), (record, b)])
-    assert summary[(Variant.EXTRAPOSED, "rc", "bare", "attested")].mean_adS == 12.0
-
+# --- tables -----------------------------------------------------------------
 
 def test_table_shape(extraposed_record, in_situ_record, doc, model):
     scorer = ClauseScorer(model)

@@ -177,6 +177,22 @@ def test_analyze_validation_lists_all_offenders(fixture_model, tmp_path, capsys)
     assert "bad-1" in err and "bad-2" in err
 
 
+def test_analyze_lists_every_clause_too_short(fixture_model, tmp_path, capsys):
+    records = json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8"))
+    for record in records:
+        if record["id"] in ("rc-002", "rc-004"):  # extraposed: shrink to one word
+            record["rc"] = [record["rc"][0], record["rc"][0] + 1]
+    clauses = tmp_path / "short.json"
+    clauses.write_text(json.dumps(records), encoding="utf-8")
+    outdir = tmp_path / "out"
+    args = _analyze_args(fixture_model, outdir)
+    args[args.index("--clauses") + 1] = str(clauses)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "rc-002" in err and "rc-004" in err
+    assert not outdir.exists()
+
+
 def test_analyze_missing_model(tmp_path):
     assert main(_analyze_args(tmp_path / "absent.arpa", tmp_path / "out")) == 2
 
@@ -233,6 +249,29 @@ def test_config_malformed_line(toy_corpus, tmp_path):
     config.write_text("just some words\n", encoding="utf-8")
     assert main(["train", "--config", str(config), "--corpus", str(toy_corpus),
                  "-o", str(tmp_path / "m.arpa")]) == 2
+
+
+@pytest.mark.parametrize("command, removed, config", [
+    ("train", ["--unit", "surface"], None),
+    ("surprisal", ["--include-punctuation"], None),
+    ("analyze", ["--seed", "1"], None),
+    ("train", [], "unit = surface\n"),
+], ids=["train-unit", "surprisal-include-punctuation", "analyze-seed", "config-unit"])
+def test_removed_options_are_rejected(command, removed, config, fixture_model, tmp_path):
+    corpus = str(FIXTURES / "corpus.vert")
+    valid = {
+        "train": ["train", "--corpus", corpus, "-o", str(tmp_path / "m.arpa")],
+        "surprisal": ["surprisal", "--model", str(fixture_model), "--corpus", corpus,
+                      "-o", str(tmp_path / "s.tsv")],
+        "analyze": _analyze_args(fixture_model, tmp_path / "out"),
+    }[command]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config, encoding="utf-8")
+        removed = removed + ["--config", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        main(valid + removed)
+    assert exc.value.code == 2
 
 
 # --- exit codes -------------------------------------------------------------

@@ -183,8 +183,7 @@ def test_round_trip_multiple_documents():
 
 def test_lemma_stream_filters_punctuation():
     doc = _doc(["a", "/", "b"])
-    assert len(list(lemma_stream(doc, include_punctuation=False))) == 2
-    assert len(list(lemma_stream(doc, include_punctuation=True))) == 3
+    assert len(list(lemma_stream(doc))) == 2
 
 
 def test_lemma_stream_empty_document():

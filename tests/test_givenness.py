@@ -117,6 +117,11 @@ def test_load_referents_field_count_error():
         load_referent_annotations("d1\t0\t1\tr1\t0\n")
 
 
+def test_load_referents_negative_start_error():
+    with pytest.raises(ParseError, match="line 2:"):
+        load_referent_annotations("d1\t0\t1\tr1\t0\t0\nd1\t-3\t1\tr2\t0\t0\n")
+
+
 def test_load_referents_flag_error():
     with pytest.raises(ParseError):
         load_referent_annotations("d1\t0\t1\tr1\t2\t0\n")

@@ -59,15 +59,6 @@ def test_punctuation_excluded_by_default():
     docs = load_vertical("# doc: d\na\ta\n/\t/\nb\tb\n")
     counts = count_bigrams(docs)
     assert counts.c2[("a", "b")] == 1
-    included = count_bigrams(docs, include_punctuation=True)
-    assert included.c2[("a", "/")] == 1
-
-
-def test_surface_unit_counting():
-    docs = load_vertical("# doc: d\nHat\thaben\n")
-    counts = count_bigrams(docs, unit="surface")
-    assert counts.c1["Hat"] == 1
-    assert "haben" not in counts.c1
 
 
 def test_count_invariants_random_corpora():
