@@ -13,7 +13,6 @@ from .accommodation import (
     factor,
     make_content_predicate,
     next_x,
-    observe,
 )
 from .clauses import (
     ClauseMetrics,
@@ -22,14 +21,12 @@ from .clauses import (
     Linearization,
     Span,
     Variant,
-    clause_metrics,
     parse_clause_annotations,
     relinearize,
 )
 from .corpus import (
     Document,
     Token,
-    lemma_stream,
     load_plaintext,
     load_vertical,
     load_vertical_file,
@@ -58,7 +55,6 @@ from .ngram import (
     export_arpa,
     import_arpa,
     perplexity,
-    prob,
     train_kn,
 )
 from .surprisal import (
@@ -68,7 +64,6 @@ from .surprisal import (
     annotate_sequence,
     log10_to_bits,
     surprisal_from_prob,
-    token_surprisal,
 )
 
 __version__ = "0.1.0"

@@ -99,13 +99,6 @@ class AccommodationState:
         return x, factor(x, cfg)
 
 
-def observe(
-    state: AccommodationState, lemma: str, position: int,
-    cfg: FactorConfig = FactorConfig(),
-) -> tuple[int, float]:
-    return state.observe(lemma, position, cfg)
-
-
 def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     """Function-word lemmas used when tokens carry no POS tag. Defaults to
     the bundled German list; one lemma per line, ``#`` comments."""
@@ -164,12 +157,6 @@ class WeightedAnnotation:
     doc_id: str | None
     entries: tuple[WeightedEntry, ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
 
 def accommodation_factors(
     doc: Document,
@@ -186,9 +173,7 @@ def accommodation_factors(
         content_predicate = make_content_predicate()
     state = AccommodationState()
     factors: dict[int, tuple[int | None, float]] = {}
-    for token in doc.tokens:
-        if token.doc_position is None:
-            continue
+    for token in doc.word_tokens():
         if content_predicate(token):
             factors[token.doc_position] = state.observe(token.lemma, token.doc_position, cfg)
         else:

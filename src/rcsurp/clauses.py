@@ -139,8 +139,8 @@ def parse_clause_annotations(
     """Parse and validate the clause annotation JSON.
 
     The payload is an array of objects ``{id, doc, variant, matrix, rc,
-    attachment}`` with word positions, end exclusive. All validation
-    problems are collected and raised together as a
+    attachment}`` with word positions as JSON integers, end exclusive. All
+    validation problems are collected and raised together as a
     :class:`ValidationError`; when ``documents`` is given, spans are also
     checked against document bounds.
     """
@@ -155,13 +155,23 @@ def parse_clause_annotations(
         label = item.get("id", f"record #{i}") if isinstance(item, dict) else f"record #{i}"
         try:
             variant = Variant(item["variant"])
+            matrix = [(s, e) for s, e in item["matrix"]]
+            rc = (item["rc"][0], item["rc"][1])
+            positions = [("matrix", p) for pair in matrix for p in pair]
+            positions += [("rc", p) for p in rc] + [("attachment", item["attachment"])]
+            # A bool is an int to Python but never a word position.
+            bad = [f"{label}: {name} position {v!r} is not an integer"
+                   for name, v in positions if type(v) is not int]
+            if bad:
+                problems.extend(bad)
+                continue
             record = ClauseRecord(
                 id=str(item["id"]),
                 doc_id=str(item["doc"]),
                 variant=variant,
-                matrix_spans=tuple(Span(int(s), int(e)) for s, e in item["matrix"]),
-                rc_span=Span(int(item["rc"][0]), int(item["rc"][1])),
-                attachment=int(item["attachment"]),
+                matrix_spans=tuple(Span(s, e) for s, e in matrix),
+                rc_span=Span(*rc),
+                attachment=item["attachment"],
             )
         except (KeyError, TypeError, IndexError) as exc:
             problems.append(f"{label}: missing or malformed field ({exc})")
@@ -343,21 +353,6 @@ class ClauseScorer:
         if not values:
             raise ValueError(f"clause too short to score: {record.id} ({part})")
         return ClauseMetrics.from_values(values, mode, linearization, part)
-
-
-def clause_metrics(
-    record: ClauseRecord,
-    doc: Document,
-    model: KneserNeyBigramModel,
-    mode: str = "bare",
-    part: str = "combined",
-    linearization: str = "attested",
-    **scorer_options,
-) -> ClauseMetrics:
-    """One-shot convenience wrapper around :class:`ClauseScorer`."""
-    return ClauseScorer(model, **scorer_options).metrics(
-        record, doc, mode, part, linearization
-    )
 
 
 def check_scorable(records: Iterable[ClauseRecord]) -> None:

@@ -117,9 +117,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     docs = _load_corpus(cfg)
     counts = ngram.count_bigrams(docs.values())
-    if counts.total_bigram_types == 0:
-        print("error: corpus contains no countable tokens", file=sys.stderr)
-        return 2
     model = ngram.train_kn(counts, cfg.discount)
     Path(args.output).write_text(ngram.export_arpa(model), encoding="utf-8")
     report = (
@@ -290,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     annotations.add_argument("--referents", required=True, metavar="PATH",
                              help="referent annotation TSV")
     annotations.add_argument("--salience-window", type=int,
-                             help="interveners tolerated for a salient re-mention (default 10)")
+                             help="interveners tolerated for a salient re-mention, >= 0 (default 10)")
     annotations.add_argument("--count-distinct", action="store_const", const=True,
                              help="count distinct referents instead of mention events")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -46,11 +47,18 @@ class Document:
     tokens: tuple[Token, ...]
     sentence_count: int
 
-    def word_tokens(self) -> tuple[Token, ...]:
+    # A cached property writes the instance ``__dict__`` directly, so the
+    # frozen constructor, equality, hashing and ``replace`` are unaffected.
+    @cached_property
+    def _words(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if not t.is_punctuation)
 
+    def word_tokens(self) -> tuple[Token, ...]:
+        """The non-punctuation tokens in order, built once on first use."""
+        return self._words
+
     def word_count(self) -> int:
-        return sum(1 for t in self.tokens if not t.is_punctuation)
+        return len(self._words)
 
 
 def is_punctuation(surface: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> bool:
@@ -238,18 +246,9 @@ def resegment_sentences(doc: Document) -> Document:
     return Document(doc.id, tuple(new_tokens), sentence_index + 1)
 
 
-def lemma_stream(doc: Document) -> Iterator[tuple[str, int | None, int]]:
-    """Yield ``(lemma, doc_position, sentence_index)`` of the word tokens
-    in order; punctuation is skipped."""
-    for token in doc.tokens:
-        if not token.is_punctuation:
-            yield token.lemma, token.doc_position, token.sentence_index
-
-
 def sentences(doc: Document) -> Iterator[list[str]]:
     """Yield per-sentence lists of word lemmas; punctuation is skipped, so
-    it is transparent to bigram context."""
-    for _, tokens in groupby(doc.tokens, key=attrgetter("sentence_index")):
-        lemmas = [t.lemma for t in tokens if not t.is_punctuation]
-        if lemmas:
-            yield lemmas
+    it is transparent to bigram context, and punctuation-only sentences
+    yield nothing."""
+    for _, tokens in groupby(doc.word_tokens(), key=attrgetter("sentence_index")):
+        yield [t.lemma for t in tokens]

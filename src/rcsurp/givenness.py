@@ -53,8 +53,11 @@ def classify_mention(
     """Classify one mention given all earlier mentions of its document.
 
     ``count_distinct`` switches the interveners from mention events (the
-    default) to distinct referents.
+    default) to distinct referents. A negative ``window`` is a
+    ``ValueError``: no count of interveners could satisfy it.
     """
+    if window < 0:
+        raise ValueError(f"salience window must be >= 0, got {window}")
     last = None
     for previous in reversed(history):
         if previous.referent_id == mention.referent_id:

@@ -189,10 +189,6 @@ class KneserNeyBigramModel:
         return self.vocabulary.event_words()
 
 
-def prob(model: KneserNeyBigramModel, context: str, word: str) -> float:
-    return model.prob(context, word)
-
-
 def train_kn(
     counts: BigramCounts,
     discount: float | None = None,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .corpus import Document
 from .ngram import KneserNeyBigramModel, START
@@ -25,7 +25,6 @@ class SurprisalEntry:
     probability: float
     surprisal_bits: float
     doc_position: int | None = None
-    sentence_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class SurprisalAnnotation:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
     def total_bits(self) -> float:
         return math.fsum(e.surprisal_bits for e in self.entries)
@@ -56,24 +52,17 @@ def surprisal_from_prob(probability: float) -> float:
     return -math.log2(probability)
 
 
-def token_surprisal(model: KneserNeyBigramModel, context: str, word: str) -> float:
-    """Surprisal in bits of ``word`` after ``context``; finite and >= 0."""
-    return surprisal_from_prob(model.prob(context, word))
-
-
 def annotate_document(
     model: KneserNeyBigramModel, doc: Document
 ) -> SurprisalAnnotation:
-    """Score every non-punctuation token of a sentence-segmented document."""
+    """Score every word token of a sentence-segmented document."""
     entries: list[SurprisalEntry] = []
     context = START
     current_sentence: int | None = None
-    for token in doc.tokens:
+    for token in doc.word_tokens():
         if token.sentence_index != current_sentence:
             current_sentence = token.sentence_index
             context = START
-        if token.is_punctuation:
-            continue
         p = model.prob(context, token.lemma)
         entries.append(
             SurprisalEntry(
@@ -82,7 +71,6 @@ def annotate_document(
                 p,
                 surprisal_from_prob(p),
                 token.doc_position,
-                token.sentence_index,
             )
         )
         context = token.lemma
@@ -120,14 +108,3 @@ def annotate_sequence(
         context = lemma
     return SurprisalAnnotation(None, tuple(entries))
 
-
-def write_annotation_tsv(annotation: SurprisalAnnotation, fh: TextIO) -> None:
-    """Dump as ``doc position lemma context prob surprisal_bits`` rows."""
-    fh.write("doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits\n")
-    doc_id = annotation.doc_id or "-"
-    for e in annotation.entries:
-        position = "NA" if e.doc_position is None else str(e.doc_position)
-        fh.write(
-            f"{doc_id}\t{position}\t{e.lemma}\t{e.context}"
-            f"\t{e.probability:.6e}\t{e.surprisal_bits:.6f}\n"
-        )

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 from rcsurp import (
@@ -7,12 +9,12 @@ from rcsurp import (
     factor,
     load_vertical,
     next_x,
-    observe,
 )
 from rcsurp.accommodation import (
     accommodation_factors,
     load_stoplist,
     make_content_predicate,
+    write_weighted_tsv,
 )
 from rcsurp.surprisal import SurprisalAnnotation, SurprisalEntry
 
@@ -81,7 +83,7 @@ def test_next_x_rejects_bad_input():
 
 def test_golden_trace():
     state = AccommodationState()
-    observed = [observe(state, "word", p) for p in GOLDEN_POSITIONS]
+    observed = [state.observe("word", p) for p in GOLDEN_POSITIONS]
     assert [x for x, _ in observed] == [1, 2, 3, 4, 5, 3, 2]
     assert [f for _, f in observed] == GOLDEN_FACTORS
 
@@ -169,7 +171,7 @@ def _trace_document():
 
 def _flat_annotation(doc, bits=1.0):
     entries = tuple(
-        SurprisalEntry(t.lemma, "x", 0.5, bits, t.doc_position, t.sentence_index)
+        SurprisalEntry(t.lemma, "x", 0.5, bits, t.doc_position)
         for t in doc.word_tokens()
     )
     return SurprisalAnnotation(doc.id, entries)
@@ -207,6 +209,21 @@ def test_weights_lie_in_factor_set():
     for w in weighted.entries:
         assert w.factor in allowed
         assert w.weighted_surprisal == w.base.surprisal_bits * w.factor
+
+
+def test_weighted_tsv_format():
+    doc = load_vertical("# doc: d\nder\tder\tART\n/\t/\nTrost\ttrost\tNN\n")[0]
+    buffer = io.StringIO()
+    write_weighted_tsv(accommodate_document(_flat_annotation(doc, bits=2.5), doc), buffer)
+    lines = buffer.getvalue().splitlines()
+    assert lines[0].split("\t") == [
+        "doc", "position", "lemma", "context", "prob", "surprisal_bits",
+        "x", "factor", "weighted_surprisal",
+    ]
+    assert lines[1:] == [
+        "d\t0\tder\tx\t5.000000e-01\t2.500000\tNA\t1.000000\t2.500000",
+        "d\t1\ttrost\tx\t5.000000e-01\t2.500000\t1\t4.000000\t10.000000",
+    ]
 
 
 def test_misaligned_annotation_is_error():

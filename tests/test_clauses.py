@@ -21,7 +21,6 @@ from rcsurp import (
 from rcsurp.accommodation import accommodation_factors
 from rcsurp.clauses import (
     build_surprisal_table,
-    clause_metrics,
     render_table,
 )
 from rcsurp.ngram import START
@@ -114,6 +113,39 @@ def test_all_problems_collected():
     text = str(exc.value)
     assert "a" in text and "b" in text
     assert len(exc.value.problems) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, bad",
+    [
+        ("attachment", 4.7, 4.7),
+        ("attachment", True, True),
+        ("rc", [6, "8"], "8"),
+        ("matrix", [[1.0, 6]], 1.0),
+    ],
+    ids=["float", "bool", "string", "integral-float"],
+)
+def test_non_integer_position_rejected(field, value, bad):
+    with pytest.raises(ValidationError) as exc:
+        parse_clause_annotations(_payload(**{field: value}))
+    assert exc.value.problems == [f"r1: {field} position {bad!r} is not an integer"]
+
+
+def test_every_non_integer_position_listed():
+    bad = json.dumps([
+        {"id": "a", "doc": "d", "variant": "extraposed", "matrix": [[0, 10.7]],
+         "rc": [True, 12], "attachment": "1"},
+        {"id": "b", "doc": "d", "variant": "extraposed", "matrix": [[0, 4]],
+         "rc": [4, 6], "attachment": 1.5},
+    ])
+    with pytest.raises(ValidationError) as exc:
+        parse_clause_annotations(bad)
+    assert exc.value.problems == [
+        "a: matrix position 10.7 is not an integer",
+        "a: rc position True is not an integer",
+        "a: attachment position '1' is not an integer",
+        "b: attachment position 1.5 is not an integer",
+    ]
 
 
 def test_duplicate_record_ids_rejected():
@@ -325,8 +357,3 @@ def test_render_table_aligned(extraposed_record, in_situ_record, doc, model):
     assert "combined" in text
     assert "adS" in text and "avS" in text
 
-
-def test_clause_metrics_convenience(extraposed_record, doc, model):
-    direct = clause_metrics(extraposed_record, doc, model, part="rc")
-    via_scorer = ClauseScorer(model).metrics(extraposed_record, doc, part="rc")
-    assert direct == via_scorer

@@ -59,6 +59,15 @@ def test_train_missing_corpus(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_train_punctuation_only_corpus(tmp_path, capsys):
+    corpus = tmp_path / "punct.vert"
+    corpus.write_text("# doc: d\n.\t.\n/\t/\n\n,\t,\n", encoding="utf-8")
+    out = tmp_path / "model.arpa"
+    assert main(["train", "--corpus", str(corpus), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "no bigrams to train on" in capsys.readouterr().err
+
+
 def test_train_no_corpus_flag(tmp_path):
     assert main(["train", "-o", str(tmp_path / "m.arpa")]) == 2
 
@@ -191,6 +200,24 @@ def test_analyze_lists_every_clause_too_short(fixture_model, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rc-002" in err and "rc-004" in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_negative_salience_window_rejected(command, fixture_model, tmp_path, capsys):
+    outdir, output = tmp_path / "out", tmp_path / "table1.tsv"
+    if command == "analyze":
+        args = _analyze_args(fixture_model, outdir)
+    else:
+        args = [
+            "givenness",
+            "--corpus", str(FIXTURES / "corpus.vert"),
+            "--clauses", str(FIXTURES / "clauses.json"),
+            "--referents", str(FIXTURES / "referents.tsv"),
+            "-o", str(output),
+        ]
+    assert main([*args, "--salience-window", "-1"]) == 2
+    assert "salience window must be >= 0" in capsys.readouterr().err
+    assert not outdir.exists() and not output.exists()
 
 
 def test_analyze_missing_model(tmp_path):

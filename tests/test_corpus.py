@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 from rcsurp import (
     Document,
     ParseError,
-    lemma_stream,
     load_plaintext,
     load_vertical,
     load_vertical_file,
@@ -179,21 +178,48 @@ def test_round_trip_multiple_documents():
     assert load_vertical(write_vertical(docs)) == docs
 
 
-# --- lemma stream -----------------------------------------------------------
+# --- word view --------------------------------------------------------------
+
+# A document's lemma stream is its word view: ``word_tokens()``.
 
 def test_lemma_stream_filters_punctuation():
     doc = _doc(["a", "/", "b"])
-    assert len(list(lemma_stream(doc))) == 2
-
-
-def test_lemma_stream_empty_document():
-    doc = load_vertical("# doc: d1\n")[0]
-    assert list(lemma_stream(doc)) == []
+    assert [t.lemma for t in doc.word_tokens()] == ["a", "b"]
+    assert doc.word_count() == 2
 
 
 def test_lemma_stream_positions():
     doc = _doc(["x", "/", "y"])
-    assert list(lemma_stream(doc)) == [("x", 0, 0), ("y", 1, 0)]
+    assert [(t.lemma, t.doc_position, t.sentence_index) for t in doc.word_tokens()] == [
+        ("x", 0, 0),
+        ("y", 1, 0),
+    ]
+
+
+def test_word_tokens_empty_document():
+    doc = load_vertical("# doc: d1\n")[0]
+    assert doc.word_tokens() == ()
+    assert doc.word_count() == 0
+
+
+@given(_words, st.data())
+def test_word_view_is_the_punctuation_filter(words, data):
+    lines = ["# doc: d"]
+    for w in words:
+        lines.append(f"{w}\t{w}")
+        if data.draw(st.booleans()):
+            lines.append("")
+    doc = load_vertical("\n".join(lines))[0]
+    once = resegment_sentences(doc)
+    for d in (doc, once, load_plaintext(" ".join(words))):
+        expected = tuple(t for t in d.tokens if not t.is_punctuation)
+        assert d.word_tokens() == expected
+        assert d.word_count() == len(expected)
+        assert [t.doc_position for t in expected] == list(range(len(expected)))
+    # ``once`` now holds its built view and a fresh copy does not: the
+    # view stays out of equality and hashing.
+    twice = resegment_sentences(once)
+    assert twice == once and hash(twice) == hash(once)
 
 
 # --- plain-text fallback ----------------------------------------------------

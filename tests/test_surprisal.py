@@ -11,7 +11,6 @@ from rcsurp import (
     load_vertical,
     log10_to_bits,
     surprisal_from_prob,
-    token_surprisal,
     train_kn,
 )
 from rcsurp.ngram import START
@@ -54,14 +53,13 @@ def test_surprisal_from_prob_domain():
 
 def test_token_surprisal_toy_value(toy_model):
     # p(sat|cat) = 1/3
-    assert token_surprisal(toy_model, "cat", "sat") == pytest.approx(
-        math.log2(3), abs=1e-12
-    )
-    assert token_surprisal(toy_model, "cat", "sat") == pytest.approx(1.58496, abs=1e-5)
+    s = surprisal_from_prob(toy_model.prob("cat", "sat"))
+    assert s == pytest.approx(math.log2(3), abs=1e-12)
+    assert s == pytest.approx(1.58496, abs=1e-5)
 
 
 def test_unknown_word_surprisal_finite(toy_model):
-    s = token_surprisal(toy_model, "cat", "zzz-unknown")
+    s = surprisal_from_prob(toy_model.prob("cat", "zzz-unknown"))
     assert math.isfinite(s) and s > 0
 
 
@@ -87,6 +85,14 @@ def test_context_resets_at_sentence_boundary(toy_model):
     doc = load_vertical("# doc: d\nthe\tthe\n\ncat\tcat\n")[0]
     annotation = annotate_document(toy_model, doc)
     assert annotation.entries[1].context == START
+
+
+def test_context_resets_after_punctuation_only_sentence(toy_model):
+    doc = load_vertical("# doc: d\nthe\tthe\ncat\tcat\n\n/\t/\n\ncat\tcat\n")[0]
+    annotation = annotate_document(toy_model, doc)
+    assert doc.sentence_count == 3
+    assert [e.context for e in annotation.entries] == [START, "the", START]
+    assert [e.doc_position for e in annotation.entries] == [0, 1, 2]
 
 
 def test_annotation_against_loop_oracle(toy_model):
@@ -182,16 +188,3 @@ def test_bigram_locality(toy_model):
             if j not in (i, i + 1):
                 assert x.surprisal_bits == y.surprisal_bits, j
 
-
-def test_annotation_tsv_format(toy_model):
-    import io
-
-    doc = load_vertical("# doc: d\nthe\tthe\ncat\tcat\n")[0]
-    buffer = io.StringIO()
-    from rcsurp.surprisal import write_annotation_tsv
-
-    write_annotation_tsv(annotate_document(toy_model, doc), buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == "doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits"
-    assert len(lines) == 3
-    assert lines[1].split("\t")[:4] == ["d", "0", "the", "<s>"]
