@@ -159,7 +159,9 @@ def _load_annotations(
     args: argparse.Namespace, cfg: RunConfig, docs: dict[str, Document]
 ) -> tuple[list[cl.ClauseRecord], list[tuple[giv.ReferentMention, giv.SalienceCategory]]]:
     """Parse the clause and referent annotations against the corpus and
-    classify every mention; all bad mentions are reported together."""
+    classify every mention; all bad mentions are reported together. The
+    salience window is checked first, whether or not there are mentions."""
+    giv.check_salience_window(cfg.salience_window)
     with open(args.clauses, encoding="utf-8") as fh:
         records = cl.parse_clause_annotations(fh, docs)
     with open(args.referents, encoding="utf-8") as fh:

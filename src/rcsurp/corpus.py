@@ -14,7 +14,7 @@ the early-modern virgule ``/``. Punctuation tokens carry no position.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
@@ -63,7 +63,13 @@ class Document:
 
 def is_punctuation(surface: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> bool:
     """True iff the surface consists solely of punctuation characters."""
-    return bool(surface) and all(ch in punctuation for ch in surface)
+    return _is_punctuation(surface, "".join(punctuation))
+
+
+def _is_punctuation(surface: str, chars: str) -> bool:
+    # ``str.strip`` removes every character of ``chars`` from both ends, so
+    # nothing is left exactly when the surface consists of them alone.
+    return bool(surface) and not surface.strip(chars)
 
 
 class _DocumentBuilder:
@@ -72,14 +78,14 @@ class _DocumentBuilder:
 
     def __init__(self, doc_id: str, punctuation: frozenset[str]):
         self.doc_id = doc_id
-        self.punctuation = punctuation
+        self._punctuation_chars = "".join(punctuation)
         self.tokens: list[Token] = []
         self._sentence_index = 0
         self._sentence_open = False
         self._next_position = 0
 
     def add_token(self, surface: str, lemma: str, pos: str | None):
-        punct = is_punctuation(surface, self.punctuation)
+        punct = _is_punctuation(surface, self._punctuation_chars)
         position = None
         if not punct:
             position = self._next_position
@@ -225,24 +231,37 @@ def resegment_sentences(doc: Document) -> Document:
     exactly ``"."``, keeping all original boundaries.
 
     Token order and word positions are unchanged; sentence indices and the
-    sentence count are recomputed. Idempotent.
+    sentence count are recomputed. Tokens whose sentence index stays the
+    same are shared with the input, and the input document itself is
+    returned when neither an index nor the sentence count changes.
+    Idempotent.
     """
     if not doc.tokens:
         return doc
     new_tokens: list[Token] = []
+    moved = False
     sentence_index = 0
     boundary_pending = False
     previous_original = doc.tokens[0].sentence_index
     for token in doc.tokens:
-        if token.sentence_index != previous_original:
+        original = token.sentence_index
+        if original != previous_original:
             boundary_pending = True
-        previous_original = token.sentence_index
+        previous_original = original
         if boundary_pending:
             sentence_index += 1
             boundary_pending = False
-        new_tokens.append(replace(token, sentence_index=sentence_index))
+        if original != sentence_index:
+            moved = True
+            token = Token(
+                token.surface, token.lemma, token.pos, token.doc_position,
+                sentence_index, token.is_punctuation,
+            )
+        new_tokens.append(token)
         if token.surface == ".":
             boundary_pending = True
+    if not moved and doc.sentence_count == sentence_index + 1:
+        return doc
     return Document(doc.id, tuple(new_tokens), sentence_index + 1)
 
 

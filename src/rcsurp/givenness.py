@@ -44,6 +44,13 @@ class ReferentMention:
     mention_ordinal: int  # dense 0-based index in the document's mention sequence
 
 
+def check_salience_window(window: int) -> None:
+    """Raise ``ValueError`` for a negative window: no count of interveners
+    could satisfy it."""
+    if window < 0:
+        raise ValueError(f"salience window must be >= 0, got {window}")
+
+
 def classify_mention(
     history: Sequence[ReferentMention],
     mention: ReferentMention,
@@ -54,10 +61,9 @@ def classify_mention(
 
     ``count_distinct`` switches the interveners from mention events (the
     default) to distinct referents. A negative ``window`` is a
-    ``ValueError``: no count of interveners could satisfy it.
+    ``ValueError`` (see :func:`check_salience_window`).
     """
-    if window < 0:
-        raise ValueError(f"salience window must be >= 0, got {window}")
+    check_salience_window(window)
     last = None
     for previous in reversed(history):
         if previous.referent_id == mention.referent_id:

@@ -120,11 +120,9 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     counts = BigramCounts()
     for doc in docs:
         for sentence in sentences(doc):
-            padded = [START] + sentence + [END]
-            for symbol in padded:
-                counts.c1[symbol] += 1
-            for left, right in zip(padded, padded[1:]):
-                counts.c2[(left, right)] += 1
+            padded = [START, *sentence, END]
+            counts.c1.update(padded)
+            counts.c2.update(zip(padded, padded[1:]))
     counts._refresh_derived()
     return counts
 

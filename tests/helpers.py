@@ -3,15 +3,16 @@
 The reference functions here recompute everything from raw inputs with
 plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, perplexity as an explicit
-log sum, and the chi-square tail by Simpson integration of the normal
-density.
+log sum, sentence re-segmentation by copying every token, and the
+chi-square tail by Simpson integration of the normal density.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
-from rcsurp import load_vertical, resegment_sentences
+from rcsurp import Document, load_vertical, resegment_sentences
 
 START = "<s>"
 END = "</s>"
@@ -115,6 +116,29 @@ def reference_chi2_upper_tail(statistic: float) -> float:
     z = math.sqrt(statistic)
     density = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     return 2.0 * simpson(density, z, z + 45.0, 20000)
+
+
+def reference_resegment(doc: Document) -> Document:
+    """Sentence re-segmentation as a plain loop that copies every token:
+    a boundary after each ``"."`` token and at every original boundary,
+    indices renumbered from 0."""
+    if not doc.tokens:
+        return doc
+    new_tokens = []
+    sentence_index = 0
+    boundary_pending = False
+    previous_original = doc.tokens[0].sentence_index
+    for token in doc.tokens:
+        if token.sentence_index != previous_original:
+            boundary_pending = True
+        previous_original = token.sentence_index
+        if boundary_pending:
+            sentence_index += 1
+            boundary_pending = False
+        new_tokens.append(replace(token, sentence_index=sentence_index))
+        if token.surface == ".":
+            boundary_pending = True
+    return Document(doc.id, tuple(new_tokens), sentence_index + 1)
 
 
 def resegmented(docs):

@@ -202,22 +202,43 @@ def test_analyze_lists_every_clause_too_short(fixture_model, tmp_path, capsys):
     assert not outdir.exists()
 
 
+def _annotation_job(command, model, tmp_path, referents):
+    """Arguments for ``analyze`` or ``givenness`` on the fixture with the
+    given referent file, and the outputs the job would write."""
+    outdir, output = tmp_path / "out", tmp_path / "table1.tsv"
+    args = [
+        command,
+        "--corpus", str(FIXTURES / "corpus.vert"),
+        "--clauses", str(FIXTURES / "clauses.json"),
+        "--referents", str(referents),
+    ]
+    if command == "analyze":
+        args += ["--model", str(model), "--outdir", str(outdir)]
+    else:
+        args += ["-o", str(output)]
+    return args, (outdir, output)
+
+
 @pytest.mark.parametrize("command", ["analyze", "givenness"])
 def test_negative_salience_window_rejected(command, fixture_model, tmp_path, capsys):
-    outdir, output = tmp_path / "out", tmp_path / "table1.tsv"
-    if command == "analyze":
-        args = _analyze_args(fixture_model, outdir)
-    else:
-        args = [
-            "givenness",
-            "--corpus", str(FIXTURES / "corpus.vert"),
-            "--clauses", str(FIXTURES / "clauses.json"),
-            "--referents", str(FIXTURES / "referents.tsv"),
-            "-o", str(output),
-        ]
+    args, outputs = _annotation_job(command, fixture_model, tmp_path,
+                                    FIXTURES / "referents.tsv")
     assert main([*args, "--salience-window", "-1"]) == 2
     assert "salience window must be >= 0" in capsys.readouterr().err
-    assert not outdir.exists() and not output.exists()
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_negative_salience_window_rejected_without_mentions(
+    command, fixture_model, tmp_path, capsys
+):
+    # With no mention to classify the window must still be checked.
+    referents = tmp_path / "referents.tsv"
+    referents.write_text("", encoding="utf-8")
+    args, outputs = _annotation_job(command, fixture_model, tmp_path, referents)
+    assert main([*args, "--salience-window", "-1"]) == 2
+    assert "salience window must be >= 0" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
 
 
 def test_analyze_missing_model(tmp_path):

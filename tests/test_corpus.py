@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from rcsurp import (
     Document,
     ParseError,
@@ -10,7 +13,7 @@ from rcsurp import (
     resegment_sentences,
     write_vertical,
 )
-from rcsurp.corpus import is_punctuation
+from rcsurp.corpus import Token, is_punctuation
 
 
 def test_minimal_vertical():
@@ -89,6 +92,25 @@ def test_is_punctuation():
     assert not is_punctuation("")
 
 
+@given(st.frozensets(st.characters(), min_size=1), st.data())
+def test_is_punctuation_is_all_characters_in_set(punctuation, data):
+    # Surfaces mix characters of the set with arbitrary ones, so both
+    # outcomes (and the empty surface) are drawn often.
+    surface = data.draw(st.text(st.sampled_from(sorted(punctuation)) | st.characters()))
+    expected = bool(surface) and all(ch in punctuation for ch in surface)
+    assert is_punctuation(surface, punctuation) == expected
+
+
+def test_custom_punctuation_set():
+    docs = load_vertical(
+        "# doc: d1\na\ta\n/\t/\n-\t-\n.\t.\n-/\t-/\nb\tb\na-b\ta-b\n",
+        frozenset("/-"),
+    )
+    tokens = docs[0].tokens
+    assert [t.is_punctuation for t in tokens] == [False, True, True, False, True, False, False]
+    assert [t.doc_position for t in tokens] == [0, None, None, 1, None, 2, 3]
+
+
 def test_invalid_utf8_is_hard_error(tmp_path):
     path = tmp_path / "bad.vert"
     path.write_bytes(b"# doc: d1\n\xff\xfe\ta\n")
@@ -146,6 +168,40 @@ def test_resegment_idempotent_and_conserving(words, data):
     assert resegment_sentences(once) == once
     assert len(once.tokens) == len(doc.tokens)
     assert [t.lemma for t in once.tokens] == [t.lemma for t in doc.tokens]
+
+
+# "" stands for a blank line; a "." not followed by one ends a sentence
+# only after re-segmentation.
+_stream = st.lists(st.sampled_from(["a", "b", ".", "/", "c", ""]), max_size=40)
+
+
+@given(_stream)
+def test_resegment_matches_copying_oracle(stream):
+    lines = ["# doc: d"] + [f"{w}\t{w}" if w else "" for w in stream]
+    doc = load_vertical("\n".join(lines))[0]
+    fast = resegment_sentences(doc)
+    oracle = helpers.reference_resegment(doc)
+    assert fast == oracle
+    assert fast.word_tokens() == oracle.word_tokens()
+    if [t.sentence_index for t in oracle.tokens] == [t.sentence_index for t in doc.tokens]:
+        assert fast is doc
+    else:
+        # Only moved tokens are rebuilt; the rest are the input's objects.
+        for before, after in zip(doc.tokens, fast.tokens):
+            assert (after is before) == (after.sentence_index == before.sentence_index)
+
+
+def test_resegment_renumbers_hand_built_documents():
+    # The loader always numbers sentences densely from 0 and counts them;
+    # a hand-built document need not, and still comes out renumbered.
+    a, b = (Token(w, w, None, i, 0, False) for i, w in enumerate("ab"))
+    sparse = Document("d", (a, replace(b, sentence_index=2)), 2)
+    assert resegment_sentences(sparse) == helpers.reference_resegment(sparse)
+    assert [t.sentence_index for t in resegment_sentences(sparse).tokens] == [0, 1]
+    miscounted = Document("d", (a, b), 5)
+    fixed = resegment_sentences(miscounted)
+    assert fixed.sentence_count == 1 and fixed.tokens == (a, b)
+    assert fixed.tokens[0] is a and fixed.tokens[1] is b
 
 
 # --- round trip -------------------------------------------------------------
@@ -218,8 +274,8 @@ def test_word_view_is_the_punctuation_filter(words, data):
         assert [t.doc_position for t in expected] == list(range(len(expected)))
     # ``once`` now holds its built view and a fresh copy does not: the
     # view stays out of equality and hashing.
-    twice = resegment_sentences(once)
-    assert twice == once and hash(twice) == hash(once)
+    fresh = Document(once.id, once.tokens, once.sentence_count)
+    assert fresh == once and hash(fresh) == hash(once)
 
 
 # --- plain-text fallback ----------------------------------------------------

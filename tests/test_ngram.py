@@ -3,6 +3,7 @@ import random
 from copy import deepcopy
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from rcsurp import (
@@ -81,6 +82,35 @@ def test_count_invariants_random_corpora():
             assert sum(c for (a, _), c in counts.c2.items() if a == v) == counts.c1[v]
         assert sum(counts.continuation.values()) == counts.total_bigram_types
         assert sum(counts.fertility.values()) == counts.total_bigram_types
+
+
+_corpora = st.lists(  # documents of sentences; empty and punctuation-only ones included
+    st.lists(st.lists(st.sampled_from(["a", "b", "c", "/", ",", "."]), max_size=6),
+             max_size=5),
+    min_size=1, max_size=4,
+)
+
+
+@given(_corpora)
+def test_counts_match_reference_random_corpora(corpus):
+    lines = []
+    expected_sentences = []
+    for i, doc in enumerate(corpus):
+        lines.append(f"# doc: d{i}")
+        for sentence in doc:
+            lines.extend(f"{w}\t{w}" for w in sentence)
+            lines.append("")
+            words = [w for w in sentence if w not in "/,."]
+            if words:
+                expected_sentences.append(words)
+    counts = count_bigrams(load_vertical("\n".join(lines)))
+    c1, c2, left, right, types = helpers.reference_counts(expected_sentences)
+    # Same counts, in the same first-seen key order the ARPA export follows.
+    assert list(counts.c1.items()) == list(c1.items())
+    assert list(counts.c2.items()) == list(c2.items())
+    assert counts.continuation == {w: len(vs) for w, vs in left.items()}
+    assert counts.fertility == {v: len(ws) for v, ws in right.items()}
+    assert counts.total_bigram_types == types
 
 
 def test_merge_counts():
