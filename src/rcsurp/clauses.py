@@ -61,9 +61,6 @@ class Span:
     def overlaps(self, other: "Span") -> bool:
         return self.start < other.end and other.start < self.end
 
-    def contains(self, other: "Span") -> bool:
-        return self.start <= other.start and other.end <= self.end
-
 
 @dataclass(frozen=True)
 class ClauseRecord:

@@ -22,6 +22,8 @@ import json
 import sys
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 from typing import ContextManager, TextIO
 
@@ -157,33 +159,20 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 
 def _load_annotations(
     args: argparse.Namespace, cfg: RunConfig, docs: dict[str, Document]
-) -> tuple[list[cl.ClauseRecord], list[tuple[giv.ReferentMention, giv.SalienceCategory]]]:
+) -> tuple[list[cl.ClauseRecord], dict[str, list[giv.ClassifiedMention]]]:
     """Parse the clause and referent annotations against the corpus and
-    classify every mention; all bad mentions are reported together. The
-    salience window is checked first, whether or not there are mentions."""
+    classify each document's mentions, keyed by document id. The salience
+    window is checked first, whether or not there are mentions."""
     giv.check_salience_window(cfg.salience_window)
     with open(args.clauses, encoding="utf-8") as fh:
         records = cl.parse_clause_annotations(fh, docs)
     with open(args.referents, encoding="utf-8") as fh:
-        mentions = giv.load_referent_annotations(fh)
-    problems = []
-    by_doc: dict[str, list[giv.ReferentMention]] = {}
-    for m in mentions:
-        if m.doc_id not in docs:
-            problems.append(f"mention of {m.referent_id!r}: unknown document {m.doc_id!r}")
-        elif m.end > docs[m.doc_id].word_count():
-            problems.append(
-                f"mention of {m.referent_id!r} at [{m.start}, {m.end}) exceeds "
-                f"document {m.doc_id!r}"
-            )
-        by_doc.setdefault(m.doc_id, []).append(m)
-    if problems:
-        raise ValidationError(problems)
-    classified = [
-        pair
-        for doc_mentions in by_doc.values()
-        for pair in giv.classify_document(doc_mentions, cfg.salience_window, cfg.count_distinct)
-    ]
+        mentions = giv.load_referent_annotations(fh, docs)
+    # The loader returns each document's mentions as one consecutive run.
+    classified = {
+        doc_id: giv.classify_document(doc_mentions, cfg.salience_window, cfg.count_distinct)
+        for doc_id, doc_mentions in groupby(mentions, key=attrgetter("doc_id"))
+    }
     return records, classified
 
 

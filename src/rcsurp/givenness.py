@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
-from .clauses import ClauseRecord, Span, Variant
+from .clauses import ClauseRecord, Variant
+from .corpus import Document
 from .errors import ParseError, ValidationError
 
 SALIENCE_WINDOW = 10
@@ -42,6 +43,9 @@ class ReferentMention:
     inferable: bool
     topic: bool
     mention_ordinal: int  # dense 0-based index in the document's mention sequence
+
+
+ClassifiedMention = tuple[ReferentMention, SalienceCategory]
 
 
 def check_salience_window(window: int) -> None:
@@ -86,10 +90,10 @@ def classify_mention(
 
 
 def classify_document(
-    mentions: Sequence[ReferentMention],
+    mentions: Iterable[ReferentMention],
     window: int = SALIENCE_WINDOW,
     count_distinct: bool = False,
-) -> list[tuple[ReferentMention, SalienceCategory]]:
+) -> list[ClassifiedMention]:
     """Sequential classification of one document's mentions in order."""
     ordered = sorted(mentions, key=lambda m: m.mention_ordinal)
     classified = []
@@ -100,11 +104,16 @@ def classify_document(
     return classified
 
 
-def load_referent_annotations(source: str | TextIO) -> list[ReferentMention]:
+def load_referent_annotations(
+    source: str | TextIO,
+    documents: Mapping[str, Document] | None = None,
+) -> list[ReferentMention]:
     """Parse the referent TSV: ``doc start end referent_id inferable topic``.
 
-    Mention ordinals are assigned per document by interval order.
-    Intervals of one document must not overlap.
+    Mentions come grouped by document and in interval order within each,
+    which sets their ordinals. Overlapping intervals and, when ``documents``
+    is given, mentions of an unknown document or past the document's last
+    word are listed together in one :class:`ValidationError`.
     """
     text = source.read() if hasattr(source, "read") else source
     raw: dict[str, list[tuple[int, int, str, bool, bool]]] = {}
@@ -133,10 +142,18 @@ def load_referent_annotations(source: str | TextIO) -> list[ReferentMention]:
     problems: list[str] = []
     for doc_id, rows in raw.items():
         rows.sort()
+        doc = None if documents is None else documents.get(doc_id)
+        word_count = None if doc is None else doc.word_count()
         for i, (start, end, referent_id, inferable, topic) in enumerate(rows):
             if i > 0 and start < rows[i - 1][1]:
                 problems.append(
                     f"{doc_id}: overlapping mention intervals at {start}"
+                )
+            if documents is not None and doc is None:
+                problems.append(f"mention of {referent_id!r}: unknown document {doc_id!r}")
+            elif word_count is not None and end > word_count:
+                problems.append(
+                    f"mention of {referent_id!r} at [{start}, {end}) exceeds document {doc_id!r}"
                 )
             mentions.append(
                 ReferentMention(doc_id, start, end, referent_id, inferable, topic, i)
@@ -148,8 +165,11 @@ def load_referent_annotations(source: str | TextIO) -> list[ReferentMention]:
 
 @dataclass(frozen=True)
 class GivennessCounts:
-    total: int
     by_category: Mapping[SalienceCategory, int]
+
+    @property
+    def total(self) -> int:
+        return sum(self.by_category.values())
 
     @property
     def new(self) -> int:
@@ -166,26 +186,26 @@ class GivennessCounts:
 
 def clause_givenness(
     record: ClauseRecord,
-    classified: Sequence[tuple[ReferentMention, SalienceCategory]],
+    classified: Sequence[ClassifiedMention],
     part: str,
 ) -> GivennessCounts:
-    """Category counts over the mentions lying inside one clause part."""
+    """Category counts over the mentions of the record's document lying
+    inside one clause part."""
     if part == "rc":
-        spans = [record.rc_span]
+        spans = (record.rc_span,)
     elif part == "matrix":
-        spans = list(record.matrix_spans)
+        spans = record.matrix_spans
     else:
         raise ValueError(f"unknown part {part!r}")
-    by_category = {category: 0 for category in SalienceCategory}
-    total = 0
+    by_category = dict.fromkeys(SalienceCategory, 0)
     for mention, category in classified:
         if mention.doc_id != record.doc_id:
             continue
-        interval = Span(mention.start, mention.end)
-        if any(span.contains(interval) for span in spans):
-            by_category[category] += 1
-            total += 1
-    return GivennessCounts(total, by_category)
+        for span in spans:
+            if span.start <= mention.start and mention.end <= span.end:
+                by_category[category] += 1
+                break
+    return GivennessCounts(by_category)
 
 
 def chi_square_2x2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
@@ -225,21 +245,20 @@ class GivennessRow:
 
 def build_givenness_table(
     records: Sequence[ClauseRecord],
-    classified: Sequence[tuple[ReferentMention, SalienceCategory]],
+    classified: Mapping[str, Sequence[ClassifiedMention]],
 ) -> list[GivennessRow]:
-    """Pooled per-variant, per-part mention counts in the standard row order."""
+    """Pooled per-variant, per-part mention counts in the standard row order;
+    ``classified`` maps each document id to its classified mentions."""
     rows = []
     for part, variant, label in _GIVENNESS_ROWS:
-        pooled = {category: 0 for category in SalienceCategory}
-        total = 0
+        pooled = dict.fromkeys(SalienceCategory, 0)
         for record in records:
             if record.variant is not variant:
                 continue
-            counts = clause_givenness(record, classified, part)
-            total += counts.total
-            for category in SalienceCategory:
-                pooled[category] += counts.by_category[category]
-        rows.append(GivennessRow(label, part, variant, GivennessCounts(total, pooled)))
+            counts = clause_givenness(record, classified.get(record.doc_id, ()), part)
+            for category, count in counts.by_category.items():
+                pooled[category] += count
+        rows.append(GivennessRow(label, part, variant, GivennessCounts(pooled)))
     return rows
 
 

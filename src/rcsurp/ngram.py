@@ -271,8 +271,19 @@ def _fmt(value: float) -> str:
 
 
 def export_arpa(model: KneserNeyBigramModel) -> str:
-    """Serialize the model to ARPA text in canonical (vocabulary) order."""
+    """Serialize the model to ARPA text in canonical (vocabulary) order.
+
+    ARPA separates the words of an n-gram by whitespace, so a lemma that
+    contains any whitespace character is a ``ValueError`` naming every such
+    lemma.
+    """
     words = model.vocabulary.words()
+    spaced = [word for word in words if any(map(str.isspace, word))]
+    if spaced:
+        raise ValueError(
+            "lemmas containing whitespace cannot be written to ARPA: "
+            + ", ".join(map(repr, spaced))
+        )
     word_id = model.vocabulary.index
     lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(model.bigram_p)}", ""]
 

@@ -3,8 +3,9 @@
 The reference functions here recompute everything from raw inputs with
 plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, perplexity as an explicit
-log sum, sentence re-segmentation by copying every token, and the
-chi-square tail by Simpson integration of the normal density.
+log sum, sentence re-segmentation by copying every token, the givenness
+table by scanning every mention for every record, and the chi-square tail
+by Simpson integration of the normal density.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from rcsurp import Document, load_vertical, resegment_sentences
+from rcsurp import Document, SalienceCategory, Variant, load_vertical, resegment_sentences
 
 START = "<s>"
 END = "</s>"
@@ -143,3 +144,31 @@ def reference_resegment(doc: Document) -> Document:
 
 def resegmented(docs):
     return [resegment_sentences(d) for d in docs]
+
+
+def reference_givenness_table(records, classified):
+    """The givenness table as a flat scan: for every row and every record of
+    the row's variant, test every classified mention for the record's
+    document and for containment in one of the part's spans. ``classified``
+    is one flat list of (mention, category) pairs over all documents.
+    Returns ``(part, variant, total, {category: count})`` per row in the
+    standard order."""
+    rows = []
+    for part, variant in (("rc", Variant.IN_SITU), ("matrix", Variant.IN_SITU),
+                          ("rc", Variant.EXTRAPOSED), ("matrix", Variant.EXTRAPOSED)):
+        by_category = {category: 0 for category in SalienceCategory}
+        total = 0
+        for record in records:
+            if record.variant is not variant:
+                continue
+            spans = [record.rc_span] if part == "rc" else list(record.matrix_spans)
+            for mention, category in classified:
+                if mention.doc_id != record.doc_id:
+                    continue
+                for span in spans:
+                    if span.start <= mention.start and mention.end <= span.end:
+                        by_category[category] += 1
+                        total += 1
+                        break
+        rows.append((part, variant, total, by_category))
+    return rows

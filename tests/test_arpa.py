@@ -92,6 +92,17 @@ def test_export_layout(toy_model):
     assert len(pair.split(" ")) == 2
 
 
+def test_export_rejects_lemmas_with_whitespace():
+    docs = load_vertical("# doc: d\nich\tich\nzu\tzu Hause\nda\tda\u00a0drin\nbin\tsein\n")
+    model = train_kn(count_bigrams(docs), discount=0.5)
+    with pytest.raises(ValueError, match="whitespace") as info:
+        export_arpa(model)
+    message = str(info.value)
+    assert repr("zu Hause") in message
+    assert repr("da\u00a0drin") in message
+    assert repr("ich") not in message
+
+
 def test_import_missing_data_header():
     with pytest.raises(ParseError):
         import_arpa("\\1-grams:\n-1.0\ta\t0.0\n\\end\\\n")

@@ -68,6 +68,17 @@ def test_train_punctuation_only_corpus(tmp_path, capsys):
     assert "no bigrams to train on" in capsys.readouterr().err
 
 
+def test_train_rejects_lemma_with_whitespace(tmp_path, capsys):
+    corpus = tmp_path / "spaced.vert"
+    corpus.write_text("# doc: d\nich\tich\nbin\tsein\nzu Hause\tzu Hause\n.\t.\n",
+                      encoding="utf-8")
+    out = tmp_path / "model.arpa"
+    assert main(["train", "--corpus", str(corpus), "--discount", "0.5",
+                 "-o", str(out)]) == 2
+    assert not out.exists()
+    assert "'zu Hause'" in capsys.readouterr().err
+
+
 def test_train_no_corpus_flag(tmp_path):
     assert main(["train", "-o", str(tmp_path / "m.arpa")]) == 2
 
@@ -238,6 +249,25 @@ def test_negative_salience_window_rejected_without_mentions(
     args, outputs = _annotation_job(command, fixture_model, tmp_path, referents)
     assert main([*args, "--salience-window", "-1"]) == 2
     assert "salience window must be >= 0" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_referent_problems_listed_together(command, fixture_model, tmp_path, capsys):
+    referents = tmp_path / "referents.tsv"
+    referents.write_text(
+        "sermon-01\t1\t3\tMann\t0\t0\n"
+        "sermon-01\t2\t4\tBruder\t0\t0\n"      # overlaps the line above
+        "sermon-99\t0\t1\tKirche\t0\t0\n"      # unknown document
+        "sermon-02\t700\t701\tKind\t0\t0\n",   # sermon-02 has 618 words
+        encoding="utf-8",
+    )
+    args, outputs = _annotation_job(command, fixture_model, tmp_path, referents)
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert "sermon-01: overlapping mention intervals at 2" in err
+    assert "mention of 'Kirche': unknown document 'sermon-99'" in err
+    assert "mention of 'Kind' at [700, 701) exceeds document 'sermon-02'" in err
     assert not any(path.exists() for path in outputs)
 
 

@@ -1,0 +1,65 @@
+"""Pins every output of the CLI jobs on the committed fixture.
+
+Each digest is the sha256 of the file the job writes. The corpus path is
+passed relative to the repository root, so the run configuration (and the
+``config_sha256`` recorded in ``manifest.json``) does not depend on where
+the repository is checked out; the manifest's ``inputs`` name temporary
+paths and are left out.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+from rcsurp.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = Path("tests") / "fixtures" / "minicorpus"
+CORPUS = str(FIXTURES / "corpus.vert")
+ANNOTATIONS = ["--clauses", str(FIXTURES / "clauses.json"),
+               "--referents", str(FIXTURES / "referents.tsv")]
+
+TABLE1 = "58498c4ec24d0285dfd674bb4596a77d40d4ebb6e9133399ccbf1a8b92ffa90b"
+EXPECTED = {
+    "model.arpa": "f74126f4257c3da67b40ce7d653def7e3395999e91263a7d69b65d085fdba33e",
+    "report.txt": "7ccdbedad65ec63aaae8cdecac457bd9473fa80b5154ba8eb56b41a9359bcc98",
+    "surprisal.tsv": "59815ab2b4620129307b2d111d8e6e68178b18d375660ac92f35225163918f3e",
+    "givenness.tsv": TABLE1,
+    "out/table1.tsv": TABLE1,
+    "out/table2.tsv": "559695b1a45b416ea8ae824ac8fa680bcb9cfd2de1895ad5f4fa7cc20a3ef411",
+    "out/table3.tsv": "a669a52be29d1d6cf221671b9d5789dbb6c62ab2bb46086b59f0f8d0bcaff9c2",
+    "out/hypotheticals.tsv": "11f1323de2111000086cfc2a8441d41d747bdb42a28a00a4db767fb221e4d788",
+    "out/chi_square.tsv": "1618d90ccf9178b54ee0e374b5aaee8b488a97d076bdef3254aac44b4fa3ba3c",
+}
+CONFIG_SHA256 = "ba75d62a518463d3b89e7000d10c34af0d7bbd384bf014b6cfe0ab1305368224"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_fixture_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    model = tmp_path / "model.arpa"
+    jobs = [
+        ["train", "--corpus", CORPUS, "-o", str(model),
+         "--report", str(tmp_path / "report.txt")],
+        ["surprisal", "--model", str(model), "--corpus", CORPUS,
+         "-o", str(tmp_path / "surprisal.tsv")],
+        ["analyze", "--model", str(model), "--corpus", CORPUS, *ANNOTATIONS,
+         "--outdir", str(tmp_path / "out")],
+        ["givenness", "--corpus", CORPUS, *ANNOTATIONS,
+         "-o", str(tmp_path / "givenness.tsv")],
+    ]
+    for args in jobs:
+        assert main(args) == 0, args[0]
+    capsys.readouterr()
+
+    digests = {name: _sha256(tmp_path / name) for name in EXPECTED}
+    assert digests == EXPECTED
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_sha256"] == CONFIG_SHA256
+    assert manifest["outputs"] == {
+        name.removeprefix("out/"): digest
+        for name, digest in EXPECTED.items() if name.startswith("out/")
+    }

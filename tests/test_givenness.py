@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from rcsurp import (
@@ -16,6 +17,7 @@ from rcsurp import (
     classify_mention,
     clause_givenness,
     load_referent_annotations,
+    load_vertical,
 )
 from rcsurp.givenness import build_givenness_table, new_referent_chi_square
 
@@ -132,6 +134,54 @@ def test_load_referents_overlap_error():
         load_referent_annotations("d\t0\t3\ta\t0\t0\nd\t2\t4\tb\t0\t0\n")
 
 
+def test_load_referents_grouped_by_document():
+    mentions = load_referent_annotations(
+        "d2\t4\t5\tc\t0\t0\nd1\t0\t1\ta\t0\t0\nd2\t0\t1\tb\t0\t0\n"
+    )
+    assert [(m.doc_id, m.referent_id, m.mention_ordinal) for m in mentions] == [
+        ("d2", "b", 0), ("d2", "c", 1), ("d1", "a", 0),
+    ]
+
+
+def _three_word_documents():
+    return {doc.id: doc for doc in load_vertical(
+        "# doc: d\na\ta\n,\t,\nb\tb\nc\tc\n"  # three words, one punctuation token
+    )}
+
+
+def test_load_referents_unknown_document_error():
+    with pytest.raises(ValidationError) as info:
+        load_referent_annotations("x\t0\t1\ta\t0\t0\nx\t1\t2\tb\t0\t0\n",
+                                  _three_word_documents())
+    assert info.value.problems == [
+        "mention of 'a': unknown document 'x'",
+        "mention of 'b': unknown document 'x'",
+    ]
+
+
+def test_load_referents_past_document_end_error():
+    documents = _three_word_documents()
+    assert len(load_referent_annotations("d\t2\t3\ta\t0\t0\n", documents)) == 1
+    with pytest.raises(ValidationError) as info:
+        load_referent_annotations("d\t2\t4\ta\t0\t0\n", documents)
+    assert info.value.problems == ["mention of 'a' at [2, 4) exceeds document 'd'"]
+
+
+def test_load_referents_lists_every_problem_together():
+    with pytest.raises(ValidationError) as info:
+        load_referent_annotations(
+            "d\t0\t2\ta\t0\t0\nd\t1\t2\tb\t0\t0\n"  # overlap
+            "x\t0\t1\tc\t0\t0\n"                   # unknown document
+            "d\t2\t9\te\t0\t0\n",                  # past the end
+            _three_word_documents(),
+        )
+    assert sorted(info.value.problems) == sorted([
+        "d: overlapping mention intervals at 1",
+        "mention of 'c': unknown document 'x'",
+        "mention of 'e' at [2, 9) exceeds document 'd'",
+    ])
+
+
 # --- clause givenness -------------------------------------------------------
 
 def _record(rc=(10, 20), matrix=((0, 10),), variant=Variant.EXTRAPOSED):
@@ -242,7 +292,7 @@ def _two_variant_setup():
         (ReferentMention("d", p, p + 1, f"ref{i}", False, False, i), categories[i])
         for i, p in enumerate(positions)
     ]
-    return records, classified
+    return records, {"d": classified}
 
 
 def test_build_givenness_table_rows():
@@ -270,3 +320,45 @@ def test_new_referent_chi_square_uses_rc_rows():
         extraposed.new, extraposed.total - extraposed.new,
     )
     assert (statistic, p) == expected
+
+
+# Records name d0-d2 and mentions d0, d1 and d3, so d2 has records but no
+# mentions and d3 mentions but no records.
+@st.composite
+def _spans(draw):
+    start = draw(st.integers(0, 29))
+    return Span(start, draw(st.integers(start + 1, 30)))
+
+
+_records = st.lists(
+    st.builds(
+        lambda doc_id, variant, matrix, rc: ClauseRecord(
+            "r", doc_id, variant, tuple(matrix), rc, rc.start
+        ),
+        st.sampled_from(["d0", "d1", "d2"]),
+        st.sampled_from(Variant),
+        st.lists(_spans(), min_size=1, max_size=3),
+        _spans(),
+    ),
+    max_size=8,
+)
+_mentions = st.lists(
+    st.tuples(st.sampled_from(["d0", "d1", "d3"]), _spans(), st.sampled_from(SalienceCategory)),
+    max_size=30,
+)
+
+
+@given(_records, _mentions)
+def test_grouped_table_matches_flat_scan(records, drawn):
+    classified = {}
+    for doc_id, span, category in drawn:
+        pairs = classified.setdefault(doc_id, [])
+        mention = ReferentMention(doc_id, span.start, span.end, f"ref{len(pairs)}",
+                                  False, False, len(pairs))
+        pairs.append((mention, category))
+    flat = [pair for pairs in classified.values() for pair in pairs]
+    rows = build_givenness_table(records, classified)
+    assert [
+        (row.part, row.variant, row.counts.total, dict(row.counts.by_category))
+        for row in rows
+    ] == helpers.reference_givenness_table(records, flat)
