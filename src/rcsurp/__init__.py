@@ -27,11 +27,9 @@ from .clauses import (
 from .corpus import (
     Document,
     Token,
-    load_plaintext,
     load_vertical,
     load_vertical_file,
     resegment_sentences,
-    write_vertical,
 )
 from .errors import DegenerateCountsError, ParseError, PipelineError, ValidationError
 from .givenness import (

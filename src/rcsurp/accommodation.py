@@ -122,26 +122,19 @@ def make_content_predicate(
     stoplist: frozenset[str] | None = None,
 ) -> Callable[[Token], bool]:
     """Token predicate for "content word": POS in the content set when a
-    tag is present, otherwise lemma not in the function-word stoplist."""
+    tag is present, otherwise lemma not in the function-word stoplist
+    (the bundled German list when ``stoplist`` is None)."""
+    if stoplist is None:
+        stoplist = load_stoplist()
+
     def is_content(token: Token) -> bool:
         if token.is_punctuation:
             return False
         if token.pos is not None:
             return token.pos in content_pos
-        effective = stoplist if stoplist is not None else _default_stoplist()
-        return token.lemma not in effective
+        return token.lemma not in stoplist
 
     return is_content
-
-
-_STOPLIST_CACHE: frozenset[str] | None = None
-
-
-def _default_stoplist() -> frozenset[str]:
-    global _STOPLIST_CACHE
-    if _STOPLIST_CACHE is None:
-        _STOPLIST_CACHE = load_stoplist()
-    return _STOPLIST_CACHE
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 from .accommodation import FactorConfig, accommodation_factors
 from .corpus import Document, Token
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .ngram import START, KneserNeyBigramModel
 from .surprisal import annotate_sequence
 
@@ -139,9 +139,13 @@ def parse_clause_annotations(
     attachment}`` with word positions as JSON integers, end exclusive. All
     validation problems are collected and raised together as a
     :class:`ValidationError`; when ``documents`` is given, spans are also
-    checked against document bounds.
+    checked against document bounds. JSON nested deeper than the
+    interpreter's recursion limit is a :class:`ParseError`.
     """
-    raw = json.load(source) if hasattr(source, "read") else json.loads(source)
+    try:
+        raw = json.load(source) if hasattr(source, "read") else json.loads(source)
+    except RecursionError:
+        raise ParseError("clause annotations are nested too deeply")
     if not isinstance(raw, list):
         raise ValidationError(["clause annotations must be a JSON array"])
 

@@ -34,7 +34,6 @@ from . import ngram
 from .corpus import (
     DEFAULT_PUNCTUATION,
     Document,
-    load_plaintext,
     load_vertical_file,
     resegment_sentences,
 )
@@ -47,7 +46,6 @@ class RunConfig:
     """Resolved settings of one invocation; hashed into the run manifest."""
 
     corpus: list[str] = field(default_factory=list)
-    format: str = "vertical"
     punctuation: str = "".join(sorted(DEFAULT_PUNCTUATION))
     content_pos: str = ""
     stoplist: str = ""
@@ -100,13 +98,7 @@ def _load_corpus(cfg: RunConfig) -> dict[str, Document]:
     punctuation = frozenset(cfg.punctuation)
     docs: dict[str, Document] = {}
     for path in cfg.corpus:
-        path = Path(path)
-        if cfg.format == "vertical":
-            loaded = load_vertical_file(path, punctuation)
-        else:
-            text = path.read_text(encoding="utf-8", errors="strict")
-            loaded = [load_plaintext(text, path.stem, punctuation)]
-        for doc in loaded:
+        for doc in load_vertical_file(path, punctuation):
             if doc.id in docs:
                 raise ValidationError([f"duplicate document id {doc.id!r} across files"])
             docs[doc.id] = resegment_sentences(doc)
@@ -162,12 +154,21 @@ def _load_annotations(
 ) -> tuple[list[cl.ClauseRecord], dict[str, list[giv.ClassifiedMention]]]:
     """Parse the clause and referent annotations against the corpus and
     classify each document's mentions, keyed by document id. The salience
-    window is checked first, whether or not there are mentions."""
+    window is checked first, whether or not there are mentions. Both files
+    are read before failing, so one :class:`ValidationError` lists the
+    clause problems and then the referent problems."""
     giv.check_salience_window(cfg.salience_window)
-    with open(args.clauses, encoding="utf-8") as fh:
-        records = cl.parse_clause_annotations(fh, docs)
-    with open(args.referents, encoding="utf-8") as fh:
-        mentions = giv.load_referent_annotations(fh, docs)
+    loaded, problems = [], []
+    for load, path in ((cl.parse_clause_annotations, args.clauses),
+                       (giv.load_referent_annotations, args.referents)):
+        with open(path, encoding="utf-8") as fh:
+            try:
+                loaded.append(load(fh, docs))
+            except ValidationError as exc:
+                problems.extend(exc.problems)
+    if problems:
+        raise ValidationError(problems)
+    records, mentions = loaded
     # The loader returns each document's mentions as one consecutive run.
     classified = {
         doc_id: giv.classify_document(doc_mentions, cfg.salience_window, cfg.count_distinct)
@@ -254,8 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="flat key = value defaults file")
     config_corpus.add_argument("--corpus", action="append", metavar="PATH",
                                help="corpus file; repeatable")
-    config_corpus.add_argument("--format", choices=("vertical", "text"),
-                               help="corpus file format (default vertical)")
     config_corpus.add_argument("--punctuation", metavar="CHARS",
                                help="characters whose tokens count as punctuation")
 

@@ -173,59 +173,6 @@ def load_vertical_file(
         return load_vertical(fh, punctuation)
 
 
-def write_vertical(docs: Iterable[Document]) -> str:
-    """Serialize documents back to vertical format.
-
-    ``load_vertical`` is the exact inverse for output produced here,
-    provided the same punctuation set is used on reload.
-    """
-    out: list[str] = []
-    for doc in docs:
-        out.append(f"{DOC_HEADER} {doc.id}")
-        previous_sentence = None
-        for token in doc.tokens:
-            if previous_sentence is not None and token.sentence_index != previous_sentence:
-                out.append("")
-            previous_sentence = token.sentence_index
-            if token.pos is None:
-                out.append(f"{token.surface}\t{token.lemma}")
-            else:
-                out.append(f"{token.surface}\t{token.lemma}\t{token.pos}")
-        out.append("")
-    return "\n".join(out) + ("\n" if out else "")
-
-
-def load_plaintext(
-    text: str,
-    doc_id: str = "doc",
-    punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-) -> Document:
-    """Tokenize plain text as a fallback when no vertical file exists.
-
-    Whitespace splitting with leading/trailing punctuation peeled off into
-    separate tokens; the lemma defaults to the lowercased surface. The
-    result is one sentence; run :func:`resegment_sentences` afterwards to
-    split at periods.
-    """
-    builder = _DocumentBuilder(doc_id, punctuation)
-    for chunk in text.split():
-        leading: list[str] = []
-        trailing: list[str] = []
-        while chunk and chunk[0] in punctuation:
-            leading.append(chunk[0])
-            chunk = chunk[1:]
-        while chunk and chunk[-1] in punctuation:
-            trailing.append(chunk[-1])
-            chunk = chunk[:-1]
-        for ch in leading:
-            builder.add_token(ch, ch, None)
-        if chunk:
-            builder.add_token(chunk, chunk.lower(), None)
-        for ch in reversed(trailing):
-            builder.add_token(ch, ch, None)
-    return builder.build()
-
-
 def resegment_sentences(doc: Document) -> Document:
     """Introduce a sentence boundary after every token whose surface is
     exactly ``"."``, keeping all original boundaries.

@@ -97,11 +97,6 @@ class BigramCounts:
             self.fertility[v] += 1
         self.total_bigram_types = len(self.c2)
 
-    def merge(self, other: "BigramCounts") -> "BigramCounts":
-        merged = BigramCounts(self.c1 + other.c1, self.c2 + other.c2)
-        merged._refresh_derived()
-        return merged
-
     def token_count(self) -> int:
         """Corpus word tokens (padding symbols excluded)."""
         return sum(n for w, n in self.c1.items() if w not in RESERVED)
@@ -158,7 +153,6 @@ class KneserNeyBigramModel:
     unigram_p: dict[str, float]   # continuation distribution; START maps to 0.0
     bow: dict[str, float]         # per-context backoff weight; 1.0 when unseen as context
     bigram_p: dict[tuple[str, str], float]
-    unk_floor: float
     discount: float | None = None  # estimation metadata; absent on imported models
 
     def _map_word(self, word: str) -> str:
@@ -187,16 +181,12 @@ class KneserNeyBigramModel:
         return self.vocabulary.event_words()
 
 
-def train_kn(
-    counts: BigramCounts,
-    discount: float | None = None,
-    unk_floor: float | None = None,
-) -> KneserNeyBigramModel:
+def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBigramModel:
     """Estimate the interpolated Kneser-Ney model from counts.
 
     ``discount`` defaults to the count-of-counts estimate and must lie in
-    (0, 1) when given. ``unk_floor`` is the continuation mass of the
-    unknown symbol, default ``1 / (total_bigram_types + 1)``.
+    (0, 1) when given. The continuation mass of the unknown symbol is
+    ``1 / (total_bigram_types + 1)``.
     """
     if counts.total_bigram_types == 0:
         raise DegenerateCountsError("no bigrams to train on")
@@ -206,14 +196,12 @@ def train_kn(
         raise ValueError(f"discount must be in (0, 1), got {discount}")
 
     total_types = counts.total_bigram_types
-    if unk_floor is None:
-        unk_floor = 1.0 / (total_types + 1)
 
     vocabulary = Vocabulary.from_lemmas(
         w for w in counts.c1 if w not in RESERVED
     )
 
-    unigram_p: dict[str, float] = {START: 0.0, UNK: unk_floor}
+    unigram_p: dict[str, float] = {START: 0.0, UNK: 1.0 / (total_types + 1)}
     for word in vocabulary.event_words():
         unigram_p[word] = counts.continuation[word] / total_types
 
@@ -229,9 +217,7 @@ def train_kn(
     for (v, w), c in counts.c2.items():
         bigram_p[(v, w)] = max(c - discount, 0.0) / counts.c1[v] + bow[v] * unigram_p[w]
 
-    return KneserNeyBigramModel(
-        vocabulary, unigram_p, bow, bigram_p, unk_floor, discount
-    )
+    return KneserNeyBigramModel(vocabulary, unigram_p, bow, bigram_p, discount)
 
 
 def perplexity(model: KneserNeyBigramModel, docs: Iterable[Document]) -> float:
@@ -240,17 +226,17 @@ def perplexity(model: KneserNeyBigramModel, docs: Iterable[Document]) -> float:
     Events are every in-sentence token plus the sentence-end symbol; the
     start symbol conditions but is never itself an event.
     """
-    total_bits = 0.0
+    bits = 0.0
     events = 0
     for doc in docs:
         for sentence in sentences(doc):
             chain = [START] + sentence + [END]
             for left, right in zip(chain, chain[1:]):
-                total_bits += -math.log2(model.prob(left, right))
+                bits += -math.log2(model.prob(left, right))
                 events += 1
     if events == 0:
         raise ValueError("empty corpus: no events to evaluate")
-    return 2.0 ** (total_bits / events)
+    return 2.0 ** (bits / events)
 
 
 # --- ARPA serialization ---------------------------------------------------
@@ -403,6 +389,4 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     vocabulary = Vocabulary.from_lemmas(
         w for w in unigram_p if w not in RESERVED
     )
-    return KneserNeyBigramModel(
-        vocabulary, unigram_p, bow, bigram_p, unk_floor=unigram_p[UNK], discount=None
-    )
+    return KneserNeyBigramModel(vocabulary, unigram_p, bow, bigram_p)

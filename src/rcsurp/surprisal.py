@@ -35,9 +35,6 @@ class SurprisalAnnotation:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def total_bits(self) -> float:
-        return math.fsum(e.surprisal_bits for e in self.entries)
-
 
 def log10_to_bits(log10_prob: float) -> float:
     """Convert a base-10 log probability to surprisal in bits."""

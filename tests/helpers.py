@@ -5,7 +5,9 @@ plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, perplexity as an explicit
 log sum, sentence re-segmentation by copying every token, the givenness
 table by scanning every mention for every record, and the chi-square tail
-by Simpson integration of the normal density.
+by Simpson integration of the normal density. ``write_vertical`` serializes
+documents back to the vertical format, so the loader can be checked by a
+round trip.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ def reference_counts(sentences: list[list[str]]):
     return c1, c2, left, right, len(c2)
 
 
-def reference_kn(sentences: list[list[str]], discount: float,
-                 unk_floor: float | None = None):
+def reference_kn(sentences: list[list[str]], discount: float):
     """Brute-force interpolated Kneser-Ney probability from raw counts.
 
     Returns ``prob(context, word)`` with the same out-of-vocabulary
@@ -65,8 +66,7 @@ def reference_kn(sentences: list[list[str]], discount: float,
     distribution.
     """
     c1, c2, left, right, total_types = reference_counts(sentences)
-    if unk_floor is None:
-        unk_floor = 1.0 / (total_types + 1)
+    unk_floor = 1.0 / (total_types + 1)
 
     def p_cont(w: str) -> float:
         if w == UNK:
@@ -140,6 +140,28 @@ def reference_resegment(doc: Document) -> Document:
         if token.surface == ".":
             boundary_pending = True
     return Document(doc.id, tuple(new_tokens), sentence_index + 1)
+
+
+def write_vertical(docs) -> str:
+    """Serialize documents back to vertical format.
+
+    ``load_vertical`` is the exact inverse for output produced here,
+    provided the same punctuation set is used on reload.
+    """
+    out: list[str] = []
+    for doc in docs:
+        out.append(f"# doc: {doc.id}")
+        previous_sentence = None
+        for token in doc.tokens:
+            if previous_sentence is not None and token.sentence_index != previous_sentence:
+                out.append("")
+            previous_sentence = token.sentence_index
+            if token.pos is None:
+                out.append(f"{token.surface}\t{token.lemma}")
+            else:
+                out.append(f"{token.surface}\t{token.lemma}\t{token.pos}")
+        out.append("")
+    return "\n".join(out) + ("\n" if out else "")
 
 
 def resegmented(docs):

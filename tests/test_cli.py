@@ -213,14 +213,15 @@ def test_analyze_lists_every_clause_too_short(fixture_model, tmp_path, capsys):
     assert not outdir.exists()
 
 
-def _annotation_job(command, model, tmp_path, referents):
+def _annotation_job(command, model, tmp_path, referents,
+                    clauses=FIXTURES / "clauses.json"):
     """Arguments for ``analyze`` or ``givenness`` on the fixture with the
-    given referent file, and the outputs the job would write."""
+    given annotation files, and the outputs the job would write."""
     outdir, output = tmp_path / "out", tmp_path / "table1.tsv"
     args = [
         command,
         "--corpus", str(FIXTURES / "corpus.vert"),
-        "--clauses", str(FIXTURES / "clauses.json"),
+        "--clauses", str(clauses),
         "--referents", str(referents),
     ]
     if command == "analyze":
@@ -268,6 +269,36 @@ def test_referent_problems_listed_together(command, fixture_model, tmp_path, cap
     assert "sermon-01: overlapping mention intervals at 2" in err
     assert "mention of 'Kirche': unknown document 'sermon-99'" in err
     assert "mention of 'Kind' at [700, 701) exceeds document 'sermon-02'" in err
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_problems_of_both_annotation_files_listed(command, fixture_model, tmp_path, capsys):
+    records = json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8"))
+    records[0]["variant"] = "wat"
+    clauses = tmp_path / "clauses.json"
+    clauses.write_text(json.dumps(records), encoding="utf-8")
+    referents = tmp_path / "referents.tsv"
+    referents.write_text((FIXTURES / "referents.tsv").read_text(encoding="utf-8")
+                         + "sermon-99\t0\t1\tX\t0\t0\n", encoding="utf-8")
+    args, outputs = _annotation_job(command, fixture_model, tmp_path, referents, clauses)
+    assert main(args) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"validation error: {records[0]['id']}: 'wat' is not a valid Variant",
+        "validation error: mention of 'X': unknown document 'sermon-99'",
+    ]
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_deeply_nested_clause_json(command, fixture_model, tmp_path, capsys):
+    clauses = tmp_path / "clauses.json"
+    clauses.write_text("[" * 100_000, encoding="utf-8")
+    args, outputs = _annotation_job(command, fixture_model, tmp_path,
+                                    FIXTURES / "referents.tsv", clauses)
+    assert main(args) == 2
+    assert "clause annotations are nested too deeply" in capsys.readouterr().err
     assert not any(path.exists() for path in outputs)
 
 
@@ -334,7 +365,10 @@ def test_config_malformed_line(toy_corpus, tmp_path):
     ("surprisal", ["--include-punctuation"], None),
     ("analyze", ["--seed", "1"], None),
     ("train", [], "unit = surface\n"),
-], ids=["train-unit", "surprisal-include-punctuation", "analyze-seed", "config-unit"])
+    ("train", ["--format", "text"], None),
+    ("analyze", [], "format = vertical\n"),
+], ids=["train-unit", "surprisal-include-punctuation", "analyze-seed", "config-unit",
+        "train-format", "config-format"])
 def test_removed_options_are_rejected(command, removed, config, fixture_model, tmp_path):
     corpus = str(FIXTURES / "corpus.vert")
     valid = {
@@ -364,12 +398,3 @@ def test_internal_invariant_exit_code(toy_corpus, tmp_path, monkeypatch):
     code = main(["train", "--corpus", str(toy_corpus), "-o", str(tmp_path / "m.arpa")])
     assert code == 4
 
-
-def test_train_plain_text_corpus(tmp_path, capsys):
-    corpus = tmp_path / "plain.txt"
-    corpus.write_text("Der Mann sagt es. Die Frau sagt es auch.", encoding="utf-8")
-    code = main(["train", "--corpus", str(corpus), "--format", "text",
-                 "-o", str(tmp_path / "m.arpa")])
-    assert code == 0
-    report = capsys.readouterr().out
-    assert "sentences=2" in report

@@ -7,11 +7,9 @@ import helpers
 from rcsurp import (
     Document,
     ParseError,
-    load_plaintext,
     load_vertical,
     load_vertical_file,
     resegment_sentences,
-    write_vertical,
 )
 from rcsurp.corpus import Token, is_punctuation
 
@@ -224,14 +222,14 @@ def test_write_load_round_trip(token_lines, data):
         if data.draw(st.booleans()):
             lines.append("")
     docs = load_vertical("\n".join(lines))
-    assert load_vertical(write_vertical(docs)) == docs
+    assert load_vertical(helpers.write_vertical(docs)) == docs
 
 
 def test_round_trip_multiple_documents():
     docs = load_vertical(
         "# doc: d1\na\ta\tX\n\nb\tb\n# doc: d2\nc\tc\n"
     )
-    assert load_vertical(write_vertical(docs)) == docs
+    assert load_vertical(helpers.write_vertical(docs)) == docs
 
 
 # --- word view --------------------------------------------------------------
@@ -267,7 +265,7 @@ def test_word_view_is_the_punctuation_filter(words, data):
             lines.append("")
     doc = load_vertical("\n".join(lines))[0]
     once = resegment_sentences(doc)
-    for d in (doc, once, load_plaintext(" ".join(words))):
+    for d in (doc, once):
         expected = tuple(t for t in d.tokens if not t.is_punctuation)
         assert d.word_tokens() == expected
         assert d.word_count() == len(expected)
@@ -276,23 +274,3 @@ def test_word_view_is_the_punctuation_filter(words, data):
     # view stays out of equality and hashing.
     fresh = Document(once.id, once.tokens, once.sentence_count)
     assert fresh == once and hash(fresh) == hash(once)
-
-
-# --- plain-text fallback ----------------------------------------------------
-
-def test_plaintext_tokenization():
-    doc = load_plaintext("Der Mann (sagt) es.")
-    surfaces = [t.surface for t in doc.tokens]
-    assert surfaces == ["Der", "Mann", "(", "sagt", ")", "es", "."]
-    assert doc.tokens[0].lemma == "der"
-    assert doc.tokens[2].is_punctuation
-
-
-def test_plaintext_all_punctuation_chunk_splits():
-    doc = load_plaintext("a ... b")
-    assert [t.surface for t in doc.tokens] == ["a", ".", ".", ".", "b"]
-
-
-def test_plaintext_then_resegment():
-    doc = resegment_sentences(load_plaintext("Ja. Nein."))
-    assert doc.sentence_count == 2

@@ -113,14 +113,6 @@ def test_counts_match_reference_random_corpora(corpus):
     assert counts.total_bigram_types == types
 
 
-def test_merge_counts():
-    d1 = load_vertical("# doc: a\nx\tx\ny\ty\n")
-    d2 = load_vertical("# doc: b\nx\tx\ny\ty\n")
-    merged = count_bigrams(d1).merge(count_bigrams(d2))
-    assert merged.c2[("x", "y")] == 2
-    assert merged == count_bigrams(d1 + d2)
-
-
 # --- discount estimation ----------------------------------------------------
 
 def test_toy_discount(toy_counts):
