@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, TextIO
 
 from .corpus import Document, Token
-from .surprisal import SurprisalAnnotation, SurprisalEntry
+from .surprisal import SurprisalAnnotation
 
 # POS tags treated as content words (UD tags plus the common STTS ones).
 DEFAULT_CONTENT_POS = frozenset({
@@ -137,27 +137,18 @@ def make_content_predicate(
     return is_content
 
 
-@dataclass(frozen=True)
-class WeightedEntry:
-    base: SurprisalEntry
-    x: int | None          # None for non-content tokens
-    factor: float
-    weighted_surprisal: float
-
-
-@dataclass(frozen=True)
-class WeightedAnnotation:
-    doc_id: str | None
-    entries: tuple[WeightedEntry, ...]
+# ``(x, factor)`` per word position; x is None for non-content words.
+Factors = tuple[tuple[int | None, float], ...]
 
 
 def accommodation_factors(
     doc: Document,
     content_predicate: Callable[[Token], bool] | None = None,
     cfg: FactorConfig = FactorConfig(),
-) -> dict[int, tuple[int | None, float]]:
-    """Scan a document once and map every word position to its
-    ``(x, factor)`` pair; non-content words get ``(None, 1.0)``.
+) -> Factors:
+    """Scan a document once and give every word position its ``(x,
+    factor)`` pair, indexed like ``doc.word_tokens()``; non-content words
+    get ``(None, 1.0)``.
 
     Factors depend only on the lemma stream, so they can be applied to
     scores from any re-linearization anchored at the same positions.
@@ -165,13 +156,11 @@ def accommodation_factors(
     if content_predicate is None:
         content_predicate = make_content_predicate()
     state = AccommodationState()
-    factors: dict[int, tuple[int | None, float]] = {}
-    for token in doc.word_tokens():
-        if content_predicate(token):
-            factors[token.doc_position] = state.observe(token.lemma, token.doc_position, cfg)
-        else:
-            factors[token.doc_position] = (None, 1.0)
-    return factors
+    return tuple(
+        state.observe(token.lemma, token.doc_position, cfg)
+        if content_predicate(token) else (None, 1.0)
+        for token in doc.word_tokens()
+    )
 
 
 def accommodate_document(
@@ -179,47 +168,27 @@ def accommodate_document(
     doc: Document,
     content_predicate: Callable[[Token], bool] | None = None,
     cfg: FactorConfig = FactorConfig(),
-) -> WeightedAnnotation:
-    """Apply mention-history factors to a document's surprisal annotation.
-
-    Content-word surprisal is multiplied by the factor of that occurrence;
-    everything else keeps weight 1. The annotation must align one-to-one
-    with the document's word tokens.
-    """
-    word_positions = [t.doc_position for t in doc.word_tokens()]
-    entry_positions = [e.doc_position for e in annotation.entries]
-    if entry_positions != word_positions:
+) -> Factors:
+    """The mention-history factors for a document's surprisal annotation,
+    which must align one-to-one with the document's word tokens."""
+    if [e.doc_position for e in annotation.entries] != list(range(doc.word_count())):
         raise ValueError("annotation does not align with the document's word tokens")
-
-    factors = accommodation_factors(doc, content_predicate, cfg)
-    weighted = tuple(
-        WeightedEntry(
-            entry,
-            factors[entry.doc_position][0],
-            factors[entry.doc_position][1],
-            entry.surprisal_bits * factors[entry.doc_position][1],
-        )
-        for entry in annotation.entries
-    )
-    return WeightedAnnotation(annotation.doc_id, weighted)
+    return accommodation_factors(doc, content_predicate, cfg)
 
 
 def write_weighted_tsv(
-    annotation: WeightedAnnotation, fh: TextIO, header: bool = True
+    annotation: SurprisalAnnotation, factors: Factors, fh: TextIO, header: bool = True
 ) -> None:
-    """Surprisal dump plus ``x factor weighted_surprisal`` columns."""
+    """Surprisal dump plus ``x factor weighted_surprisal`` columns, the
+    weighted value being ``surprisal_bits * factor``."""
     if header:
         fh.write(
             "doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits"
             "\tx\tfactor\tweighted_surprisal\n"
         )
-    doc_id = annotation.doc_id or "-"
-    for w in annotation.entries:
-        e = w.base
-        position = "NA" if e.doc_position is None else str(e.doc_position)
-        x = "NA" if w.x is None else str(w.x)
+    for e, (x, f) in zip(annotation.entries, factors, strict=True):
         fh.write(
-            f"{doc_id}\t{position}\t{e.lemma}\t{e.context}"
+            f"{annotation.doc_id}\t{e.doc_position}\t{e.lemma}\t{e.context}"
             f"\t{e.probability:.6e}\t{e.surprisal_bits:.6f}"
-            f"\t{x}\t{w.factor:.6f}\t{w.weighted_surprisal:.6f}\n"
+            f"\t{'NA' if x is None else x}\t{f:.6f}\t{e.surprisal_bits * f:.6f}\n"
         )

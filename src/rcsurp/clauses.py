@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from statistics import fmean
 from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
-from .accommodation import FactorConfig, accommodation_factors
+from .accommodation import FactorConfig, Factors, accommodation_factors
 from .corpus import Document, Token
 from .errors import ParseError, ValidationError
 from .ngram import START, KneserNeyBigramModel
@@ -139,13 +139,16 @@ def parse_clause_annotations(
     attachment}`` with word positions as JSON integers, end exclusive. All
     validation problems are collected and raised together as a
     :class:`ValidationError`; when ``documents`` is given, spans are also
-    checked against document bounds. JSON nested deeper than the
-    interpreter's recursion limit is a :class:`ParseError`.
+    checked against document bounds. Text that is not JSON, or JSON nested
+    deeper than the interpreter's recursion limit, is a :class:`ParseError`.
     """
     try:
         raw = json.load(source) if hasattr(source, "read") else json.loads(source)
     except RecursionError:
         raise ParseError("clause annotations are nested too deeply")
+    except json.JSONDecodeError as exc:
+        message = f"clause annotations are not valid JSON: {exc.msg} (column {exc.colno})"
+        raise ParseError(message, exc.lineno)
     if not isinstance(raw, list):
         raise ValidationError(["clause annotations must be a JSON array"])
 
@@ -279,7 +282,7 @@ LINEARIZATIONS = ("attested", "hypothetical")
 
 class ClauseScorer:
     """Scores clause records against a trained model, caching the
-    per-document accommodation factor maps.
+    per-document accommodation factors.
 
     ``combined_excludes_matrix_first`` keeps the symmetric two-word
     exclusion for the combined metric; set it to False to drop only the
@@ -297,9 +300,9 @@ class ClauseScorer:
         self.accommodation = accommodation
         self.content_predicate = content_predicate
         self.combined_excludes_matrix_first = combined_excludes_matrix_first
-        self._factor_cache: dict[str, dict[int, tuple[int | None, float]]] = {}
+        self._factor_cache: dict[str, Factors] = {}
 
-    def _factors(self, doc: Document) -> dict[int, tuple[int | None, float]]:
+    def _factors(self, doc: Document) -> Factors:
         if doc.id not in self._factor_cache:
             self._factor_cache[doc.id] = accommodation_factors(
                 doc, self.content_predicate, self.accommodation

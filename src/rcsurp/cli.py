@@ -97,11 +97,15 @@ def _load_corpus(cfg: RunConfig) -> dict[str, Document]:
         raise FileNotFoundError("no corpus path given")
     punctuation = frozenset(cfg.punctuation)
     docs: dict[str, Document] = {}
+    repeated: dict[str, None] = {}  # ordered set
     for path in cfg.corpus:
         for doc in load_vertical_file(path, punctuation):
             if doc.id in docs:
-                raise ValidationError([f"duplicate document id {doc.id!r} across files"])
-            docs[doc.id] = resegment_sentences(doc)
+                repeated[doc.id] = None
+            else:
+                docs[doc.id] = resegment_sentences(doc)
+    if repeated:
+        raise ValidationError([f"duplicate document id {i!r} across files" for i in repeated])
     return docs
 
 
@@ -144,8 +148,8 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
     with _open_output(args.output) as out:
         for i, doc in enumerate(selected):
             annotation = annotate_document(model, doc)
-            weighted = accom.accommodate_document(annotation, doc, predicate, factor_cfg)
-            accom.write_weighted_tsv(weighted, out, header=(i == 0))
+            factors = accom.accommodate_document(annotation, doc, predicate, factor_cfg)
+            accom.write_weighted_tsv(annotation, factors, out, header=(i == 0))
     return 0
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .corpus import Document
+from .corpus import Document, sentences
 from .ngram import KneserNeyBigramModel, START
 
 _LOG10_2 = math.log10(2.0)
@@ -24,7 +24,7 @@ class SurprisalEntry:
     context: str
     probability: float
     surprisal_bits: float
-    doc_position: int | None = None
+    doc_position: int
 
 
 @dataclass(frozen=True)
@@ -49,28 +49,27 @@ def surprisal_from_prob(probability: float) -> float:
     return -math.log2(probability)
 
 
+def _score(
+    model: KneserNeyBigramModel, lemmas: Iterable[str], context: str, positions: Iterable[int]
+) -> list[SurprisalEntry]:
+    """Score a lemma chain left to right, each lemma conditioned on the
+    one before it and the first on ``context``."""
+    entries: list[SurprisalEntry] = []
+    for lemma, position in zip(lemmas, positions):
+        p = model.prob(context, lemma)
+        entries.append(SurprisalEntry(lemma, context, p, surprisal_from_prob(p), position))
+        context = lemma
+    return entries
+
+
 def annotate_document(
     model: KneserNeyBigramModel, doc: Document
 ) -> SurprisalAnnotation:
-    """Score every word token of a sentence-segmented document."""
+    """Score every word token of a sentence-segmented document, the
+    context reset at each sentence that ``count_bigrams`` trains on."""
     entries: list[SurprisalEntry] = []
-    context = START
-    current_sentence: int | None = None
-    for token in doc.word_tokens():
-        if token.sentence_index != current_sentence:
-            current_sentence = token.sentence_index
-            context = START
-        p = model.prob(context, token.lemma)
-        entries.append(
-            SurprisalEntry(
-                token.lemma,
-                context,
-                p,
-                surprisal_from_prob(p),
-                token.doc_position,
-            )
-        )
-        context = token.lemma
+    for lemmas in sentences(doc):
+        entries += _score(model, lemmas, START, range(len(entries), len(entries) + len(lemmas)))
     return SurprisalAnnotation(doc.id, tuple(entries))
 
 
@@ -78,7 +77,7 @@ def annotate_sequence(
     model: KneserNeyBigramModel,
     lemmas: Sequence[str],
     initial_context: str = START,
-    positions: Sequence[int | None] | None = None,
+    positions: Sequence[int] | None = None,
 ) -> SurprisalAnnotation:
     """Score a lemma chain left to right from an explicit initial context.
 
@@ -87,21 +86,8 @@ def annotate_sequence(
     """
     if not lemmas:
         raise ValueError("cannot annotate an empty lemma sequence")
-    if positions is not None and len(positions) != len(lemmas):
+    if positions is None:
+        positions = range(len(lemmas))
+    elif len(positions) != len(lemmas):
         raise ValueError("positions must align one-to-one with lemmas")
-    entries: list[SurprisalEntry] = []
-    context = initial_context
-    for i, lemma in enumerate(lemmas):
-        p = model.prob(context, lemma)
-        entries.append(
-            SurprisalEntry(
-                lemma,
-                context,
-                p,
-                surprisal_from_prob(p),
-                positions[i] if positions is not None else i,
-            )
-        )
-        context = lemma
-    return SurprisalAnnotation(None, tuple(entries))
-
+    return SurprisalAnnotation(None, tuple(_score(model, lemmas, initial_context, positions)))

@@ -3,7 +3,8 @@
 The reference functions here recompute everything from raw inputs with
 plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, perplexity as an explicit
-log sum, sentence re-segmentation by copying every token, the givenness
+log sum, per-token document surprisal as one loop over every token,
+sentence re-segmentation by copying every token, the givenness
 table by scanning every mention for every record, and the chi-square tail
 by Simpson integration of the normal density. ``write_vertical`` serializes
 documents back to the vertical format, so the loader can be checked by a
@@ -15,7 +16,15 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from rcsurp import Document, SalienceCategory, Variant, load_vertical, resegment_sentences
+from rcsurp import (
+    Document,
+    SalienceCategory,
+    SurprisalAnnotation,
+    SurprisalEntry,
+    Variant,
+    load_vertical,
+    resegment_sentences,
+)
 
 START = "<s>"
 END = "</s>"
@@ -117,6 +126,25 @@ def reference_chi2_upper_tail(statistic: float) -> float:
     z = math.sqrt(statistic)
     density = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     return 2.0 * simpson(density, z, z + 45.0, 20000)
+
+
+def reference_annotate_document(model, doc: Document) -> SurprisalAnnotation:
+    """Document surprisal as one loop over every token: punctuation is
+    skipped, the context resets to ``<s>`` whenever the sentence index
+    changes, and each word is scored as ``-log2 p(lemma | context)``."""
+    entries = []
+    context = START
+    current_sentence = None
+    for token in doc.tokens:
+        if token.sentence_index != current_sentence:
+            current_sentence = token.sentence_index
+            context = START
+        if token.is_punctuation:
+            continue
+        p = model.prob(context, token.lemma)
+        entries.append(SurprisalEntry(token.lemma, context, p, -math.log2(p), token.doc_position))
+        context = token.lemma
+    return SurprisalAnnotation(doc.id, tuple(entries))
 
 
 def reference_resegment(doc: Document) -> Document:

@@ -177,44 +177,55 @@ def _flat_annotation(doc, bits=1.0):
     return SurprisalAnnotation(doc.id, entries)
 
 
+def _weighted_rows(doc, bits=1.0):
+    """The accommodated TSV rows of a flat annotation, as column dicts."""
+    annotation = _flat_annotation(doc, bits)
+    buffer = io.StringIO()
+    write_weighted_tsv(annotation, accommodate_document(annotation, doc), buffer)
+    header, *rows = buffer.getvalue().splitlines()
+    return [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
+
+
 def test_document_trace_weighting():
     doc = _trace_document()
-    weighted = accommodate_document(_flat_annotation(doc), doc)
-    target = [w for w in weighted.entries if w.base.lemma == "wort"]
-    assert [w.factor for w in target] == GOLDEN_FACTORS
-    assert [w.weighted_surprisal for w in target] == GOLDEN_FACTORS  # all bases 1.0
+    annotation = _flat_annotation(doc)
+    factors = accommodate_document(annotation, doc)
+    target = [f for e, (_, f) in zip(annotation.entries, factors) if e.lemma == "wort"]
+    assert target == GOLDEN_FACTORS
+    weighted = [r["weighted_surprisal"] for r in _weighted_rows(doc) if r["lemma"] == "wort"]
+    assert weighted == [f"{f:.6f}" for f in GOLDEN_FACTORS]  # all bases 1.0
 
 
 def test_content_word_first_mention():
     doc = load_vertical("# doc: d\nTrost\ttrost\tNN\n")[0]
-    annotation = _flat_annotation(doc, bits=2.5)
-    weighted = accommodate_document(annotation, doc)
-    assert weighted.entries[0].weighted_surprisal == 10.0
-    assert weighted.entries[0].x == 1
+    assert accommodate_document(_flat_annotation(doc, bits=2.5), doc) == ((1, 4.0),)
+    (row,) = _weighted_rows(doc, bits=2.5)
+    assert (row["x"], row["weighted_surprisal"]) == ("1", "10.000000")
 
 
 def test_function_word_unweighted():
     doc = load_vertical("# doc: d\nder\tder\tART\nder\tder\tART\n")[0]
-    weighted = accommodate_document(_flat_annotation(doc, bits=3.0), doc)
-    for w in weighted.entries:
-        assert w.x is None
-        assert w.factor == 1.0
-        assert w.weighted_surprisal == 3.0
+    assert accommodate_document(_flat_annotation(doc, bits=3.0), doc) == ((None, 1.0),) * 2
+    for row in _weighted_rows(doc, bits=3.0):
+        assert (row["x"], row["factor"], row["weighted_surprisal"]) == (
+            "NA", "1.000000", "3.000000"
+        )
 
 
 def test_weights_lie_in_factor_set():
     doc = _trace_document()
-    weighted = accommodate_document(_flat_annotation(doc, bits=2.0), doc)
+    factors = accommodate_document(_flat_annotation(doc, bits=2.0), doc)
     allowed = {4.0, 2.0, 4 / 3, 1.0}
-    for w in weighted.entries:
-        assert w.factor in allowed
-        assert w.weighted_surprisal == w.base.surprisal_bits * w.factor
+    for (_, f), row in zip(factors, _weighted_rows(doc, bits=2.0), strict=True):
+        assert f in allowed
+        assert row["weighted_surprisal"] == f"{2.0 * f:.6f}"
 
 
 def test_weighted_tsv_format():
     doc = load_vertical("# doc: d\nder\tder\tART\n/\t/\nTrost\ttrost\tNN\n")[0]
     buffer = io.StringIO()
-    write_weighted_tsv(accommodate_document(_flat_annotation(doc, bits=2.5), doc), buffer)
+    annotation = _flat_annotation(doc, bits=2.5)
+    write_weighted_tsv(annotation, accommodate_document(annotation, doc), buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0].split("\t") == [
         "doc", "position", "lemma", "context", "prob", "surprisal_bits",
@@ -243,7 +254,7 @@ def test_determinism():
 def test_factor_map_covers_all_words():
     doc = _trace_document()
     factors = accommodation_factors(doc)
-    assert set(factors) == {t.doc_position for t in doc.word_tokens()}
+    assert len(factors) == doc.word_count()
     assert factors[GOLDEN_POSITIONS[0]] == (1, 4.0)
     assert factors[0] == (None, 1.0)
 

@@ -79,6 +79,21 @@ def test_train_rejects_lemma_with_whitespace(tmp_path, capsys):
     assert "'zu Hause'" in capsys.readouterr().err
 
 
+def test_train_lists_every_repeated_document_id(tmp_path, capsys):
+    text = "# doc: a\nTrost\ttrost\n\n# doc: b\nKirche\tkirche\n"
+    paths = [tmp_path / "d1.vert", tmp_path / "d2.vert"]
+    for path in paths:
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "model.arpa"
+    assert main(["train", "--corpus", str(paths[0]), "--corpus", str(paths[1]),
+                 "-o", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "validation error: duplicate document id 'a' across files",
+        "validation error: duplicate document id 'b' across files",
+    ]
+    assert not out.exists()
+
+
 def test_train_no_corpus_flag(tmp_path):
     assert main(["train", "-o", str(tmp_path / "m.arpa")]) == 2
 
@@ -299,6 +314,19 @@ def test_deeply_nested_clause_json(command, fixture_model, tmp_path, capsys):
                                     FIXTURES / "referents.tsv", clauses)
     assert main(args) == 2
     assert "clause annotations are nested too deeply" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_clause_file_that_is_not_json(command, fixture_model, tmp_path, capsys):
+    clauses = tmp_path / "clauses.json"
+    clauses.write_text("[1,", encoding="utf-8")
+    args, outputs = _annotation_job(command, fixture_model, tmp_path,
+                                    FIXTURES / "referents.tsv", clauses)
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: clause annotations are not valid JSON: Expecting value (column 4)\n"
+    )
     assert not any(path.exists() for path in outputs)
 
 

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from rcsurp import (
@@ -10,6 +11,7 @@ from rcsurp import (
     count_bigrams,
     load_vertical,
     log10_to_bits,
+    resegment_sentences,
     surprisal_from_prob,
     train_kn,
 )
@@ -97,20 +99,33 @@ def test_context_resets_after_punctuation_only_sentence(toy_model):
 
 def test_annotation_against_loop_oracle(toy_model):
     doc = helpers.toy_documents()[0]
-    annotation = annotate_document(toy_model, doc)
-    total = 0.0
-    context = START
-    sentence = None
-    for token in doc.tokens:
-        if token.sentence_index != sentence:
-            sentence, context = token.sentence_index, START
-        if token.is_punctuation:
-            continue
-        total += -math.log2(toy_model.prob(context, token.lemma))
-        context = token.lemma
-    assert math.fsum(e.surprisal_bits for e in annotation.entries) == pytest.approx(
-        total, abs=1e-12
+    assert annotate_document(toy_model, doc) == helpers.reference_annotate_document(
+        toy_model, doc
     )
+
+
+# Known and unknown lemmas, transparent punctuation and the "." that
+# re-segmentation turns into a sentence end; a sentence may hold only
+# punctuation.
+_token = st.sampled_from(["the", "cat", "sat", "ran", "zzz", "qqq", "/", ",", "."])
+_document = st.lists(st.lists(_token, min_size=1, max_size=6), min_size=1, max_size=6)
+
+
+@given(_document)
+def test_annotate_document_matches_token_loop(sentences):
+    model = train_kn(count_bigrams(helpers.toy_documents()), discount=0.5)
+    text = "# doc: h\n" + "\n".join(
+        "".join(f"{t}\t{t}\n" for t in sentence) for sentence in sentences
+    )
+    loaded = load_vertical(text)[0]
+    for doc in (loaded, resegment_sentences(loaded)):
+        expected = helpers.reference_annotate_document(model, doc).entries
+        actual = annotate_document(model, doc).entries
+        assert len(actual) == len(expected) == doc.word_count()
+        for a, e in zip(actual, expected):
+            assert (a.lemma, a.context, a.probability, a.surprisal_bits, a.doc_position) == (
+                e.lemma, e.context, e.probability, e.surprisal_bits, e.doc_position
+            )
 
 
 def test_entries_align_with_word_tokens(toy_model):
