@@ -165,7 +165,7 @@ def _load_annotations(
     loaded, problems = [], []
     for load, path in ((cl.parse_clause_annotations, args.clauses),
                        (giv.load_referent_annotations, args.referents)):
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             try:
                 loaded.append(load(fh, docs))
             except ValidationError as exc:

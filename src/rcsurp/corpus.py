@@ -4,7 +4,10 @@ and lemma streams with stable word positions.
 The vertical format is UTF-8 text with one token per line
 (``surface<TAB>lemma[<TAB>pos]``), ``# doc: <id>`` headers starting a new
 document, blank lines marking sentence boundaries, and other ``#`` lines
-treated as comments.
+treated as comments. A file may start with a UTF-8 byte-order mark.
+
+A ``Token`` is a ``NamedTuple``: it compares equal to, and hashes like, the
+plain tuple of its six fields in order.
 
 Word positions (``doc_position``) count non-punctuation tokens only, so
 that distances measured in "words" are not inflated by delimiters such as
@@ -19,7 +22,7 @@ from functools import cached_property
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import ParseError
 
@@ -31,8 +34,7 @@ DEFAULT_PUNCTUATION = frozenset('.,;:?!/()„“”"—')
 DOC_HEADER = "# doc:"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     lemma: str
     pos: str | None
@@ -63,46 +65,9 @@ class Document:
 
 def is_punctuation(surface: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> bool:
     """True iff the surface consists solely of punctuation characters."""
-    return _is_punctuation(surface, "".join(punctuation))
-
-
-def _is_punctuation(surface: str, chars: str) -> bool:
-    # ``str.strip`` removes every character of ``chars`` from both ends, so
+    # ``str.strip`` removes every character of the set from both ends, so
     # nothing is left exactly when the surface consists of them alone.
-    return bool(surface) and not surface.strip(chars)
-
-
-class _DocumentBuilder:
-    """Accumulates tokens for one document, assigning positions and
-    sentence indices on the fly."""
-
-    def __init__(self, doc_id: str, punctuation: frozenset[str]):
-        self.doc_id = doc_id
-        self._punctuation_chars = "".join(punctuation)
-        self.tokens: list[Token] = []
-        self._sentence_index = 0
-        self._sentence_open = False
-        self._next_position = 0
-
-    def add_token(self, surface: str, lemma: str, pos: str | None):
-        punct = _is_punctuation(surface, self._punctuation_chars)
-        position = None
-        if not punct:
-            position = self._next_position
-            self._next_position += 1
-        self.tokens.append(
-            Token(surface, lemma, pos, position, self._sentence_index, punct)
-        )
-        self._sentence_open = True
-
-    def end_sentence(self):
-        if self._sentence_open:
-            self._sentence_index += 1
-            self._sentence_open = False
-
-    def build(self) -> Document:
-        self.end_sentence()
-        return Document(self.doc_id, tuple(self.tokens), self._sentence_index)
+    return bool(surface) and not surface.strip("".join(punctuation))
 
 
 def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
@@ -122,54 +87,82 @@ def load_vertical(
     token lines, token lines outside any document, and duplicate
     document ids. An empty source yields an empty list.
     """
+    chars = "".join(punctuation)
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    builder: _DocumentBuilder | None = None
+    # The open document: its id (None before the first header), its tokens,
+    # the current sentence index, whether that sentence has a token yet, and
+    # the next word position.
+    doc_id: str | None = None
+    tokens: list[Token] = []
+    sentence_index = 0
+    sentence_open = False
+    next_position = 0
+    # Each token line seen so far, as read, mapped to its checked
+    # ``(surface, lemma, pos, is_punctuation)``: a repeated line skips the
+    # split and the checks, and its tokens share one set of strings. It
+    # lives for one call, because ``is_punctuation`` depends on
+    # ``punctuation``. Only token lines are stored, and only once a document
+    # is open, so a hit needs no check of the parser state either.
+    parsed: dict[str, tuple[str, str, str | None, bool]] = {}
 
     for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if line.startswith(DOC_HEADER):
-            doc_id = line[len(DOC_HEADER):].strip()
-            if not doc_id:
-                raise ParseError("document header without an id", lineno)
-            if doc_id in seen_ids:
-                raise ParseError(f"duplicate document id {doc_id!r}", lineno)
-            seen_ids.add(doc_id)
-            if builder is not None:
-                docs.append(builder.build())
-            builder = _DocumentBuilder(doc_id, punctuation)
-            continue
-        if line.startswith("#"):
-            continue  # comment
-        if not line.strip():
-            if builder is not None:
-                builder.end_sentence()
-            continue
-        if builder is None:
-            raise ParseError("token line before any '# doc:' header", lineno)
-        columns = line.split("\t")
-        if len(columns) < 2 or len(columns) > 3:
-            raise ParseError(
-                f"expected 2 or 3 tab-separated columns, got {len(columns)}", lineno
-            )
-        surface, lemma = columns[0], columns[1]
-        pos = columns[2] if len(columns) == 3 and columns[2] else None
-        if not surface:
-            raise ParseError("empty surface form", lineno)
-        if not lemma and not is_punctuation(surface, punctuation):
-            raise ParseError(f"empty lemma for word token {surface!r}", lineno)
-        builder.add_token(surface, lemma or surface, pos)
+        fields = parsed.get(raw)
+        if fields is None:
+            line = raw.rstrip("\n").rstrip("\r")
+            if line.startswith(DOC_HEADER):
+                new_id = line[len(DOC_HEADER):].strip()
+                if not new_id:
+                    raise ParseError("document header without an id", lineno)
+                if new_id in seen_ids:
+                    raise ParseError(f"duplicate document id {new_id!r}", lineno)
+                seen_ids.add(new_id)
+                if doc_id is not None:
+                    docs.append(Document(doc_id, tuple(tokens), sentence_index + sentence_open))
+                doc_id, tokens = new_id, []
+                sentence_index, sentence_open, next_position = 0, False, 0
+                continue
+            if line.startswith("#"):
+                continue  # comment
+            if not line.strip():
+                if sentence_open:
+                    sentence_index += 1
+                    sentence_open = False
+                continue
+            if doc_id is None:
+                raise ParseError("token line before any '# doc:' header", lineno)
+            columns = line.split("\t")
+            if len(columns) < 2 or len(columns) > 3:
+                raise ParseError(
+                    f"expected 2 or 3 tab-separated columns, got {len(columns)}", lineno
+                )
+            surface, lemma = columns[0], columns[1]
+            pos = columns[2] if len(columns) == 3 and columns[2] else None
+            if not surface:
+                raise ParseError("empty surface form", lineno)
+            punct = not surface.strip(chars)
+            if not lemma and not punct:
+                raise ParseError(f"empty lemma for word token {surface!r}", lineno)
+            fields = parsed[raw] = (surface, lemma or surface, pos, punct)
+        surface, lemma, pos, punct = fields
+        if punct:
+            tokens.append(Token(surface, lemma, pos, None, sentence_index, True))
+        else:
+            tokens.append(Token(surface, lemma, pos, next_position, sentence_index, False))
+            next_position += 1
+        sentence_open = True
 
-    if builder is not None:
-        docs.append(builder.build())
+    if doc_id is not None:
+        docs.append(Document(doc_id, tuple(tokens), sentence_index + sentence_open))
     return docs
 
 
 def load_vertical_file(
     path: str | Path, punctuation: frozenset[str] = DEFAULT_PUNCTUATION
 ) -> list[Document]:
-    """Load a vertical file from disk. UTF-8 only; invalid bytes are a hard error."""
-    with open(path, encoding="utf-8", errors="strict") as fh:
+    """Load a vertical file from disk. UTF-8 only, with or without a leading
+    byte-order mark; invalid bytes are a hard error."""
+    with open(path, encoding="utf-8-sig", errors="strict") as fh:
         return load_vertical(fh, punctuation)
 
 

@@ -4,27 +4,31 @@ The reference functions here recompute everything from raw inputs with
 plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, perplexity as an explicit
 log sum, per-token document surprisal as one loop over every token,
-sentence re-segmentation by copying every token, the givenness
-table by scanning every mention for every record, and the chi-square tail
-by Simpson integration of the normal density. ``write_vertical`` serializes
-documents back to the vertical format, so the loader can be checked by a
-round trip.
+the vertical-format loader as a per-document builder that parses every
+line afresh, sentence re-segmentation by copying every token, the
+givenness table by scanning every mention for every record, and the
+chi-square tail by Simpson integration of the normal density.
+``write_vertical`` serializes documents back to the vertical format, so the
+loader can be checked by a round trip.
 """
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import replace
 
 from rcsurp import (
     Document,
+    ParseError,
     SalienceCategory,
     SurprisalAnnotation,
     SurprisalEntry,
+    Token,
     Variant,
     load_vertical,
     resegment_sentences,
 )
+from rcsurp.corpus import DEFAULT_PUNCTUATION, DOC_HEADER
 
 START = "<s>"
 END = "</s>"
@@ -147,6 +151,88 @@ def reference_annotate_document(model, doc: Document) -> SurprisalAnnotation:
     return SurprisalAnnotation(doc.id, tuple(entries))
 
 
+def _all_punctuation(surface: str, punctuation: frozenset[str]) -> bool:
+    return bool(surface) and all(ch in punctuation for ch in surface)
+
+
+class _DocumentBuilder:
+    """Accumulates tokens for one document, assigning positions and
+    sentence indices on the fly."""
+
+    def __init__(self, doc_id: str, punctuation: frozenset[str]):
+        self.doc_id = doc_id
+        self.punctuation = punctuation
+        self.tokens: list[Token] = []
+        self.sentence_index = 0
+        self.sentence_open = False
+        self.next_position = 0
+
+    def add_token(self, surface: str, lemma: str, pos: str | None):
+        punct = _all_punctuation(surface, self.punctuation)
+        position = None
+        if not punct:
+            position = self.next_position
+            self.next_position += 1
+        self.tokens.append(Token(surface, lemma, pos, position, self.sentence_index, punct))
+        self.sentence_open = True
+
+    def end_sentence(self):
+        if self.sentence_open:
+            self.sentence_index += 1
+            self.sentence_open = False
+
+    def build(self) -> Document:
+        self.end_sentence()
+        return Document(self.doc_id, tuple(self.tokens), self.sentence_index)
+
+
+def reference_load_vertical(
+    source: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION
+) -> list[Document]:
+    """The vertical-format loader as a per-document builder that splits and
+    checks every line afresh, with no parsed-line cache, and tests
+    punctuation character by character."""
+    docs: list[Document] = []
+    seen_ids: set[str] = set()
+    builder: _DocumentBuilder | None = None
+    for lineno, raw in enumerate(io.StringIO(source), start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if line.startswith(DOC_HEADER):
+            doc_id = line[len(DOC_HEADER):].strip()
+            if not doc_id:
+                raise ParseError("document header without an id", lineno)
+            if doc_id in seen_ids:
+                raise ParseError(f"duplicate document id {doc_id!r}", lineno)
+            seen_ids.add(doc_id)
+            if builder is not None:
+                docs.append(builder.build())
+            builder = _DocumentBuilder(doc_id, punctuation)
+            continue
+        if line.startswith("#"):
+            continue
+        if not line.strip():
+            if builder is not None:
+                builder.end_sentence()
+            continue
+        if builder is None:
+            raise ParseError("token line before any '# doc:' header", lineno)
+        columns = line.split("\t")
+        if len(columns) < 2 or len(columns) > 3:
+            raise ParseError(
+                f"expected 2 or 3 tab-separated columns, got {len(columns)}", lineno
+            )
+        surface, lemma = columns[0], columns[1]
+        pos = columns[2] if len(columns) == 3 and columns[2] else None
+        if not surface:
+            raise ParseError("empty surface form", lineno)
+        if not lemma and not _all_punctuation(surface, punctuation):
+            raise ParseError(f"empty lemma for word token {surface!r}", lineno)
+        builder.add_token(surface, lemma or surface, pos)
+    if builder is not None:
+        docs.append(builder.build())
+    return docs
+
+
 def reference_resegment(doc: Document) -> Document:
     """Sentence re-segmentation as a plain loop that copies every token:
     a boundary after each ``"."`` token and at every original boundary,
@@ -164,7 +250,7 @@ def reference_resegment(doc: Document) -> Document:
         if boundary_pending:
             sentence_index += 1
             boundary_pending = False
-        new_tokens.append(replace(token, sentence_index=sentence_index))
+        new_tokens.append(token._replace(sentence_index=sentence_index))
         if token.surface == ".":
             boundary_pending = True
     return Document(doc.id, tuple(new_tokens), sentence_index + 1)

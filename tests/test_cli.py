@@ -349,6 +349,32 @@ def test_givenness_table(tmp_path, capsys):
     assert "Relative clauses: in-situ" in out
 
 
+def _with_bom(source, tmp_path):
+    path = tmp_path / ("bom-" + source.name)
+    path.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    return path
+
+
+def test_train_accepts_a_leading_byte_order_mark(tmp_path):
+    plain, marked = tmp_path / "plain.arpa", tmp_path / "marked.arpa"
+    corpus = FIXTURES / "corpus.vert"
+    assert main(["train", "--corpus", str(corpus), "-o", str(plain)]) == 0
+    assert main(["train", "--corpus", str(_with_bom(corpus, tmp_path)), "-o", str(marked)]) == 0
+    assert marked.read_bytes() == plain.read_bytes()
+
+
+def test_annotation_files_accept_a_leading_byte_order_mark(tmp_path, capsys):
+    args = ["givenness", "--corpus", str(FIXTURES / "corpus.vert")]
+    files = {name: FIXTURES / name for name in ("clauses.json", "referents.tsv")}
+    assert main([*args, "--clauses", str(files["clauses.json"]),
+                 "--referents", str(files["referents.tsv"])]) == 0
+    plain = capsys.readouterr().out
+    marked = {name: _with_bom(path, tmp_path) for name, path in files.items()}
+    assert main([*args, "--clauses", str(marked["clauses.json"]),
+                 "--referents", str(marked["referents.tsv"])]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_chi2_command(capsys):
     assert main(["chi2", "2", "20", "11", "35"]) == 0
     out = capsys.readouterr().out

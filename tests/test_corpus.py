@@ -1,4 +1,4 @@
-from dataclasses import replace
+import inspect
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +11,7 @@ from rcsurp import (
     load_vertical_file,
     resegment_sentences,
 )
-from rcsurp.corpus import Token, is_punctuation
+from rcsurp.corpus import DEFAULT_PUNCTUATION, Token, is_punctuation
 
 
 def test_minimal_vertical():
@@ -109,6 +109,117 @@ def test_custom_punctuation_set():
     assert [t.doc_position for t in tokens] == [0, None, None, 1, None, 2, 3]
 
 
+# --- Token and Document semantics ------------------------------------------
+
+TOKEN_FIELDS = ("surface", "lemma", "pos", "doc_position", "sentence_index", "is_punctuation")
+
+PINNED_TEXT = "# doc: d1\nder\tder\tART\nMann\tMann\tNN\n/\t\n\nder\tder\n# doc: d2\nb\tb\n"
+
+
+def test_token_fields_in_order():
+    assert tuple(inspect.signature(Token).parameters) == TOKEN_FIELDS
+    token = Token("Mann", "mann", "NN", 3, 1, False)
+    assert tuple(getattr(token, f) for f in TOKEN_FIELDS) == ("Mann", "mann", "NN", 3, 1, False)
+
+
+def test_token_attribute_assignment_raises():
+    token = load_vertical(PINNED_TEXT)[0].tokens[0]
+    for field in TOKEN_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(token, field, "x")
+    assert token == Token("der", "der", "ART", 0, 0, False)
+
+
+def test_two_loads_give_equal_documents_with_equal_hashes():
+    first, second = load_vertical(PINNED_TEXT), load_vertical(PINNED_TEXT)
+    assert first == second
+    assert [hash(d) for d in first] == [hash(d) for d in second]
+    assert [hash(t) for t in first[0].tokens] == [hash(t) for t in second[0].tokens]
+    # Build the cached word view on one side only: it stays out of
+    # equality and hashing.
+    first[0].word_tokens()
+    assert "_words" in vars(first[0]) and "_words" not in vars(second[0])
+    assert first == second and hash(first[0]) == hash(second[0])
+
+
+def test_token_equals_the_plain_tuple_of_its_fields():
+    token = Token("Mann", "mann", "NN", 3, 1, False)
+    assert token == ("Mann", "mann", "NN", 3, 1, False)
+    assert hash(token) == hash(("Mann", "mann", "NN", 3, 1, False))
+
+
+# --- loader against the builder oracle --------------------------------------
+
+# Few distinct token lines, so most lines repeat one seen before. They
+# include punctuation with an empty lemma and an empty third column.
+_valid_lines = [
+    "der\tder\tART", "Mann\tMann\tNN", "sagt\tsagen", "gut\tgut\t",
+    "/\t/", "/\t", ".\t.\t$.", ".\t\t$.", "-\t-", "-\t",
+]
+# ``None`` opens a new document with a fresh id.
+_structure_lines = ["", "", "  ", "# a comment", None, None]
+# Each breaks one check; "Mann" and "Mann\t" repeat a valid line's surface.
+_malformed_lines = [
+    "Mann", "a\tb\tc\td", "\tder", "Mann\t", "sagt\t\tVVFIN", "# doc:", "# doc: d0",
+]
+
+
+@given(
+    st.booleans(),
+    st.lists(st.sampled_from(_valid_lines + _structure_lines), max_size=60),
+    st.one_of(st.none(), st.tuples(st.sampled_from(_malformed_lines), st.integers(0, 60))),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from([DEFAULT_PUNCTUATION, frozenset("/-")]),
+)
+def test_loader_matches_builder_oracle(header, lines, malformed, newline, punctuation):
+    ids = iter(range(1, len(lines) + 1))
+    lines = (["# doc: d0"] if header else []) + [
+        f"# doc: d{next(ids)}" if line is None else line for line in lines
+    ]
+    if malformed is not None:
+        bad, at = malformed
+        lines.insert(min(at, len(lines)), bad)
+    text = newline.join(lines)
+    try:
+        expected = helpers.reference_load_vertical(text, punctuation)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            load_vertical(text, punctuation)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert load_vertical(text, punctuation) == expected
+
+
+def test_parsed_lines_do_not_leak_across_calls():
+    # "-" is a word by default and punctuation in the custom set, where it
+    # may also have an empty lemma.
+    text = "# doc: d\na\ta\n-\t-\nb\tb\n-\t-\n"
+    dash = frozenset("-")
+    for punctuation in (DEFAULT_PUNCTUATION, dash, DEFAULT_PUNCTUATION):
+        docs = load_vertical(text, punctuation)
+        assert docs == helpers.reference_load_vertical(text, punctuation)
+    assert [t.doc_position for t in docs[0].tokens] == [0, 1, 2, 3]
+    no_lemma = "# doc: d\n-\t\na\ta\n-\t\n"
+    assert [t.lemma for t in load_vertical(no_lemma, dash)[0].tokens] == ["-", "a", "-"]
+    with pytest.raises(ParseError, match="line 2: empty lemma for word token '-'"):
+        load_vertical(no_lemma)
+
+
+def test_repeated_lines_share_their_strings():
+    doc = load_vertical("# doc: d\nder\tder\tART\nMann\tMann\n\nder\tder\tART\n")[0]
+    first, _, again = doc.tokens
+    assert first == again._replace(doc_position=0, sentence_index=0)
+    assert first.surface is again.surface and first.pos is again.pos
+
+
+def test_leading_byte_order_mark_is_accepted(tmp_path):
+    text = "# doc: d1\nder\tder\tART\nMann\tMann\n"
+    plain, marked = tmp_path / "plain.vert", tmp_path / "bom.vert"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert load_vertical_file(marked) == load_vertical_file(plain) == load_vertical(text)
+
+
 def test_invalid_utf8_is_hard_error(tmp_path):
     path = tmp_path / "bad.vert"
     path.write_bytes(b"# doc: d1\n\xff\xfe\ta\n")
@@ -193,7 +304,7 @@ def test_resegment_renumbers_hand_built_documents():
     # The loader always numbers sentences densely from 0 and counts them;
     # a hand-built document need not, and still comes out renumbered.
     a, b = (Token(w, w, None, i, 0, False) for i, w in enumerate("ab"))
-    sparse = Document("d", (a, replace(b, sentence_index=2)), 2)
+    sparse = Document("d", (a, b._replace(sentence_index=2)), 2)
     assert resegment_sentences(sparse) == helpers.reference_resegment(sparse)
     assert [t.sentence_index for t in resegment_sentences(sparse).tokens] == [0, 1]
     miscounted = Document("d", (a, b), 5)
