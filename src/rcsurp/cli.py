@@ -336,15 +336,13 @@ _FLAG_KEYS = {"count_distinct", "combined_single_exclusion"}
 
 def _expand_config(argv: list[str]) -> list[str]:
     """Splice ``key = value`` pairs from a ``--config`` file into the
-    argument list, right after the subcommand so explicit flags win."""
-    path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-            break
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            break
+    argument list, right after the subcommand; a key whose flag is given
+    explicitly is left out, so the flag replaces it, repeatable or not."""
+    # Read --config as the full parser does, abbreviations included; a
+    # missing value is left for the full parser to report.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", nargs="?")
+    path = config.parse_known_args(argv)[0].config
     if path is None:
         return argv
 
@@ -358,6 +356,8 @@ def _expand_config(argv: list[str]) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
+        if any(token == flag or token.startswith(flag + "=") for token in argv):
+            continue
         if key in _FLAG_KEYS:
             if value.lower() in ("1", "true", "yes"):
                 tokens.append(flag)

@@ -56,35 +56,19 @@ def check_salience_window(window: int) -> None:
 
 
 def classify_mention(
-    history: Sequence[ReferentMention],
     mention: ReferentMention,
+    interveners: int | None,
     window: int = SALIENCE_WINDOW,
-    count_distinct: bool = False,
 ) -> SalienceCategory:
-    """Classify one mention given all earlier mentions of its document.
-
-    ``count_distinct`` switches the interveners from mention events (the
-    default) to distinct referents. A negative ``window`` is a
-    ``ValueError`` (see :func:`check_salience_window`).
-    """
+    """Classify one mention from its interveners since the last mention of
+    its referent, ``None`` for a first mention. A negative ``window`` is a
+    ``ValueError`` (see :func:`check_salience_window`)."""
     check_salience_window(window)
-    last = None
-    for previous in reversed(history):
-        if previous.referent_id == mention.referent_id:
-            last = previous
-            break
-    if last is None:
+    if interveners is None:
         return (
             SalienceCategory.INFERABLE_NEW if mention.inferable else SalienceCategory.NEW
         )
-    between = [
-        m for m in history
-        if last.mention_ordinal < m.mention_ordinal < mention.mention_ordinal
-    ]
-    intervening = (
-        len({m.referent_id for m in between}) if count_distinct else len(between)
-    )
-    if intervening > window:
+    if interveners > window:
         return SalienceCategory.GIVEN_NON_SALIENT
     return SalienceCategory.SALIENT_TOPIC if mention.topic else SalienceCategory.GIVEN_SALIENT
 
@@ -94,13 +78,23 @@ def classify_document(
     window: int = SALIENCE_WINDOW,
     count_distinct: bool = False,
 ) -> list[ClassifiedMention]:
-    """Sequential classification of one document's mentions in order."""
+    """Classify one document's mentions in one pass in ordinal order. The
+    interveners of a re-mention are the mention events (with
+    ``count_distinct``, the distinct referents) since its referent's last mention."""
+    check_salience_window(window)
     ordered = sorted(mentions, key=lambda m: m.mention_ordinal)
+    last: dict[str, int] = {}  # referent id -> index of its latest mention
     classified = []
     for i, mention in enumerate(ordered):
-        classified.append(
-            (mention, classify_mention(ordered[:i], mention, window, count_distinct))
-        )
+        previous = last.get(mention.referent_id)
+        if previous is None:
+            interveners = None
+        elif count_distinct:
+            interveners = sum(j > previous for j in last.values())
+        else:
+            interveners = i - previous - 1
+        last[mention.referent_id] = i
+        classified.append((mention, classify_mention(mention, interveners, window)))
     return classified
 
 

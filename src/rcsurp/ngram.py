@@ -294,8 +294,9 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
 
     Raises :class:`ParseError` with a line number on malformed headers,
     inconsistent n-gram counts, non-numeric or out-of-range fields (a log
-    probability above 0, a power of ten that overflows), or truncation. The
-    reserved symbols must be present among the unigrams.
+    probability above 0, a power of ten that overflows, or zero mass on
+    anything but the start symbol's unigram), or truncation. The reserved
+    symbols must be present among the unigrams.
     """
     declared: dict[int, int] = {}
     unigram_p: dict[str, float] = {}
@@ -303,18 +304,17 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     bigram_p: dict[tuple[str, str], float] = {}
 
     lines = text.splitlines()
-    i = 0
     n = len(lines)
 
-    def skip_blank(i: int) -> int:
+    def expect(i: int, marker: str, message: str) -> int:
+        # The index after ``marker``, which must be the next non-blank line.
         while i < n and not lines[i].strip():
             i += 1
-        return i
+        if i >= n or lines[i].strip() != marker:
+            raise ParseError(message, i + 1 if i < n else None)
+        return i + 1
 
-    i = skip_blank(i)
-    if i >= n or lines[i].strip() != "\\data\\":
-        raise ParseError("missing \\data\\ header", i + 1 if i < n else None)
-    i += 1
+    i = expect(0, "\\data\\", "missing \\data\\ header")
     while i < n and lines[i].strip().startswith("ngram "):
         entry = lines[i].strip()[len("ngram "):]
         try:
@@ -326,50 +326,44 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     if set(declared) != {1, 2}:
         raise ParseError(f"expected orders 1 and 2, declared {sorted(declared)}")
 
-    def parse_log10(field: str, lineno: int, probability: bool = True) -> float:
-        # A backoff weight may be positive, a log probability may not; the
-        # power of ten must be a finite float either way.
+    def parse_power(field: str, lineno: int, entry: str, probability: bool = True) -> float:
+        # 10 ** field. A backoff weight may be positive, a log probability may
+        # not and reads 0.0 at or below the sentinel. Zero mass would make
+        # ``prob`` return 0.0, so only the start symbol, never an outcome, has it.
         try:
             lp = float(field)
-            valid = math.isfinite(10.0 ** lp) and not (probability and lp > 0.0)
+            power = 0.0 if probability and lp <= _LOG10_ZERO else 10.0 ** lp
+            valid = math.isfinite(power) and not (probability and lp > 0.0)
         except (ValueError, OverflowError):
             valid = False
         if not valid:
             raise ParseError(f"non-numeric or out-of-range log10 value {field!r}", lineno)
-        return lp
+        if power == 0.0 and not (probability and entry == START):
+            raise ParseError(f"log10 value {field!r} of {entry!r} gives zero mass", lineno)
+        return power
 
-    i = skip_blank(i)
-    if i >= n or lines[i].strip() != "\\1-grams:":
-        raise ParseError("missing \\1-grams: section", i + 1 if i < n else None)
-    i += 1
+    i = expect(i, "\\1-grams:", "missing \\1-grams: section")
     while i < n and lines[i].strip() and not lines[i].startswith("\\"):
         fields = lines[i].rstrip("\n").split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields in 1-gram entry, got {len(fields)}", i + 1)
-        lp = parse_log10(fields[0], i + 1)
         word = fields[1]
-        unigram_p[word] = 0.0 if lp <= _LOG10_ZERO else 10.0 ** lp
-        bow[word] = 10.0 ** parse_log10(fields[2], i + 1, probability=False)
+        unigram_p[word] = parse_power(fields[0], i + 1, word)
+        bow[word] = parse_power(fields[2], i + 1, word, probability=False)
         i += 1
 
-    i = skip_blank(i)
-    if i >= n or lines[i].strip() != "\\2-grams:":
-        raise ParseError("missing \\2-grams: section", i + 1 if i < n else None)
-    i += 1
+    i = expect(i, "\\2-grams:", "missing \\2-grams: section")
     while i < n and lines[i].strip() and not lines[i].startswith("\\"):
         fields = lines[i].rstrip("\n").split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields in 2-gram entry, got {len(fields)}", i + 1)
-        lp = parse_log10(fields[0], i + 1)
         pair = fields[1].split(" ")
         if len(pair) != 2:
             raise ParseError(f"expected two words in bigram entry {fields[1]!r}", i + 1)
-        bigram_p[(pair[0], pair[1])] = 10.0 ** lp
+        bigram_p[(pair[0], pair[1])] = parse_power(fields[0], i + 1, fields[1])
         i += 1
 
-    i = skip_blank(i)
-    if i >= n or lines[i].strip() != "\\end\\":
-        raise ParseError("missing \\end\\ marker (truncated file?)")
+    expect(i, "\\end\\", "missing \\end\\ marker (truncated file?)")
 
     if len(unigram_p) != declared[1]:
         raise ParseError(

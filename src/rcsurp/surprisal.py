@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable, Sequence
 
 from .corpus import Document, sentences
@@ -50,11 +51,13 @@ def surprisal_from_prob(probability: float) -> float:
 
 
 def _score(
-    model: KneserNeyBigramModel, lemmas: Iterable[str], context: str, positions: Iterable[int]
+    model: KneserNeyBigramModel, lemmas: Iterable[str], context: str, positions: Iterable[int],
+    entries: list[SurprisalEntry],
 ) -> list[SurprisalEntry]:
     """Score a lemma chain left to right, each lemma conditioned on the
-    one before it and the first on ``context``."""
-    entries: list[SurprisalEntry] = []
+    one before it and the first on ``context``, into ``entries``, which is
+    returned. An iterator of ``positions`` can run across chains: ``zip``
+    takes a position only once it has taken a lemma."""
     for lemma, position in zip(lemmas, positions):
         p = model.prob(context, lemma)
         entries.append(SurprisalEntry(lemma, context, p, surprisal_from_prob(p), position))
@@ -68,8 +71,9 @@ def annotate_document(
     """Score every word token of a sentence-segmented document, the
     context reset at each sentence that ``count_bigrams`` trains on."""
     entries: list[SurprisalEntry] = []
+    positions = count()
     for lemmas in sentences(doc):
-        entries += _score(model, lemmas, START, range(len(entries), len(entries) + len(lemmas)))
+        _score(model, lemmas, START, positions, entries)
     return SurprisalAnnotation(doc.id, tuple(entries))
 
 
@@ -90,4 +94,4 @@ def annotate_sequence(
         positions = range(len(lemmas))
     elif len(positions) != len(lemmas):
         raise ValueError("positions must align one-to-one with lemmas")
-    return SurprisalAnnotation(None, tuple(_score(model, lemmas, initial_context, positions)))
+    return SurprisalAnnotation(None, tuple(_score(model, lemmas, initial_context, positions, [])))

@@ -5,8 +5,9 @@ plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, perplexity as an explicit
 log sum, per-token document surprisal as one loop over every token,
 the vertical-format loader as a per-document builder that parses every
-line afresh, sentence re-segmentation by copying every token, the
-givenness table by scanning every mention for every record, and the
+line afresh, sentence re-segmentation by copying every token, mention
+classification by rescanning the document's history for every mention,
+the givenness table by scanning every mention for every record, and the
 chi-square tail by Simpson integration of the normal density.
 ``write_vertical`` serializes documents back to the vertical format, so the
 loader can be checked by a round trip.
@@ -16,10 +17,12 @@ from __future__ import annotations
 
 import io
 import math
+from typing import Iterable, Sequence
 
 from rcsurp import (
     Document,
     ParseError,
+    ReferentMention,
     SalienceCategory,
     SurprisalAnnotation,
     SurprisalEntry,
@@ -29,6 +32,7 @@ from rcsurp import (
     resegment_sentences,
 )
 from rcsurp.corpus import DEFAULT_PUNCTUATION, DOC_HEADER
+from rcsurp.givenness import SALIENCE_WINDOW, ClassifiedMention, check_salience_window
 
 START = "<s>"
 END = "</s>"
@@ -308,3 +312,53 @@ def reference_givenness_table(records, classified):
                         break
         rows.append((part, variant, total, by_category))
     return rows
+
+
+def _reference_classify_mention(
+    history: Sequence[ReferentMention],
+    mention: ReferentMention,
+    window: int = SALIENCE_WINDOW,
+    count_distinct: bool = False,
+) -> SalienceCategory:
+    """Classify one mention given all earlier mentions of its document.
+
+    ``count_distinct`` switches the interveners from mention events (the
+    default) to distinct referents. A negative ``window`` is a
+    ``ValueError`` (see :func:`check_salience_window`).
+    """
+    check_salience_window(window)
+    last = None
+    for previous in reversed(history):
+        if previous.referent_id == mention.referent_id:
+            last = previous
+            break
+    if last is None:
+        return (
+            SalienceCategory.INFERABLE_NEW if mention.inferable else SalienceCategory.NEW
+        )
+    between = [
+        m for m in history
+        if last.mention_ordinal < m.mention_ordinal < mention.mention_ordinal
+    ]
+    intervening = (
+        len({m.referent_id for m in between}) if count_distinct else len(between)
+    )
+    if intervening > window:
+        return SalienceCategory.GIVEN_NON_SALIENT
+    return SalienceCategory.SALIENT_TOPIC if mention.topic else SalienceCategory.GIVEN_SALIENT
+
+
+def reference_classify_document(
+    mentions: Iterable[ReferentMention],
+    window: int = SALIENCE_WINDOW,
+    count_distinct: bool = False,
+) -> list[ClassifiedMention]:
+    """Sequential classification of one document's mentions in order, each
+    against a fresh copy of every earlier mention."""
+    ordered = sorted(mentions, key=lambda m: m.mention_ordinal)
+    classified = []
+    for i, mention in enumerate(ordered):
+        classified.append(
+            (mention, _reference_classify_mention(ordered[:i], mention, window, count_distinct))
+        )
+    return classified

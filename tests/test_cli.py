@@ -157,6 +157,28 @@ def test_surprisal_rerun_byte_identical(fixture_model, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("entry, column, value", [
+    ("\t<unk>\t", 0, "-99.000000"),
+    ("\tBruder\t", 2, "-400.000000"),
+    ("\tder Mann", 0, "-400.000000"),
+], ids=["unk-sentinel", "backoff-underflow", "bigram-underflow"])
+def test_surprisal_rejects_zero_mass_model_entry(entry, column, value, fixture_model,
+                                                 tmp_path, capsys):
+    # A zero-mass entry would make model.prob return 0.0 for some query.
+    lines = fixture_model.read_text(encoding="utf-8").splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if entry in line + "\t")
+    fields = lines[lineno - 1].split("\t")
+    fields[column] = value
+    lines[lineno - 1] = "\t".join(fields)
+    fixture_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "ann.tsv"
+    assert main(["surprisal", "--model", str(fixture_model),
+                 "--corpus", str(FIXTURES / "corpus.vert"), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {lineno}:" in err and "zero mass" in err
+    assert not out.exists()
+
+
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_smoke(fixture_model, tmp_path):
@@ -405,6 +427,27 @@ def test_cli_flags_override_config(toy_corpus, tmp_path, capsys):
                  "-o", str(tmp_path / "m.arpa")])
     assert code == 0
     assert "D=0.7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--corpus", "--corpus="])
+def test_cli_repeatable_flag_replaces_config_list(flag, toy_corpus, tmp_path, capsys):
+    other = tmp_path / "z.vert"
+    other.write_text("# doc: z\nfoo\tfoo\nbar\tbar\n", encoding="utf-8")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"corpus = {other}\n", encoding="utf-8")
+    corpus = [flag + str(toy_corpus)] if flag.endswith("=") else [flag, str(toy_corpus)]
+    code = main(["train", "--config", str(config), *corpus, "-o", str(tmp_path / "m.arpa")])
+    assert code == 0
+    assert "tokens=6\n" in capsys.readouterr().out  # the toy corpus alone
+
+
+def test_config_flag_read_when_abbreviated(toy_corpus, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("discount = 0.3\n", encoding="utf-8")
+    code = main(["train", "--conf", str(config), "--corpus", str(toy_corpus),
+                 "-o", str(tmp_path / "m.arpa")])
+    assert code == 0
+    assert "D=0.3" in capsys.readouterr().out
 
 
 def test_config_malformed_line(toy_corpus, tmp_path):

@@ -11,6 +11,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from rcsurp.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +65,19 @@ def test_fixture_outputs_are_pinned(tmp_path, monkeypatch, capsys):
         name.removeprefix("out/"): digest
         for name, digest in EXPECTED.items() if name.startswith("out/")
     }
+
+
+# The givenness table in the non-default counting modes.
+@pytest.mark.parametrize("flags, digest", [
+    (["--count-distinct"],
+     "46b366aca26aa6e2ff2d3fc2d5a87b2f788b18b2be20ba19c4c4f807ef850222"),
+    (["--salience-window", "3"],
+     "6e59302b6d6f1b0f1fa868ee9eda09d69cd5e74dba8b693692be40c2edef5c46"),
+    (["--count-distinct", "--salience-window", "3"],
+     "daf56295cfd7ca2941fd7259b2f10b240b64928d38672a1ca224e491933f3e5c"),
+], ids=["count-distinct", "window-3", "count-distinct-window-3"])
+def test_givenness_modes_are_pinned(flags, digest, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "givenness.tsv"
+    assert main(["givenness", "--corpus", CORPUS, *ANNOTATIONS, *flags, "-o", str(out)]) == 0
+    assert _sha256(out) == digest

@@ -33,51 +33,98 @@ def _chain(*referents):
 
 # --- classification ---------------------------------------------------------
 
+def _classify_last(history, mention, count_distinct=False):
+    """The category of ``mention`` classified after ``history``."""
+    return classify_document([*history, mention], count_distinct=count_distinct)[-1][1]
+
+
 def test_first_mention_is_new():
-    assert classify_mention([], _mention(0, "a")) is SalienceCategory.NEW
+    assert _classify_last([], _mention(0, "a")) is SalienceCategory.NEW
 
 
 def test_first_mention_inferable():
     m = _mention(0, "a", inferable=True)
-    assert classify_mention([], m) is SalienceCategory.INFERABLE_NEW
+    assert _classify_last([], m) is SalienceCategory.INFERABLE_NEW
 
 
 def test_re_mention_within_window_is_salient():
     history = _chain("a", "x1", "x2", "x3", "x4", "x5")
     m = _mention(6, "a")
-    assert classify_mention(history, m) is SalienceCategory.GIVEN_SALIENT
+    assert _classify_last(history, m) is SalienceCategory.GIVEN_SALIENT
 
 
 def test_re_mention_beyond_window_is_non_salient():
     history = _chain("a", *[f"x{i}" for i in range(11)])
     m = _mention(12, "a")  # 11 interveners
-    assert classify_mention(history, m) is SalienceCategory.GIVEN_NON_SALIENT
+    assert _classify_last(history, m) is SalienceCategory.GIVEN_NON_SALIENT
 
 
 def test_window_boundary_is_salient():
     history = _chain("a", *[f"x{i}" for i in range(10)])
     m = _mention(11, "a")  # exactly 10 interveners
-    assert classify_mention(history, m) is SalienceCategory.GIVEN_SALIENT
+    assert _classify_last(history, m) is SalienceCategory.GIVEN_SALIENT
 
 
 def test_salient_topic():
     history = _chain("a", "b")
     m = _mention(2, "a", topic=True)
-    assert classify_mention(history, m) is SalienceCategory.SALIENT_TOPIC
+    assert _classify_last(history, m) is SalienceCategory.SALIENT_TOPIC
 
 
 def test_topic_flag_ignored_when_not_salient():
     history = _chain("a", *[f"x{i}" for i in range(11)])
     m = _mention(12, "a", topic=True)
-    assert classify_mention(history, m) is SalienceCategory.GIVEN_NON_SALIENT
+    assert _classify_last(history, m) is SalienceCategory.GIVEN_NON_SALIENT
 
 
 def test_distinct_referent_counting():
     # eleven intervening mention events of only two distinct referents
     history = _chain("a", *(["b", "c"] * 5), "b")
     m = _mention(12, "a")
-    assert classify_mention(history, m) is SalienceCategory.GIVEN_NON_SALIENT
-    assert classify_mention(history, m, count_distinct=True) is SalienceCategory.GIVEN_SALIENT
+    assert _classify_last(history, m) is SalienceCategory.GIVEN_NON_SALIENT
+    assert _classify_last(history, m, count_distinct=True) is SalienceCategory.GIVEN_SALIENT
+
+
+@pytest.mark.parametrize("interveners, topic, inferable, expected", [
+    (None, False, False, SalienceCategory.NEW),
+    (None, True, True, SalienceCategory.INFERABLE_NEW),
+    (0, False, True, SalienceCategory.GIVEN_SALIENT),
+    (10, True, False, SalienceCategory.SALIENT_TOPIC),
+    (11, True, False, SalienceCategory.GIVEN_NON_SALIENT),
+])
+def test_classify_mention_from_interveners(interveners, topic, inferable, expected):
+    m = _mention(0, "a", inferable=inferable, topic=topic)
+    assert classify_mention(m, interveners) is expected
+
+
+def test_negative_window_rejected():
+    with pytest.raises(ValueError, match="salience window must be >= 0"):
+        classify_mention(_mention(0, "a"), None, -1)
+    with pytest.raises(ValueError, match="salience window must be >= 0"):
+        classify_document([], -1)
+
+
+# Documents of up to 40 mentions over at most 6 referents, so re-mentions
+# fall on both sides of every window from 0 to 12; the mentions arrive
+# shuffled and carry dense ordinals, as the loader assigns them.
+@st.composite
+def _mention_streams(draw):
+    flags = draw(st.lists(
+        st.tuples(st.sampled_from("abcdef"), st.booleans(), st.booleans()),
+        min_size=0, max_size=40,
+    ))
+    mentions = [
+        ReferentMention("d", 2 * i, 2 * i + 1, referent, inferable, topic, i)
+        for i, (referent, inferable, topic) in enumerate(flags)
+    ]
+    return draw(st.permutations(mentions))
+
+
+@given(_mention_streams(), st.integers(0, 12), st.booleans())
+def test_classify_document_matches_reference(mentions, window, count_distinct):
+    assert classify_document(mentions, window, count_distinct) == (
+        helpers.reference_classify_document(mentions, window, count_distinct)
+    )
 
 
 def test_classification_depends_only_on_order_and_flags():

@@ -271,12 +271,13 @@ def test_perplexity_toy_matches_log_sum_oracle(toy_model):
 
 
 def test_perplexity_uniform_model():
-    # a unigram-only ARPA with uniform probabilities over V event words
-    words = ["a", "b", "c", END]
+    # a unigram-only ARPA with uniform probabilities over V event words;
+    # the unknown symbol is one of them, since only the start symbol may
+    # carry zero mass
+    words = ["a", "b", "c", END, UNK]
     lp = f"{math.log10(1 / len(words)):.6f}"
-    lines = ["\\data\\", f"ngram 1={len(words) + 2}", "ngram 2=0", "", "\\1-grams:"]
+    lines = ["\\data\\", f"ngram 1={len(words) + 1}", "ngram 2=0", "", "\\1-grams:"]
     lines.append(f"-99.000000\t{START}\t0.000000")
-    lines.append(f"-99.000000\t{UNK}\t0.000000")
     for w in words:
         lines.append(f"{lp}\t{w}\t0.000000")
     lines += ["", "\\2-grams:", "", "\\end\\"]
