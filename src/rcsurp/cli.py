@@ -334,6 +334,13 @@ def _build_parser() -> argparse.ArgumentParser:
 _FLAG_KEYS = {"count_distinct", "combined_single_exclusion"}
 
 
+def _spells(token: str, flag: str) -> bool:
+    """Whether ``token`` gives the long option ``flag``, with or without
+    ``=value`` and abbreviated as the parser allows."""
+    name = token.split("=", 1)[0]
+    return len(name) > 2 and name.startswith("--") and flag.startswith(name)
+
+
 def _expand_config(argv: list[str]) -> list[str]:
     """Splice ``key = value`` pairs from a ``--config`` file into the
     argument list, right after the subcommand; a key whose flag is given
@@ -356,7 +363,7 @@ def _expand_config(argv: list[str]) -> list[str]:
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
         flag = "--" + key.replace("_", "-")
-        if any(token == flag or token.startswith(flag + "=") for token in argv):
+        if any(_spells(token, flag) for token in argv):
             continue
         if key in _FLAG_KEYS:
             if value.lower() in ("1", "true", "yes"):

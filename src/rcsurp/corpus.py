@@ -63,13 +63,6 @@ class Document:
         return len(self._words)
 
 
-def is_punctuation(surface: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION) -> bool:
-    """True iff the surface consists solely of punctuation characters."""
-    # ``str.strip`` removes every character of the set from both ends, so
-    # nothing is left exactly when the surface consists of them alone.
-    return bool(surface) and not surface.strip("".join(punctuation))
-
-
 def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
     if isinstance(source, str):
         return iter(io.StringIO(source))
@@ -140,6 +133,8 @@ def load_vertical(
             pos = columns[2] if len(columns) == 3 and columns[2] else None
             if not surface:
                 raise ParseError("empty surface form", lineno)
+            # ``str.strip`` removes every character of the set from both
+            # ends, so nothing is left exactly when the surface is all of them.
             punct = not surface.strip(chars)
             if not lemma and not punct:
                 raise ParseError(f"empty lemma for word token {surface!r}", lineno)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -183,8 +184,9 @@ def clause_givenness(
     classified: Sequence[ClassifiedMention],
     part: str,
 ) -> GivennessCounts:
-    """Category counts over the mentions of the record's document lying
-    inside one clause part."""
+    """Category counts over the mentions inside one clause part. ``classified``
+    is one document's mentions in interval order, as :func:`classify_document`
+    returns loaded ones, and the record's spans must not overlap."""
     if part == "rc":
         spans = (record.rc_span,)
     elif part == "matrix":
@@ -192,13 +194,11 @@ def clause_givenness(
     else:
         raise ValueError(f"unknown part {part!r}")
     by_category = dict.fromkeys(SalienceCategory, 0)
-    for mention, category in classified:
-        if mention.doc_id != record.doc_id:
-            continue
-        for span in spans:
-            if span.start <= mention.start and mention.end <= span.end:
-                by_category[category] += 1
-                break
+    for span in spans:
+        i = bisect_left(classified, span.start, key=lambda pair: pair[0].start)
+        while i < len(classified) and classified[i][0].end <= span.end:
+            by_category[classified[i][1]] += 1
+            i += 1
     return GivennessCounts(by_category)
 
 

@@ -110,14 +110,25 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
 
     Punctuation is transparent, as in the scorer. Each sentence is wrapped in one start and one end symbol; no bigram
     crosses a sentence boundary. Sentences without any countable token
-    contribute nothing.
+    contribute nothing. A corpus lemma that is a reserved symbol is a
+    ``ValueError`` naming every such symbol.
     """
     counts = BigramCounts()
+    sentence_total = 0
     for doc in docs:
         for sentence in sentences(doc):
             padded = [START, *sentence, END]
             counts.c1.update(padded)
             counts.c2.update(zip(padded, padded[1:]))
+            sentence_total += 1
+    # Padding adds one start and one end symbol per sentence and never the
+    # unknown symbol, so any other count of them comes from corpus lemmas.
+    expected = {START: sentence_total, END: sentence_total, UNK: 0}
+    reserved = [symbol for symbol, n in expected.items() if counts.c1[symbol] != n]
+    if reserved:
+        raise ValueError(
+            "reserved symbols cannot be corpus lemmas: " + ", ".join(map(repr, reserved))
+        )
     counts._refresh_derived()
     return counts
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import Document, sentences
 from .ngram import KneserNeyBigramModel, START
@@ -19,8 +19,7 @@ from .ngram import KneserNeyBigramModel, START
 _LOG10_2 = math.log10(2.0)
 
 
-@dataclass(frozen=True)
-class SurprisalEntry:
+class SurprisalEntry(NamedTuple):
     lemma: str
     context: str
     probability: float

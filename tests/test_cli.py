@@ -79,6 +79,18 @@ def test_train_rejects_lemma_with_whitespace(tmp_path, capsys):
     assert "'zu Hause'" in capsys.readouterr().err
 
 
+def test_train_rejects_reserved_symbols_as_lemmas(tmp_path, capsys):
+    corpus = tmp_path / "reserved.vert"
+    corpus.write_text("# doc: d\nx\tx\n<s>\t<s>\ny\ty\n\nx\tx\n<unk>\t<unk>\n\n"
+                      "</s>\t</s>\nz\tz\n", encoding="utf-8")
+    out = tmp_path / "model.arpa"
+    assert main(["train", "--corpus", str(corpus), "-o", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        "error: reserved symbols cannot be corpus lemmas: '<s>', '</s>', '<unk>'\n"
+    )
+
+
 def test_train_lists_every_repeated_document_id(tmp_path, capsys):
     text = "# doc: a\nTrost\ttrost\n\n# doc: b\nKirche\tkirche\n"
     paths = [tmp_path / "d1.vert", tmp_path / "d2.vert"]
@@ -429,14 +441,29 @@ def test_cli_flags_override_config(toy_corpus, tmp_path, capsys):
     assert "D=0.7" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--corpus", "--corpus="])
+# A repeatable option replaces the config file's list under every spelling
+# the parser accepts: only the toy document is read (``--corpus``) or
+# scored (``--doc``), not the config's ``z``.
+@pytest.mark.parametrize("flag", ["--corpus", "--corpus=", "--corp", "--corp=", "--do"])
 def test_cli_repeatable_flag_replaces_config_list(flag, toy_corpus, tmp_path, capsys):
     other = tmp_path / "z.vert"
     other.write_text("# doc: z\nfoo\tfoo\nbar\tbar\n", encoding="utf-8")
     config = tmp_path / "run.cfg"
+    model = tmp_path / "m.arpa"
+    if flag == "--do":
+        assert main(["train", "--corpus", str(toy_corpus), "-o", str(model)]) == 0
+        config.write_text("doc = z\n", encoding="utf-8")
+        out = tmp_path / "s.tsv"
+        code = main(["surprisal", "--config", str(config), "--model", str(model),
+                     "--corpus", str(toy_corpus), "--corpus", str(other),
+                     flag, "toy", "-o", str(out)])
+        assert code == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert {row.split("\t")[0] for row in rows} == {"toy"}
+        return
     config.write_text(f"corpus = {other}\n", encoding="utf-8")
     corpus = [flag + str(toy_corpus)] if flag.endswith("=") else [flag, str(toy_corpus)]
-    code = main(["train", "--config", str(config), *corpus, "-o", str(tmp_path / "m.arpa")])
+    code = main(["train", "--config", str(config), *corpus, "-o", str(model)])
     assert code == 0
     assert "tokens=6\n" in capsys.readouterr().out  # the toy corpus alone
 

@@ -11,7 +11,7 @@ from rcsurp import (
     load_vertical_file,
     resegment_sentences,
 )
-from rcsurp.corpus import DEFAULT_PUNCTUATION, Token, is_punctuation
+from rcsurp.corpus import DEFAULT_PUNCTUATION, Token
 
 
 def test_minimal_vertical():
@@ -83,20 +83,22 @@ def test_positions_dense_over_words():
     assert [t.doc_position for t in words] == list(range(len(words)))
 
 
-def test_is_punctuation():
-    assert is_punctuation("/")
-    assert is_punctuation("...")
-    assert not is_punctuation("a.")
-    assert not is_punctuation("")
+def test_loader_marks_punctuation_surfaces():
+    tokens = load_vertical("# doc: d\n/\t/\n...\t...\na.\ta.\n")[0].tokens
+    assert [t.is_punctuation for t in tokens] == [True, True, False]
 
 
 @given(st.frozensets(st.characters(), min_size=1), st.data())
-def test_is_punctuation_is_all_characters_in_set(punctuation, data):
+def test_loader_punctuation_is_all_characters_in_set(punctuation, data):
     # Surfaces mix characters of the set with arbitrary ones, so both
-    # outcomes (and the empty surface) are drawn often.
-    surface = data.draw(st.text(st.sampled_from(sorted(punctuation)) | st.characters()))
-    expected = bool(surface) and all(ch in punctuation for ch in surface)
-    assert is_punctuation(surface, punctuation) == expected
+    # outcomes are drawn often. A surface with a tab would split its line,
+    # and one that starts with ``#`` would make it a comment.
+    surface = data.draw(
+        st.text(st.sampled_from(sorted(punctuation)) | st.characters(), min_size=1)
+        .filter(lambda s: "\t" not in s and not s.startswith("#"))
+    )
+    (token,) = load_vertical(["# doc: d\n", f"{surface}\tl\n"], punctuation)[0].tokens
+    assert token.is_punctuation == all(ch in punctuation for ch in surface)
 
 
 def test_custom_punctuation_set():

@@ -1,4 +1,7 @@
+import json
 import random
+from itertools import combinations, groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +21,7 @@ from rcsurp import (
     clause_givenness,
     load_referent_annotations,
     load_vertical,
+    parse_clause_annotations,
 )
 from rcsurp.givenness import build_givenness_table, new_referent_chi_square
 
@@ -283,11 +287,29 @@ def test_mentions_outside_spans_ignored():
     assert clause_givenness(record, classified, "matrix").total == 0
 
 
+def test_mention_ending_at_span_end_is_counted():
+    classified = _classified([SalienceCategory.NEW], start=19)  # [19, 20)
+    assert clause_givenness(_record(rc=(10, 20)), classified, "rc").total == 1
+
+
+@pytest.mark.parametrize("start, end", [(9, 11), (19, 21)])
+def test_mention_crossing_a_span_edge_is_not_counted(start, end):
+    mention = ReferentMention("d", start, end, "x", False, False, 0)
+    record = _record(rc=(10, 20), matrix=((0, 10),))
+    for part in ("rc", "matrix"):
+        assert clause_givenness(record, [(mention, SalienceCategory.NEW)], part).total == 0
+
+
 def test_matrix_part_with_split_spans():
+    # One mention in each matrix interval and one in the relative clause
+    # between them.
     record = _record(rc=(5, 7), matrix=((0, 5), (7, 12)), variant=Variant.IN_SITU)
-    mention = ReferentMention("d", 8, 9, "x", False, False, 0)
-    counts = clause_givenness(record, [(mention, SalienceCategory.NEW)], "matrix")
-    assert counts.total == 1
+    classified = [
+        (ReferentMention("d", s, s + 1, f"ref{i}", False, False, i), SalienceCategory.NEW)
+        for i, s in enumerate((1, 5, 8))
+    ]
+    assert clause_givenness(record, classified, "matrix").total == 2
+    assert clause_givenness(record, classified, "rc").total == 1
 
 
 # --- chi-square -------------------------------------------------------------
@@ -370,11 +392,25 @@ def test_new_referent_chi_square_uses_rc_rows():
 
 
 # Records name d0-d2 and mentions d0, d1 and d3, so d2 has records but no
-# mentions and d3 mentions but no records.
+# mentions and d3 mentions but no records. Each list is drawn either from
+# arbitrary spans, which often overlap or break a record's geometry, or from
+# shapes the validators admit, so both outcomes are drawn often.
 @st.composite
 def _spans(draw):
     start = draw(st.integers(0, 29))
     return Span(start, draw(st.integers(start + 1, 30)))
+
+
+@st.composite
+def _well_formed_record(draw):
+    doc_id = draw(st.sampled_from(["d0", "d1", "d2"]))
+    a, b, c, d = sorted(draw(st.lists(st.integers(0, 30), min_size=4, max_size=4,
+                                      unique=True)))
+    if draw(st.sampled_from(Variant)) is Variant.IN_SITU:
+        return ClauseRecord("r", doc_id, Variant.IN_SITU, (Span(a, b), Span(c, d)),
+                            Span(b, c), b)
+    return ClauseRecord("r", doc_id, Variant.EXTRAPOSED, (Span(a, b),), Span(c, d),
+                        draw(st.integers(a, b)))
 
 
 _records = st.lists(
@@ -388,21 +424,67 @@ _records = st.lists(
         _spans(),
     ),
     max_size=8,
-)
+) | st.lists(_well_formed_record(), max_size=8)
+
+_referent = (st.sampled_from("abcd"), st.booleans(), st.booleans())
+
+
+@st.composite
+def _disjoint_mentions(draw):
+    """Rows of one to three words whose spans never overlap within a
+    document, in shuffled order."""
+    rows = []
+    for doc_id in ("d0", "d1", "d3"):
+        end = 0
+        for gap, width in draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+                                        max_size=10)):
+            start, end = end + gap, end + gap + width
+            rows.append((doc_id, Span(start, end), *draw(st.tuples(*_referent))))
+    return draw(st.permutations(rows))
+
+
 _mentions = st.lists(
-    st.tuples(st.sampled_from(["d0", "d1", "d3"]), _spans(), st.sampled_from(SalienceCategory)),
-    max_size=30,
-)
+    st.tuples(st.sampled_from(["d0", "d1", "d3"]), _spans(), *_referent), max_size=30,
+) | _disjoint_mentions()
+
+
+def _admitted(load, text):
+    """What ``load`` returns for ``text``, or None if it raises ValidationError."""
+    try:
+        return load(text)
+    except ValidationError:
+        return None
 
 
 @given(_records, _mentions)
 def test_grouped_table_matches_flat_scan(records, drawn):
-    classified = {}
-    for doc_id, span, category in drawn:
-        pairs = classified.setdefault(doc_id, [])
-        mention = ReferentMention(doc_id, span.start, span.end, f"ref{len(pairs)}",
-                                  False, False, len(pairs))
-        pairs.append((mention, category))
+    records = _admitted(parse_clause_annotations, json.dumps([
+        {"id": f"r{i}", "doc": r.doc_id, "variant": r.variant.value,
+         "matrix": [[s.start, s.end] for s in r.matrix_spans],
+         "rc": [r.rc_span.start, r.rc_span.end], "attachment": r.attachment}
+        for i, r in enumerate(records)
+    ]))
+    mentions = _admitted(load_referent_annotations, "".join(
+        f"{doc_id}\t{span.start}\t{span.end}\t{referent}\t{inferable:d}\t{topic:d}\n"
+        for doc_id, span, referent, inferable, topic in drawn
+    ))
+    # Neither validator admits a draw outside clause_givenness's precondition:
+    # the loader rejects exactly the draws with overlapping mentions.
+    spans = {}
+    for doc_id, span, *_ in drawn:
+        spans.setdefault(doc_id, []).append(span)
+    assert (mentions is None) == any(
+        a.overlaps(b) for doc_spans in spans.values()
+        for a, b in zip(sorted(doc_spans), sorted(doc_spans)[1:])
+    )
+    if records is None or mentions is None:
+        return
+    assert not any(a.overlaps(b) for r in records
+                   for a, b in combinations((*r.matrix_spans, r.rc_span), 2))
+    classified = {
+        doc_id: classify_document(doc_mentions)
+        for doc_id, doc_mentions in groupby(mentions, key=attrgetter("doc_id"))
+    }
     flat = [pair for pairs in classified.values() for pair in pairs]
     rows = build_givenness_table(records, classified)
     assert [

@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 
@@ -16,6 +17,7 @@ from rcsurp import (
     train_kn,
 )
 from rcsurp.ngram import START
+from rcsurp.surprisal import SurprisalEntry
 
 
 @pytest.fixture
@@ -132,6 +134,26 @@ def test_entries_align_with_word_tokens(toy_model):
     doc = load_vertical("# doc: d\nthe\tthe\n.\t.\n\ncat\tcat\n")[0]
     annotation = annotate_document(toy_model, doc)
     assert [e.doc_position for e in annotation.entries] == [0, 1]
+
+
+# --- SurprisalEntry ---------------------------------------------------------
+
+ENTRY_FIELDS = ("lemma", "context", "probability", "surprisal_bits", "doc_position")
+
+
+def test_surprisal_entry_fields_in_order():
+    assert tuple(inspect.signature(SurprisalEntry).parameters) == ENTRY_FIELDS
+    entry = SurprisalEntry("cat", "the", 0.5, 1.0, 3)
+    assert tuple(getattr(entry, f) for f in ENTRY_FIELDS) == ("cat", "the", 0.5, 1.0, 3)
+    assert entry == ("cat", "the", 0.5, 1.0, 3)
+
+
+def test_surprisal_entry_attribute_assignment_raises(toy_model):
+    entry = annotate_document(toy_model, helpers.toy_documents()[0]).entries[0]
+    for field in ENTRY_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(entry, field, "x")
+    assert entry[:2] == ("the", START) and entry.doc_position == 0
 
 
 # --- sequence annotation ----------------------------------------------------
