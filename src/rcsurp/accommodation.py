@@ -101,14 +101,15 @@ class AccommodationState:
 
 def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     """Function-word lemmas used when tokens carry no POS tag. Defaults to
-    the bundled German list; one lemma per line, ``#`` comments."""
+    the bundled German list; one lemma per line, ``#`` comments, UTF-8
+    with or without a byte-order mark."""
     if path is None:
         text = (
             resources.files("rcsurp").joinpath("data/function_words_de.txt")
             .read_text(encoding="utf-8")
         )
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     lemmas = set()
     for line in text.splitlines():
         line = line.strip()

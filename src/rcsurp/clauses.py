@@ -112,8 +112,10 @@ def _record_problems(record: ClauseRecord) -> list[str]:
         matrix = record.matrix_spans[0]
         if record.rc_span.start < matrix.end:
             bad("extraposed relative clause must follow all matrix material")
-        if not matrix.start <= record.attachment <= matrix.end:
-            bad("attachment must lie inside or at the edge of the matrix interval")
+        # The head noun is matrix material, so the position right after it
+        # lies past the matrix start.
+        if not matrix.start < record.attachment <= matrix.end:
+            bad("attachment must lie after the matrix start and at most at its end")
     return problems
 
 

@@ -49,10 +49,10 @@ class RunConfig:
     punctuation: str = "".join(sorted(DEFAULT_PUNCTUATION))
     content_pos: str = ""
     stoplist: str = ""
-    bonus: float = 4.0
-    wearout: int = 4
-    window: int = 200
-    floor: int = 2
+    bonus: float = accom.FactorConfig.bonus
+    wearout: int = accom.FactorConfig.wearout
+    window: int = accom.FactorConfig.window
+    floor: int = accom.FactorConfig.floor
     salience_window: int = giv.SALIENCE_WINDOW
     count_distinct: bool = False
     combined_single_exclusion: bool = False
@@ -262,14 +262,18 @@ def _build_parser() -> argparse.ArgumentParser:
     config_corpus.add_argument("--punctuation", metavar="CHARS",
                                help="characters whose tokens count as punctuation")
 
+    defaults = accom.FactorConfig
     accommodation = argparse.ArgumentParser(add_help=False)
-    accommodation.add_argument("--bonus", type=float, help="first-mention factor (default 4)")
+    accommodation.add_argument("--bonus", type=float,
+                               help=f"first-mention factor (default {defaults.bonus:g})")
     accommodation.add_argument("--wearout", type=int,
-                               help="mention count at which the bonus is gone (default 4)")
+                               help="mention count at which the bonus is gone"
+                                    f" (default {defaults.wearout})")
     accommodation.add_argument("--window", type=int,
-                               help="words of silence per reset point (default 200)")
+                               help="words of silence per reset point"
+                                    f" (default {defaults.window})")
     accommodation.add_argument("--floor", type=int,
-                               help="lowest count a reset can reach (default 2)")
+                               help=f"lowest count a reset can reach (default {defaults.floor})")
     accommodation.add_argument("--content-pos", metavar="TAGS",
                                help="comma-separated POS tags treated as content words")
     accommodation.add_argument("--stoplist", metavar="PATH",
@@ -281,7 +285,8 @@ def _build_parser() -> argparse.ArgumentParser:
     annotations.add_argument("--referents", required=True, metavar="PATH",
                              help="referent annotation TSV")
     annotations.add_argument("--salience-window", type=int,
-                             help="interveners tolerated for a salient re-mention, >= 0 (default 10)")
+                             help="interveners tolerated for a salient re-mention, >= 0"
+                                  f" (default {giv.SALIENCE_WINDOW})")
     annotations.add_argument("--count-distinct", action="store_const", const=True,
                              help="count distinct referents instead of mention events")
 
@@ -354,7 +359,7 @@ def _expand_config(argv: list[str]) -> list[str]:
         return argv
 
     tokens: list[str] = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -46,19 +46,12 @@ class Vocabulary:
 
     @classmethod
     def from_lemmas(cls, lemmas: Iterable[str]) -> "Vocabulary":
-        corpus_lemmas = sorted(set(lemmas))
-        for symbol in RESERVED:
-            if symbol in corpus_lemmas:
-                raise ValueError(
-                    f"reserved symbol {symbol!r} appears as a corpus lemma"
-                )
+        """The reserved symbols at ids 0-2, then the other distinct
+        symbols of ``lemmas`` in sorted order."""
         index = {symbol: i for i, symbol in enumerate(RESERVED)}
-        for lemma in corpus_lemmas:
+        for lemma in sorted(set(lemmas).difference(RESERVED)):
             index[lemma] = len(index)
         return cls(index)
-
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self.index
 
     def __len__(self) -> int:
         return len(self.index)
@@ -166,27 +159,17 @@ class KneserNeyBigramModel:
     bigram_p: dict[tuple[str, str], float]
     discount: float | None = None  # estimation metadata; absent on imported models
 
-    def _map_word(self, word: str) -> str:
-        # The start symbol is a context, never an outcome; as a queried
-        # word it is out of the event space like any unknown lemma.
-        if word == START or word not in self.vocabulary:
-            return UNK
-        return word
-
-    def _map_context(self, context: str) -> str:
-        return context if context in self.vocabulary else UNK
-
     def prob(self, context: str, word: str) -> float:
-        """p(word | context); unknown lemmas map to the unknown symbol.
-
-        Total and strictly positive for every input pair.
+        """p(word | context), total and strictly positive. A symbol missing
+        from ``unigram_p`` and ``bow``, which hold exactly the vocabulary, is
+        unknown, and so is the start symbol as a word (it is never an outcome).
         """
-        v = self._map_context(context)
-        w = self._map_word(word)
+        v = context if context in self.bow else UNK
+        w = UNK if word == START or word not in self.unigram_p else word
         hit = self.bigram_p.get((v, w))
         if hit is not None:
             return hit
-        return self.bow.get(v, 1.0) * self.unigram_p[w]
+        return self.bow[v] * self.unigram_p[w]
 
     def event_words(self) -> list[str]:
         return self.vocabulary.event_words()
@@ -208,9 +191,7 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
 
     total_types = counts.total_bigram_types
 
-    vocabulary = Vocabulary.from_lemmas(
-        w for w in counts.c1 if w not in RESERVED
-    )
+    vocabulary = Vocabulary.from_lemmas(counts.c1)
 
     unigram_p: dict[str, float] = {START: 0.0, UNK: 1.0 / (total_types + 1)}
     for word in vocabulary.event_words():
@@ -391,7 +372,5 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         if v not in unigram_p or w not in unigram_p:
             raise ParseError(f"bigram ({v!r}, {w!r}) uses an undeclared word")
 
-    vocabulary = Vocabulary.from_lemmas(
-        w for w in unigram_p if w not in RESERVED
-    )
+    vocabulary = Vocabulary.from_lemmas(unigram_p)
     return KneserNeyBigramModel(vocabulary, unigram_p, bow, bigram_p)

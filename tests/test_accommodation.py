@@ -154,6 +154,13 @@ def test_custom_stoplist(tmp_path):
     assert is_content(_token(doc, 1))
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_stoplist_read_with_or_without_byte_order_mark(bom, tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(bom + b"der\ndie\n")
+    assert load_stoplist(path) == {"der", "die"}
+
+
 # --- document weighting -----------------------------------------------------
 
 def _trace_document():

@@ -56,6 +56,27 @@ def test_round_trip_larger_corpus():
     assert export_arpa(restored) == text
 
 
+def test_import_accepts_entries_in_any_order(toy_model):
+    # The reader builds the vocabulary from the unigram table, so the
+    # reserved symbols need not come first and entries need not be sorted.
+    text = export_arpa(toy_model)
+    lines = text.splitlines()
+    rng = random.Random(3)
+    for section in ("\\1-grams:", "\\2-grams:"):
+        start = lines.index(section) + 1
+        end = lines.index("", start)
+        entries = lines[start:end]
+        # Shuffle until no line of a reserved symbol (or of a bigram whose
+        # context is one) comes first.
+        while entries[0].split("\t")[1].split(" ")[0] in (START, END, UNK):
+            rng.shuffle(entries)
+        lines[start:end] = entries
+    restored = import_arpa("\n".join(lines) + "\n")
+    for v, w in _all_pairs(toy_model):
+        assert restored.prob(v, w) == pytest.approx(toy_model.prob(v, w), abs=1e-6)
+    assert export_arpa(restored) == text
+
+
 def test_unigram_log10_semantics():
     text = "\n".join([
         "\\data\\", "ngram 1=4", "ngram 2=1", "",

@@ -148,6 +148,25 @@ def test_every_non_integer_position_listed():
     ]
 
 
+# The head noun is matrix material, so the position right after it lies in
+# (matrix start, matrix end]. An attachment at the matrix start would put the
+# hypothetical in-situ clause first and condition it on the matrix's last
+# word, which the chain then repeats.
+@pytest.mark.parametrize("attachment, admitted", [
+    (0, False), (1, False), (2, True), (6, True), (7, False),
+])
+def test_extraposed_attachment_lies_after_the_matrix_start(attachment, admitted):
+    payload = _payload(attachment=attachment)
+    if admitted:
+        assert parse_clause_annotations(payload)[0].attachment == attachment
+        return
+    with pytest.raises(ValidationError) as exc:
+        parse_clause_annotations(payload)
+    assert exc.value.problems == [
+        "r1: attachment must lie after the matrix start and at most at its end"
+    ]
+
+
 def test_duplicate_record_ids_rejected():
     doubled = json.loads(_payload()) * 2
     with pytest.raises(ValidationError):

@@ -262,6 +262,25 @@ def test_analyze_lists_every_clause_too_short(fixture_model, tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_analyze_rejects_attachment_at_the_matrix_start(fixture_model, tmp_path, capsys):
+    records = json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8"))
+    for record in records:
+        if record["id"] in ("rc-002", "rc-004"):  # extraposed
+            record["attachment"] = record["matrix"][0][0]
+    clauses = tmp_path / "attached.json"
+    clauses.write_text(json.dumps(records), encoding="utf-8")
+    outdir = tmp_path / "out"
+    args = _analyze_args(fixture_model, outdir)
+    args[args.index("--clauses") + 1] = str(clauses)
+    assert main(args) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"validation error: {record_id}: attachment must lie after the matrix start"
+        " and at most at its end"
+        for record_id in ("rc-002", "rc-004")
+    ]
+    assert not outdir.exists()
+
+
 def _annotation_job(command, model, tmp_path, referents,
                     clauses=FIXTURES / "clauses.json"):
     """Arguments for ``analyze`` or ``givenness`` on the fixture with the
@@ -428,6 +447,16 @@ def test_config_file_provides_defaults(toy_corpus, tmp_path, capsys):
         f"# defaults\ncorpus = {toy_corpus}\ndiscount = 0.5\n", encoding="utf-8"
     )
     code = main(["train", "--config", str(config), "-o", str(tmp_path / "m.arpa")])
+    assert code == 0
+    assert "D=0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_config_file_read_with_or_without_byte_order_mark(bom, toy_corpus, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(bom + b"discount = 0.5\n")
+    code = main(["train", "--config", str(config), "--corpus", str(toy_corpus),
+                 "-o", str(tmp_path / "m.arpa")])
     assert code == 0
     assert "D=0.5" in capsys.readouterr().out
 

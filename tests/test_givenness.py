@@ -410,7 +410,7 @@ def _well_formed_record(draw):
         return ClauseRecord("r", doc_id, Variant.IN_SITU, (Span(a, b), Span(c, d)),
                             Span(b, c), b)
     return ClauseRecord("r", doc_id, Variant.EXTRAPOSED, (Span(a, b),), Span(c, d),
-                        draw(st.integers(a, b)))
+                        draw(st.integers(a + 1, b)))
 
 
 _records = st.lists(

@@ -190,9 +190,11 @@ def test_explicit_discount_validated(toy_counts):
         train_kn(toy_counts, discount=1.5)
 
 
-def test_reserved_symbol_collision():
-    with pytest.raises(ValueError):
-        Vocabulary.from_lemmas(["a", "<unk>"])
+def test_vocabulary_places_reserved_symbols_first():
+    # Callers pass whole symbol tables (the counts or the ARPA unigrams),
+    # reserved symbols included; they take ids 0-2 whether given or not.
+    vocab = Vocabulary.from_lemmas(["b", "<unk>", "a", "<s>", "b"])
+    assert vocab.index == {"<s>": 0, "</s>": 1, "<unk>": 2, "a": 3, "b": 4}
 
 
 def test_vocabulary_ids_dense():

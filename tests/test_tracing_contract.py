@@ -2,16 +2,25 @@
 methods of ``rcsurp`` by replacing them in place. This pins the names it
 expects: each must stay a plain function defined in its module, or a plain
 method in its class ``__dict__`` (not a property or a cached property).
+It also runs each benchmark workload's subcommand on the committed fixture
+under the tracer, so a refactor that stops calling a traced function fails
+here, as the benchmark's coverage check would on a traced run.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from rcsurp import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "minicorpus"
 
 
 def _load_tracing():
@@ -35,3 +44,42 @@ def test_traced_name_is_a_plain_function(module_name, path, span):
         target = vars(module).get(path)
     assert inspect.isfunction(target), f"{path} is {target!r}"
     assert target.__module__ == module.__name__
+
+
+# The subcommand each benchmark workload runs. As in the benchmark's set-up,
+# the model that ``surprisal`` and ``analyze`` read is trained untraced.
+WORKLOAD_COMMANDS = {
+    "train-openvocab": "train",
+    "surprisal-openvocab": "surprisal",
+    "analyze-dense": "analyze",
+}
+
+
+def test_every_workload_has_a_subcommand():
+    assert set(WORKLOAD_COMMANDS) == set(REFERENCE["workloads"])
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_COMMANDS))
+def test_traced_run_records_every_mapped_metric(workload, tmp_path, capsys):
+    corpus, model = str(FIXTURES / "corpus.vert"), str(tmp_path / "model.arpa")
+    assert cli.main(["train", "--corpus", corpus, "-o", model]) == 0
+    argv = {
+        "train": ["train", "--corpus", corpus, "-o", str(tmp_path / "traced.arpa")],
+        "surprisal": ["surprisal", "--model", model, "--corpus", corpus,
+                      "-o", str(tmp_path / "surprisal.tsv")],
+        "analyze": ["analyze", "--model", model, "--corpus", corpus,
+                    "--clauses", str(FIXTURES / "clauses.json"),
+                    "--referents", str(FIXTURES / "referents.tsv"),
+                    "--outdir", str(tmp_path / "bundle")],
+    }[WORKLOAD_COMMANDS[workload]]
+    # The tracer rebinds ``main`` in the ``rcsurp.cli`` namespace, so the
+    # call goes through the module attribute.
+    with _tracing.Tracer() as tracer:
+        assert cli.main(argv) == 0
+    metrics = tracer.metrics()
+    # ``trace.overhead_frac`` compares traced with untraced runs, which the
+    # tracer alone does not record.
+    silent = [metric for metric, entry in REFERENCE["layers"].items()
+              if workload in entry["workloads"] and metric != "trace.overhead_frac"
+              and not metrics[metric]]
+    assert silent == []
