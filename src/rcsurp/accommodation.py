@@ -181,15 +181,19 @@ def write_weighted_tsv(
     annotation: SurprisalAnnotation, factors: Factors, fh: TextIO, header: bool = True
 ) -> None:
     """Surprisal dump plus ``x factor weighted_surprisal`` columns, the
-    weighted value being ``surprisal_bits * factor``."""
+    weighted value being ``surprisal_bits * factor``. The document's rows
+    are formatted first and written in one call."""
     if header:
         fh.write(
             "doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits"
             "\tx\tfactor\tweighted_surprisal\n"
         )
-    for e, (x, f) in zip(annotation.entries, factors, strict=True):
-        fh.write(
-            f"{annotation.doc_id}\t{e.doc_position}\t{e.lemma}\t{e.context}"
-            f"\t{e.probability:.6e}\t{e.surprisal_bits:.6f}"
-            f"\t{'NA' if x is None else x}\t{f:.6f}\t{e.surprisal_bits * f:.6f}\n"
+    doc_id = annotation.doc_id
+    fh.write("".join([
+        "%s\t%s\t%s\t%s\t%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
+            doc_id, position, lemma, context, probability, bits,
+            "NA" if x is None else x, f, bits * f,
         )
+        for (lemma, context, probability, bits, position), (x, f)
+        in zip(annotation.entries, factors, strict=True)
+    ]))

@@ -7,6 +7,7 @@ log sum, per-token document surprisal as one loop over every token,
 the vertical-format loader as a per-document builder that parses every
 line afresh, sentence re-segmentation by copying every token, mention
 classification by rescanning the document's history for every mention,
+the accommodated surprisal TSV as one f-string and one write per row,
 the givenness table by scanning every mention for every record, and the
 chi-square tail by Simpson integration of the normal density.
 ``write_vertical`` serializes documents back to the vertical format, so the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 from rcsurp import (
     Document,
@@ -153,6 +154,25 @@ def reference_annotate_document(model, doc: Document) -> SurprisalAnnotation:
         entries.append(SurprisalEntry(token.lemma, context, p, -math.log2(p), token.doc_position))
         context = token.lemma
     return SurprisalAnnotation(doc.id, tuple(entries))
+
+
+def reference_write_weighted_tsv(
+    annotation: SurprisalAnnotation, factors, fh: TextIO, header: bool = True
+) -> None:
+    """The accommodated surprisal TSV with one f-string and one ``write``
+    per row; a factors tuple that does not align with the entries raises
+    ``ValueError`` after the aligned rows are written."""
+    if header:
+        fh.write(
+            "doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits"
+            "\tx\tfactor\tweighted_surprisal\n"
+        )
+    for e, (x, f) in zip(annotation.entries, factors, strict=True):
+        fh.write(
+            f"{annotation.doc_id}\t{e.doc_position}\t{e.lemma}\t{e.context}"
+            f"\t{e.probability:.6e}\t{e.surprisal_bits:.6f}"
+            f"\t{'NA' if x is None else x}\t{f:.6f}\t{e.surprisal_bits * f:.6f}\n"
+        )
 
 
 def _all_punctuation(surface: str, punctuation: frozenset[str]) -> bool:

@@ -1,7 +1,10 @@
 import io
+import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+import helpers
 from rcsurp import (
     AccommodationState,
     FactorConfig,
@@ -242,6 +245,43 @@ def test_weighted_tsv_format():
         "d\t0\tder\tx\t5.000000e-01\t2.500000\tNA\t1.000000\t2.500000",
         "d\t1\ttrost\tx\t5.000000e-01\t2.500000\t1\t4.000000\t10.000000",
     ]
+
+
+_factor_values = st.sampled_from([4.0, 2.0, 4 / 3, 1.0]) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False
+)
+
+
+@st.composite
+def _weighted_annotations(draw):
+    """An annotation with unicode lemmas and probabilities from 1e-300 to
+    1, and one ``(x, factor)`` pair per entry."""
+    entries, factors = [], []
+    for position in range(draw(st.integers(0, 12))):
+        p = draw(st.floats(min_value=1e-300, max_value=1.0))
+        entries.append(SurprisalEntry(draw(st.text()), draw(st.text()), p, -math.log2(p),
+                                      position))
+        factors.append((draw(st.none() | st.integers()), draw(_factor_values)))
+    doc_id = draw(st.none() | st.text())
+    return SurprisalAnnotation(doc_id, tuple(entries)), tuple(factors)
+
+
+def _written(write, annotation, factors, header):
+    buffer = io.StringIO()
+    write(annotation, factors, buffer, header=header)
+    return buffer.getvalue()
+
+
+@given(_weighted_annotations(), st.booleans())
+def test_weighted_tsv_matches_reference_writer(drawn, header):
+    annotation, factors = drawn
+    assert _written(write_weighted_tsv, annotation, factors, header) == _written(
+        helpers.reference_write_weighted_tsv, annotation, factors, header
+    )
+    for misaligned in (factors[:-1], factors + ((None, 1.0),)):
+        if len(misaligned) != len(factors):
+            with pytest.raises(ValueError):
+                write_weighted_tsv(annotation, misaligned, io.StringIO(), header=header)
 
 
 def test_misaligned_annotation_is_error():

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -428,6 +429,27 @@ def test_annotation_files_accept_a_leading_byte_order_mark(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_model_accepts_a_leading_byte_order_mark(fixture_model, tmp_path):
+    marked = _with_bom(fixture_model, tmp_path)
+    corpus = ["--corpus", str(FIXTURES / "corpus.vert")]
+    tsv = {model: tmp_path / f"{model.stem}.tsv" for model in (fixture_model, marked)}
+    for model, out in tsv.items():
+        assert main(["surprisal", "--model", str(model), *corpus, "-o", str(out)]) == 0
+    assert tsv[marked].read_bytes() == tsv[fixture_model].read_bytes()
+
+    plain_dir, marked_dir = tmp_path / "plain", tmp_path / "marked"
+    assert main(_analyze_args(fixture_model, plain_dir)) == 0
+    assert main(_analyze_args(marked, marked_dir)) == 0
+    for table in ("table1.tsv", "table2.tsv", "table3.tsv", "hypotheticals.tsv",
+                  "chi_square.tsv"):
+        assert (marked_dir / table).read_bytes() == (plain_dir / table).read_bytes()
+    manifests = [json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+                 for d in (plain_dir, marked_dir)]
+    # Only the model's own digest and path differ.
+    for manifest in manifests:
+        manifest.pop("inputs")
+    assert manifests[0] == manifests[1]
+
 def test_chi2_command(capsys):
     assert main(["chi2", "2", "20", "11", "35"]) == 0
     out = capsys.readouterr().out
@@ -551,3 +573,41 @@ def test_internal_invariant_exit_code(toy_corpus, tmp_path, monkeypatch):
     code = main(["train", "--corpus", str(toy_corpus), "-o", str(tmp_path / "m.arpa")])
     assert code == 4
 
+
+
+# --- collector policy -------------------------------------------------------
+
+@pytest.fixture
+def distinctive_gc_threshold():
+    saved = gc.get_threshold()
+    gc.set_threshold(1234, 11, 7)
+    yield gc.get_threshold()
+    gc.set_threshold(*saved)
+
+
+def _threshold_cases(tmp_path):
+    corpus = tmp_path / "d.vert"
+    corpus.write_text("# doc: a\nTrost\ttrost\n", encoding="utf-8")
+    model = tmp_path / "bad.arpa"
+    model.write_text("not a model\n", encoding="utf-8")
+    return {
+        "exit-0": (["chi2", "2", "20", "11", "35"], 0),
+        "parse-error": (["surprisal", "--model", str(model), "--corpus", str(corpus)], 2),
+        "validation-error": (["train", "--corpus", str(corpus), "--corpus", str(corpus),
+                              "-o", str(tmp_path / "m.arpa")], 3),
+        "argparse-exit": (["chi2", "--no-such-flag"], SystemExit),
+    }
+
+
+@pytest.mark.parametrize("case", ["exit-0", "parse-error", "validation-error",
+                                  "argparse-exit"])
+def test_main_restores_the_collector_threshold(case, distinctive_gc_threshold, tmp_path,
+                                               capsys):
+    argv, expected = _threshold_cases(tmp_path)[case]
+    if expected is SystemExit:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    else:
+        assert main(argv) == expected
+    assert gc.get_threshold() == distinctive_gc_threshold
