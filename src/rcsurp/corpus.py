@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -41,6 +41,12 @@ class Token(NamedTuple):
     doc_position: int | None  # None for punctuation tokens
     sentence_index: int
     is_punctuation: bool
+
+
+# ``Token(*fields)`` runs the NamedTuple's Python-level ``__new__``, which
+# only calls ``tuple.__new__(Token, fields)``; the loops below call that
+# directly and get the same ``Token`` without the extra frame.
+_new_token = partial(tuple.__new__, Token)
 
 
 @dataclass(frozen=True)
@@ -98,6 +104,7 @@ def load_vertical(
     # ``punctuation``. Only token lines are stored, and only once a document
     # is open, so a hit needs no check of the parser state either.
     parsed: dict[str, tuple[str, str, str | None, bool]] = {}
+    new_token = _new_token
 
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         fields = parsed.get(raw)
@@ -141,9 +148,9 @@ def load_vertical(
             fields = parsed[raw] = (surface, lemma or surface, pos, punct)
         surface, lemma, pos, punct = fields
         if punct:
-            tokens.append(Token(surface, lemma, pos, None, sentence_index, True))
+            tokens.append(new_token((surface, lemma, pos, None, sentence_index, True)))
         else:
-            tokens.append(Token(surface, lemma, pos, next_position, sentence_index, False))
+            tokens.append(new_token((surface, lemma, pos, next_position, sentence_index, False)))
             next_position += 1
         sentence_open = True
 
@@ -188,10 +195,10 @@ def resegment_sentences(doc: Document) -> Document:
             boundary_pending = False
         if original != sentence_index:
             moved = True
-            token = Token(
+            token = _new_token((
                 token.surface, token.lemma, token.pos, token.doc_position,
                 sentence_index, token.is_punctuation,
-            )
+            ))
         new_tokens.append(token)
         if token.surface == ".":
             boundary_pending = True

@@ -25,6 +25,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .corpus import Document, sentences
@@ -83,11 +84,8 @@ class BigramCounts:
     total_bigram_types: int = 0
 
     def _refresh_derived(self):
-        self.continuation = Counter()
-        self.fertility = Counter()
-        for (v, w) in self.c2:
-            self.continuation[w] += 1
-            self.fertility[v] += 1
+        self.continuation = Counter(map(itemgetter(1), self.c2))
+        self.fertility = Counter(map(itemgetter(0), self.c2))
         self.total_bigram_types = len(self.c2)
 
     def token_count(self) -> int:
@@ -101,19 +99,26 @@ class BigramCounts:
 def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     """Count padded within-sentence lemma bigrams over all documents.
 
-    Punctuation is transparent, as in the scorer. Each sentence is wrapped in one start and one end symbol; no bigram
-    crosses a sentence boundary. Sentences without any countable token
-    contribute nothing. A corpus lemma that is a reserved symbol is a
-    ``ValueError`` naming every such symbol.
+    Punctuation is transparent, as in the scorer. Each sentence is wrapped
+    in one start and one end symbol; no bigram crosses a sentence boundary.
+    Sentences without any countable token contribute nothing. Counting
+    makes one update of each counter per document. A corpus lemma that is
+    a reserved symbol is a ``ValueError`` naming every such symbol.
     """
     counts = BigramCounts()
     sentence_total = 0
     for doc in docs:
+        # The document's padded sentences back to back, and the pairs within
+        # each sentence, in the order per-sentence updates would see them.
+        symbols: list[str] = []
+        pairs: list[tuple[str, str]] = []
         for sentence in sentences(doc):
             padded = [START, *sentence, END]
-            counts.c1.update(padded)
-            counts.c2.update(zip(padded, padded[1:]))
+            symbols += padded
+            pairs += zip(padded, padded[1:])
             sentence_total += 1
+        counts.c1.update(symbols)
+        counts.c2.update(pairs)
     # Padding adds one start and one end symbol per sentence and never the
     # unknown symbol, so any other count of them comes from corpus lemmas.
     expected = {START: sentence_total, END: sentence_total, UNK: 0}
@@ -243,7 +248,7 @@ _LOG10_ZERO = -99.0
 
 
 def _fmt(value: float) -> str:
-    if abs(value) < 5e-7:  # avoid the "-0.000000" rendering
+    if abs(value) <= 5e-7:  # avoid the "-0.000000" rendering
         value = 0.0
     return f"{value:.6f}"
 
@@ -263,22 +268,27 @@ def export_arpa(model: KneserNeyBigramModel) -> str:
             + ", ".join(map(repr, spaced))
         )
     word_id = model.vocabulary.index
-    lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(model.bigram_p)}", ""]
+    unigram_p, bow, bigram_p = model.unigram_p, model.bow, model.bigram_p
+    fmt, log10 = _fmt, math.log10
+    lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(bigram_p)}", ""]
 
     lines.append("\\1-grams:")
-    for word in words:
-        p = model.unigram_p[word]
-        lp = _LOG10_ZERO if p <= 0.0 else math.log10(p)
-        lines.append(f"{_fmt(lp)}\t{word}\t{_fmt(math.log10(model.bow[word]))}")
+    lines += [
+        f"{fmt(_LOG10_ZERO if p <= 0.0 else log10(p))}\t{word}\t{fmt(log10(bow[word]))}"
+        for word, p in zip(words, map(unigram_p.__getitem__, words))
+    ]
     lines.append("")
 
+    # Ids are dense in [0, size), so this integer orders pairs as the tuple
+    # (id[v], id[w]) does.
+    size = len(word_id)
+    bigrams = sorted(bigram_p, key=lambda vw: word_id[vw[0]] * size + word_id[vw[1]])
     lines.append("\\2-grams:")
-    for (v, w) in sorted(model.bigram_p, key=lambda vw: (word_id[vw[0]], word_id[vw[1]])):
-        lines.append(f"{_fmt(math.log10(model.bigram_p[(v, w)]))}\t{v} {w}")
+    lines += [f"{fmt(log10(bigram_p[vw]))}\t{vw[0]} {vw[1]}" for vw in bigrams]
     lines.append("")
 
-    lines.append("\\end\\")
-    return "\n".join(lines) + "\n"
+    lines += ["\\end\\", ""]  # the empty last entry ends the text with a newline
+    return "\n".join(lines)
 
 
 def import_arpa(text: str) -> KneserNeyBigramModel:
@@ -336,7 +346,7 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
 
     i = expect(i, "\\1-grams:", "missing \\1-grams: section")
     while i < n and lines[i].strip() and not lines[i].startswith("\\"):
-        fields = lines[i].rstrip("\n").split("\t")
+        fields = lines[i].split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields in 1-gram entry, got {len(fields)}", i + 1)
         word = fields[1]
@@ -346,7 +356,7 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
 
     i = expect(i, "\\2-grams:", "missing \\2-grams: section")
     while i < n and lines[i].strip() and not lines[i].startswith("\\"):
-        fields = lines[i].rstrip("\n").split("\t")
+        fields = lines[i].split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields in 2-gram entry, got {len(fields)}", i + 1)
         pair = fields[1].split(" ")

@@ -8,6 +8,7 @@ the vertical-format loader as a per-document builder that parses every
 line afresh, sentence re-segmentation by copying every token, mention
 classification by rescanning the document's history for every mention,
 the accommodated surprisal TSV as one f-string and one write per row,
+the ARPA text as one f-string per entry with bigrams sorted by id tuples,
 the givenness table by scanning every mention for every record, and the
 chi-square tail by Simpson integration of the normal density.
 ``write_vertical`` serializes documents back to the vertical format, so the
@@ -173,6 +174,39 @@ def reference_write_weighted_tsv(
             f"\t{e.probability:.6e}\t{e.surprisal_bits:.6f}"
             f"\t{'NA' if x is None else x}\t{f:.6f}\t{e.surprisal_bits * f:.6f}\n"
         )
+
+
+def _reference_fmt(value: float) -> str:
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+def reference_export_arpa(model) -> str:
+    """ARPA text as one loop per section: unigrams in vocabulary order,
+    bigrams sorted by the ``(id[v], id[w])`` tuple, six decimals with
+    ``-0.000000`` written as ``0.000000``, and the same ``ValueError`` as
+    the exporter for lemmas containing whitespace."""
+    words = model.vocabulary.words()
+    spaced = [word for word in words if any(ch.isspace() for ch in word)]
+    if spaced:
+        raise ValueError(
+            "lemmas containing whitespace cannot be written to ARPA: "
+            + ", ".join(repr(word) for word in spaced)
+        )
+    word_id = model.vocabulary.index
+    lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(model.bigram_p)}", ""]
+    lines.append("\\1-grams:")
+    for word in words:
+        p = model.unigram_p[word]
+        lp = -99.0 if p <= 0.0 else math.log10(p)
+        lines.append(f"{_reference_fmt(lp)}\t{word}\t{_reference_fmt(math.log10(model.bow[word]))}")
+    lines.append("")
+    lines.append("\\2-grams:")
+    for (v, w) in sorted(model.bigram_p, key=lambda vw: (word_id[vw[0]], word_id[vw[1]])):
+        lines.append(f"{_reference_fmt(math.log10(model.bigram_p[(v, w)]))}\t{v} {w}")
+    lines.append("")
+    lines.append("\\end\\")
+    return "\n".join(lines) + "\n"
 
 
 def _all_punctuation(surface: str, punctuation: frozenset[str]) -> bool:

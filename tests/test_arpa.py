@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
-from rcsurp import count_bigrams, export_arpa, import_arpa, load_vertical, train_kn
+from rcsurp import Document, Token, count_bigrams, export_arpa, import_arpa, load_vertical, train_kn
 from rcsurp.errors import ParseError
-from rcsurp.ngram import END, START, UNK
+from rcsurp.ngram import END, START, UNK, _fmt
 
 
 @pytest.fixture
@@ -122,6 +123,76 @@ def test_export_rejects_lemmas_with_whitespace():
     assert repr("zu Hause") in message
     assert repr("da\u00a0drin") in message
     assert repr("ich") not in message
+
+
+def test_fmt_writes_no_negative_zero():
+    assert _fmt(-5e-7) == _fmt(-0.0) == "0.000000"
+    assert _fmt(-5.000000000000001e-07) == "-0.000001"
+
+
+# --- exporter against the per-entry loop ------------------------------------
+
+_WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_non_ascii = st.text(
+    st.characters(min_codepoint=0x80, blacklist_categories=("Cs",)), min_size=1, max_size=3
+).filter(lambda text: not any(ch.isspace() for ch in text))
+# Plain string order puts most of these before or among "</s>", "<s>" and "<unk>".
+_near_reserved = st.sampled_from(["!", "0", ";", "<", "<a", "<t", "<s", "</", "=", "a"])
+_plain_lemmas = st.one_of(_near_reserved, _non_ascii)
+_spaced_lemmas = st.builds(
+    lambda head, space, tail: head + space + tail,
+    st.sampled_from(["", "zu", "<a"]), st.sampled_from(_WHITESPACE), st.sampled_from(["", "b"]),
+)
+
+
+def _model_of(sentences, discount):
+    """The model trained on ``sentences``, built as tokens directly so that
+    lemmas may hold characters the vertical format cannot carry."""
+    tokens, position = [], 0
+    for index, sentence in enumerate(sentences):
+        for lemma in sentence:
+            tokens.append(Token("w", lemma, None, position, index, False))
+            position += 1
+    document = Document("d", tuple(tokens), len(sentences))
+    return train_kn(count_bigrams([document]), discount=discount)
+
+
+_corpus = st.lists(st.lists(_plain_lemmas, min_size=1, max_size=6), min_size=1, max_size=6)
+_discount = st.floats(0.01, 0.99)
+
+
+@given(_corpus, _discount, st.randoms(use_true_random=False))
+def test_export_matches_reference_for_trained_and_imported_models(sentences, discount, rng):
+    model = _model_of(sentences, discount)
+    text = export_arpa(model)
+    assert text == helpers.reference_export_arpa(model)
+    # The same model read back from text whose entries are shuffled.
+    lines = text.splitlines()
+    for section in ("\\1-grams:", "\\2-grams:"):
+        start = lines.index(section) + 1
+        end = lines.index("", start)
+        entries = lines[start:end]
+        rng.shuffle(entries)
+        lines[start:end] = entries
+    imported = import_arpa("\n".join(lines) + "\n")
+    assert export_arpa(imported) == helpers.reference_export_arpa(imported)
+
+
+@given(
+    st.lists(st.lists(st.one_of(_plain_lemmas, _spaced_lemmas), min_size=1, max_size=6),
+             min_size=1, max_size=6),
+    _discount,
+)
+def test_export_rejects_whitespace_as_reference_does(sentences, discount):
+    model = _model_of(sentences, discount)
+    try:
+        expected = helpers.reference_export_arpa(model)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            export_arpa(model)
+        assert str(got.value) == str(exc)
+    else:
+        assert export_arpa(model) == expected
 
 
 def test_import_missing_data_header():

@@ -150,6 +150,29 @@ def test_token_equals_the_plain_tuple_of_its_fields():
     assert hash(token) == hash(("Mann", "mann", "NN", 3, 1, False))
 
 
+def test_loaded_and_renumbered_tokens_are_tokens():
+    # A plain tuple of the same fields would pass every equality check, so
+    # look at the type itself, and read the fields by name. Token lines
+    # repeat, some are punctuation, and re-segmentation moves six tokens.
+    text = (
+        "# doc: d1\nder\tder\tART\nMann\tMann\n.\t.\t$.\nder\tder\tART\n/\t\n"
+        "\nMann\tMann\nder\tder\tART\n.\t.\t$.\nsagt\tsagen\n# doc: d2\nder\tder\tART\n"
+    )
+    docs = load_vertical(text)
+    renumbered = [resegment_sentences(doc) for doc in docs]
+    loaded = [t for doc in docs for t in doc.tokens]
+    moved = [
+        after for doc, again in zip(docs, renumbered)
+        for before, after in zip(doc.tokens, again.tokens) if after is not before
+    ]
+    assert len(loaded) == 10 and sum(t.is_punctuation for t in loaded) == 3
+    assert len(moved) == 6
+    for token in loaded + moved:
+        assert type(token) is Token
+        assert tuple(getattr(token, field) for field in TOKEN_FIELDS) == tuple(token)
+    assert [t.sentence_index for t in moved] == [1, 1, 2, 2, 2, 3]
+
+
 # --- loader against the builder oracle --------------------------------------
 
 # Few distinct token lines, so most lines repeat one seen before. They
