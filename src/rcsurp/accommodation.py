@@ -14,6 +14,7 @@ document; state never crosses documents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -38,8 +39,8 @@ class FactorConfig:
     floor: int = 2       # reset never drops the count below this
 
     def __post_init__(self):
-        if self.bonus <= 0:
-            raise ValueError("bonus must be positive")
+        if not (math.isfinite(self.bonus) and self.bonus > 0):
+            raise ValueError("bonus must be positive and finite")
         if self.wearout < 1:
             raise ValueError("wearout must be >= 1")
         if self.window < 1:

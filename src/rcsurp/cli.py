@@ -37,12 +37,7 @@ from . import accommodation as accom
 from . import clauses as cl
 from . import givenness as giv
 from . import ngram
-from .corpus import (
-    DEFAULT_PUNCTUATION,
-    Document,
-    load_vertical_file,
-    resegment_sentences,
-)
+from .corpus import Document, load_vertical_file, resegment_sentences
 from .errors import DegenerateCountsError, ParseError, PipelineError, ValidationError
 from .surprisal import annotate_document
 
@@ -58,7 +53,6 @@ class RunConfig:
     """Resolved settings of one invocation; hashed into the run manifest."""
 
     corpus: list[str] = field(default_factory=list)
-    punctuation: str = "".join(sorted(DEFAULT_PUNCTUATION))
     content_pos: str = ""
     stoplist: str = ""
     bonus: float = accom.FactorConfig.bonus
@@ -109,14 +103,11 @@ def _load_model(path: str) -> ngram.KneserNeyBigramModel:
     return ngram.import_arpa(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _load_corpus(cfg: RunConfig) -> dict[str, Document]:
-    if not cfg.corpus:
-        raise FileNotFoundError("no corpus path given")
-    punctuation = frozenset(cfg.punctuation)
+def _load_corpus(paths: list[str]) -> dict[str, Document]:
     docs: dict[str, Document] = {}
     repeated: dict[str, None] = {}  # ordered set
-    for path in cfg.corpus:
-        for doc in load_vertical_file(path, punctuation):
+    for path in paths:
+        for doc in load_vertical_file(path):
             if doc.id in docs:
                 repeated[doc.id] = None
             else:
@@ -130,7 +121,7 @@ def _load_corpus(cfg: RunConfig) -> dict[str, Document]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    docs = _load_corpus(cfg)
+    docs = _load_corpus(cfg.corpus)
     counts = ngram.count_bigrams(docs.values())
     model = ngram.train_kn(counts, cfg.discount)
     Path(args.output).write_text(ngram.export_arpa(model), encoding="utf-8")
@@ -150,13 +141,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_surprisal(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     model = _load_model(args.model)
-    docs = _load_corpus(cfg)
+    docs = _load_corpus(cfg.corpus)
     if args.doc:
-        missing = [d for d in args.doc if d not in docs]
+        wanted = dict.fromkeys(args.doc)  # each id once, in first-given order
+        missing = [d for d in wanted if d not in docs]
         if missing:
             print(f"error: unknown document id(s): {', '.join(missing)}", file=sys.stderr)
             return 2
-        selected = [docs[d] for d in args.doc]
+        selected = [docs[d] for d in wanted]
     else:
         selected = list(docs.values())
 
@@ -201,7 +193,7 @@ def _load_annotations(
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     model = _load_model(args.model)
-    docs = _load_corpus(cfg)
+    docs = _load_corpus(cfg.corpus)
     records, classified = _load_annotations(args, cfg, docs)
     cl.check_scorable(records)
 
@@ -253,7 +245,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_givenness(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    docs = _load_corpus(cfg)
+    docs = _load_corpus(cfg.corpus)
     records, classified = _load_annotations(args, cfg, docs)
     rows = giv.build_givenness_table(records, classified)
     with _open_output(args.output) as fh:
@@ -274,10 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     config_corpus = argparse.ArgumentParser(add_help=False)
     config_corpus.add_argument("--config", metavar="PATH",
                                help="flat key = value defaults file")
-    config_corpus.add_argument("--corpus", action="append", metavar="PATH",
+    config_corpus.add_argument("--corpus", action="append", required=True, metavar="PATH",
                                help="corpus file; repeatable")
-    config_corpus.add_argument("--punctuation", metavar="CHARS",
-                               help="characters whose tokens count as punctuation")
 
     defaults = accom.FactorConfig
     accommodation = argparse.ArgumentParser(add_help=False)

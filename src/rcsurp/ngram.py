@@ -131,20 +131,20 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     return counts
 
 
-def estimate_discount(counts: BigramCounts, eps: float = DISCOUNT_EPS) -> float:
+def estimate_discount(counts: BigramCounts) -> float:
     """Count-of-counts discount ``n1 / (n1 + 2*n2)`` over bigram types,
-    clamped into ``[eps, 1 - eps]`` with a warning at the boundaries."""
+    clamped into ``[DISCOUNT_EPS, 1 - DISCOUNT_EPS]`` with a warning."""
     count_of_counts = Counter(counts.c2.values())
     n1, n2 = count_of_counts[1], count_of_counts[2]
     if n1 == 0 and n2 == 0:
         raise DegenerateCountsError("degenerate counts; supply an explicit discount")
     discount = n1 / (n1 + 2 * n2)
     if discount >= 1.0:
-        warnings.warn(f"discount {discount} clamped to {1 - eps}")
-        return 1 - eps
+        warnings.warn(f"discount {discount} clamped to {1 - DISCOUNT_EPS}")
+        return 1 - DISCOUNT_EPS
     if discount <= 0.0:
-        warnings.warn(f"discount {discount} clamped to {eps}")
-        return eps
+        warnings.warn(f"discount {discount} clamped to {DISCOUNT_EPS}")
+        return DISCOUNT_EPS
     return discount
 
 

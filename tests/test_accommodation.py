@@ -47,8 +47,9 @@ def test_factor_custom_config():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        FactorConfig(bonus=0)
+    for bonus in (0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            FactorConfig(bonus=bonus)
     with pytest.raises(ValueError):
         FactorConfig(window=0)
     with pytest.raises(ValueError):

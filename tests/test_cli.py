@@ -107,8 +107,13 @@ def test_train_lists_every_repeated_document_id(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_no_corpus_flag(tmp_path):
-    assert main(["train", "-o", str(tmp_path / "m.arpa")]) == 2
+def test_train_no_corpus_flag(tmp_path, capsys):
+    # A missing corpus is a usage error, reported by argparse.
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "-o", str(tmp_path / "m.arpa")])
+    assert exc.value.code == 2
+    assert "--corpus" in capsys.readouterr().err
+    assert not (tmp_path / "m.arpa").exists()
 
 
 def test_train_discount_override(toy_corpus, tmp_path, capsys):
@@ -159,6 +164,51 @@ def test_surprisal_unknown_doc(fixture_model, tmp_path):
                  "--corpus", str(FIXTURES / "corpus.vert"),
                  "--doc", "no-such-doc", "-o", str(tmp_path / "x.tsv")])
     assert code == 2
+
+
+def test_surprisal_repeated_doc_is_scored_once(fixture_model, tmp_path):
+    once, twice = tmp_path / "once.tsv", tmp_path / "twice.tsv"
+    args = ["surprisal", "--model", str(fixture_model),
+            "--corpus", str(FIXTURES / "corpus.vert"), "--doc", "sermon-01"]
+    assert main(args + ["-o", str(once)]) == 0
+    assert main(args + ["--doc", "sermon-01", "-o", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+
+
+def test_surprisal_repeated_unknown_doc_is_named_once(fixture_model, tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    code = main(["surprisal", "--model", str(fixture_model),
+                 "--corpus", str(FIXTURES / "corpus.vert"),
+                 "--doc", "z", "--doc", "z", "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: unknown document id(s): z\n"
+    assert not out.exists()
+
+
+def test_surprisal_punctuation_option_is_gone(fixture_model, tmp_path):
+    # A corpus must be scored with the punctuation set the model was trained
+    # on, so no option may change it.
+    out = tmp_path / "s.tsv"
+    with pytest.raises(SystemExit) as exc:
+        main(["surprisal", "--model", str(fixture_model),
+              "--corpus", str(FIXTURES / "corpus.vert"), "--punctuation", ".",
+              "-o", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["surprisal", "analyze"])
+def test_non_finite_bonus_is_rejected(command, fixture_model, tmp_path, capsys):
+    out, outdir = tmp_path / "s.tsv", tmp_path / "out"
+    if command == "surprisal":
+        argv = ["surprisal", "--model", str(fixture_model),
+                "--corpus", str(FIXTURES / "corpus.vert"), "--bonus", "nan",
+                "-o", str(out)]
+    else:
+        argv = _analyze_args(fixture_model, outdir, "--bonus", "inf")
+    assert main(argv) == 2
+    assert "bonus" in capsys.readouterr().err
+    assert not out.exists() and not outdir.exists()
 
 
 def test_surprisal_rerun_byte_identical(fixture_model, tmp_path):
@@ -542,8 +592,19 @@ def test_config_malformed_line(toy_corpus, tmp_path):
     ("train", [], "unit = surface\n"),
     ("train", ["--format", "text"], None),
     ("analyze", [], "format = vertical\n"),
+    ("train", ["--punctuation", "."], None),
+    ("surprisal", ["--punctuation", "."], None),
+    ("analyze", ["--punctuation", "."], None),
+    ("givenness", ["--punctuation", "."], None),
+    ("train", [], "punctuation = .\n"),
+    ("surprisal", [], "punctuation = .\n"),
+    ("analyze", [], "punctuation = .\n"),
+    ("givenness", [], "punctuation = .\n"),
 ], ids=["train-unit", "surprisal-include-punctuation", "analyze-seed", "config-unit",
-        "train-format", "config-format"])
+        "train-format", "config-format", "train-punctuation", "surprisal-punctuation",
+        "analyze-punctuation", "givenness-punctuation", "config-punctuation-train",
+        "config-punctuation-surprisal", "config-punctuation-analyze",
+        "config-punctuation-givenness"])
 def test_removed_options_are_rejected(command, removed, config, fixture_model, tmp_path):
     corpus = str(FIXTURES / "corpus.vert")
     valid = {
@@ -551,6 +612,10 @@ def test_removed_options_are_rejected(command, removed, config, fixture_model, t
         "surprisal": ["surprisal", "--model", str(fixture_model), "--corpus", corpus,
                       "-o", str(tmp_path / "s.tsv")],
         "analyze": _analyze_args(fixture_model, tmp_path / "out"),
+        "givenness": ["givenness", "--corpus", corpus,
+                      "--clauses", str(FIXTURES / "clauses.json"),
+                      "--referents", str(FIXTURES / "referents.tsv"),
+                      "-o", str(tmp_path / "g.tsv")],
     }[command]
     if config is not None:
         path = tmp_path / "run.cfg"

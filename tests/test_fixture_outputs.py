@@ -33,7 +33,7 @@ EXPECTED = {
     "out/hypotheticals.tsv": "11f1323de2111000086cfc2a8441d41d747bdb42a28a00a4db767fb221e4d788",
     "out/chi_square.tsv": "1618d90ccf9178b54ee0e374b5aaee8b488a97d076bdef3254aac44b4fa3ba3c",
 }
-CONFIG_SHA256 = "2fa359325c05578affc518a1a046eadfab057309e2309a1d893656def0c74eae"
+CONFIG_SHA256 = "bb6b4d7739b0600647333c8865380714808aafca0273feabc66d1a9af5999b3a"
 
 
 def _sha256(path: Path) -> str:
