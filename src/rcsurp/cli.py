@@ -10,8 +10,10 @@ Subcommands:
 * ``chi2``       -- chi-square on four raw counts
 
 Exit codes: 0 success, 2 input or I/O error, 3 validation error, 4
-internal invariant violation. A ``--config`` file supplies defaults in a
-flat ``key = value`` format; command-line flags override it.
+internal invariant violation. Each option's default is written once, in
+:func:`_build_parser`. A ``--config`` file overrides the defaults in a flat
+``key = value`` format, each key the full long name of one of the
+subcommand's options; command-line flags override the file.
 
 :func:`main` sets a batch threshold for the cyclic garbage collector for
 the duration of the call and restores the caller's threshold on every exit
@@ -27,7 +29,6 @@ import hashlib
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -48,45 +49,24 @@ from .surprisal import annotate_document
 _BATCH_GC_THRESHOLD = (50_000, 50, 1000)
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings of one invocation; hashed into the run manifest."""
+# The settings recorded in ``manifest.json``, each read from the parsed
+# arguments; one the subcommand lacks is recorded as null.
+_CONFIG_KEYS = ("corpus", "content_pos", "stoplist", "bonus", "wearout", "window", "floor",
+                "salience_window", "count_distinct", "combined_single_exclusion", "discount")
 
-    corpus: list[str] = field(default_factory=list)
-    content_pos: str = ""
-    stoplist: str = ""
-    bonus: float = accom.FactorConfig.bonus
-    wearout: int = accom.FactorConfig.wearout
-    window: int = accom.FactorConfig.window
-    floor: int = accom.FactorConfig.floor
-    salience_window: int = giv.SALIENCE_WINDOW
-    count_distinct: bool = False
-    combined_single_exclusion: bool = False
-    discount: float | None = None
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        for name in vars(cfg):
-            if hasattr(args, name) and getattr(args, name) is not None:
-                setattr(cfg, name, getattr(args, name))
-        return cfg
+def _factor_config(args: argparse.Namespace) -> accom.FactorConfig:
+    return accom.FactorConfig(args.bonus, args.wearout, args.window, args.floor)
 
-    def factor_config(self) -> accom.FactorConfig:
-        return accom.FactorConfig(self.bonus, self.wearout, self.window, self.floor)
 
-    def content_predicate(self):
-        pos = (
-            frozenset(tag for tag in self.content_pos.split(",") if tag)
-            if self.content_pos
-            else accom.DEFAULT_CONTENT_POS
-        )
-        stoplist = accom.load_stoplist(self.stoplist) if self.stoplist else None
-        return accom.make_content_predicate(pos, stoplist)
-
-    def sha256(self) -> str:
-        canonical = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def _content_predicate(args: argparse.Namespace):
+    pos = (
+        frozenset(tag for tag in args.content_pos.split(",") if tag)
+        if args.content_pos
+        else accom.DEFAULT_CONTENT_POS
+    )
+    stoplist = accom.load_stoplist(args.stoplist) if args.stoplist else None
+    return accom.make_content_predicate(pos, stoplist)
 
 
 def _sha256_file(path: Path) -> str:
@@ -120,10 +100,9 @@ def _load_corpus(paths: list[str]) -> dict[str, Document]:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    docs = _load_corpus(cfg.corpus)
+    docs = _load_corpus(args.corpus)
     counts = ngram.count_bigrams(docs.values())
-    model = ngram.train_kn(counts, cfg.discount)
+    model = ngram.train_kn(counts, args.discount)
     Path(args.output).write_text(ngram.export_arpa(model), encoding="utf-8")
     report = (
         f"vocabulary={model.vocabulary.corpus_size()}"
@@ -139,9 +118,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_surprisal(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     model = _load_model(args.model)
-    docs = _load_corpus(cfg.corpus)
+    docs = _load_corpus(args.corpus)
     if args.doc:
         wanted = dict.fromkeys(args.doc)  # each id once, in first-given order
         missing = [d for d in wanted if d not in docs]
@@ -152,8 +130,8 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
     else:
         selected = list(docs.values())
 
-    predicate = cfg.content_predicate()
-    factor_cfg = cfg.factor_config()
+    predicate = _content_predicate(args)
+    factor_cfg = _factor_config(args)
     with _open_output(args.output) as out:
         for i, doc in enumerate(selected):
             annotation = annotate_document(model, doc)
@@ -163,14 +141,14 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 
 
 def _load_annotations(
-    args: argparse.Namespace, cfg: RunConfig, docs: dict[str, Document]
+    args: argparse.Namespace, docs: dict[str, Document]
 ) -> tuple[list[cl.ClauseRecord], dict[str, list[giv.ClassifiedMention]]]:
     """Parse the clause and referent annotations against the corpus and
     classify each document's mentions, keyed by document id. The salience
     window is checked first, whether or not there are mentions. Both files
     are read before failing, so one :class:`ValidationError` lists the
     clause problems and then the referent problems."""
-    giv.check_salience_window(cfg.salience_window)
+    giv.check_salience_window(args.salience_window)
     loaded, problems = [], []
     for load, path in ((cl.parse_clause_annotations, args.clauses),
                        (giv.load_referent_annotations, args.referents)):
@@ -184,24 +162,23 @@ def _load_annotations(
     records, mentions = loaded
     # The loader returns each document's mentions as one consecutive run.
     classified = {
-        doc_id: giv.classify_document(doc_mentions, cfg.salience_window, cfg.count_distinct)
+        doc_id: giv.classify_document(doc_mentions, args.salience_window, args.count_distinct)
         for doc_id, doc_mentions in groupby(mentions, key=attrgetter("doc_id"))
     }
     return records, classified
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     model = _load_model(args.model)
-    docs = _load_corpus(cfg.corpus)
-    records, classified = _load_annotations(args, cfg, docs)
+    docs = _load_corpus(args.corpus)
+    records, classified = _load_annotations(args, docs)
     cl.check_scorable(records)
 
     scorer = cl.ClauseScorer(
         model,
-        cfg.factor_config(),
-        cfg.content_predicate(),
-        combined_excludes_matrix_first=not cfg.combined_single_exclusion,
+        _factor_config(args),
+        _content_predicate(args),
+        combined_excludes_matrix_first=not args.combined_single_exclusion,
     )
     givenness_rows = giv.build_givenness_table(records, classified)
     table2 = cl.build_surprisal_table(records, docs, scorer, "bare")
@@ -221,14 +198,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(outdir / name, "w", encoding="utf-8") as fh:
             write(rows, fh)
 
-    inputs = {
-        str(name): _sha256_file(Path(name))
-        for name in [args.model, args.clauses, args.referents, *cfg.corpus]
-    }
+    inputs = [args.model, args.clauses, args.referents, *args.corpus]
+    if args.stoplist:
+        inputs.append(args.stoplist)
+    config = {name: getattr(args, name, None) for name in _CONFIG_KEYS}
+    canonical = json.dumps(config, sort_keys=True).encode("utf-8")
     manifest = {
-        "config": asdict(cfg),
-        "config_sha256": cfg.sha256(),
-        "inputs": inputs,
+        "config": config,
+        "config_sha256": hashlib.sha256(canonical).hexdigest(),
+        "inputs": {str(name): _sha256_file(Path(name)) for name in inputs},
         "outputs": {name: _sha256_file(outdir / name) for name in bundle},
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
@@ -244,9 +222,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_givenness(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    docs = _load_corpus(cfg.corpus)
-    records, classified = _load_annotations(args, cfg, docs)
+    docs = _load_corpus(args.corpus)
+    records, classified = _load_annotations(args, docs)
     rows = giv.build_givenness_table(records, classified)
     with _open_output(args.output) as fh:
         giv.write_givenness_tsv(rows, fh)
@@ -271,19 +248,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     defaults = accom.FactorConfig
     accommodation = argparse.ArgumentParser(add_help=False)
-    accommodation.add_argument("--bonus", type=float,
-                               help=f"first-mention factor (default {defaults.bonus:g})")
-    accommodation.add_argument("--wearout", type=int,
+    accommodation.add_argument("--bonus", type=float, default=defaults.bonus,
+                               help="first-mention factor (default %(default)g)")
+    accommodation.add_argument("--wearout", type=int, default=defaults.wearout,
                                help="mention count at which the bonus is gone"
-                                    f" (default {defaults.wearout})")
-    accommodation.add_argument("--window", type=int,
-                               help="words of silence per reset point"
-                                    f" (default {defaults.window})")
-    accommodation.add_argument("--floor", type=int,
-                               help=f"lowest count a reset can reach (default {defaults.floor})")
-    accommodation.add_argument("--content-pos", metavar="TAGS",
+                                    " (default %(default)s)")
+    accommodation.add_argument("--window", type=int, default=defaults.window,
+                               help="words of silence per reset point (default %(default)s)")
+    accommodation.add_argument("--floor", type=int, default=defaults.floor,
+                               help="lowest count a reset can reach (default %(default)s)")
+    accommodation.add_argument("--content-pos", default="", metavar="TAGS",
                                help="comma-separated POS tags treated as content words")
-    accommodation.add_argument("--stoplist", metavar="PATH",
+    accommodation.add_argument("--stoplist", default="", metavar="PATH",
                                help="function-word lemma list for untagged corpora")
 
     annotations = argparse.ArgumentParser(add_help=False)
@@ -291,10 +267,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="clause annotation JSON")
     annotations.add_argument("--referents", required=True, metavar="PATH",
                              help="referent annotation TSV")
-    annotations.add_argument("--salience-window", type=int,
+    annotations.add_argument("--salience-window", type=int, default=giv.SALIENCE_WINDOW,
                              help="interveners tolerated for a salient re-mention, >= 0"
-                                  f" (default {giv.SALIENCE_WINDOW})")
-    annotations.add_argument("--count-distinct", action="store_const", const=True,
+                                  " (default %(default)s)")
+    annotations.add_argument("--count-distinct", action="store_true",
                              help="count distinct referents instead of mention events")
 
     parser = argparse.ArgumentParser(
@@ -322,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[config_corpus, accommodation, annotations],
                        help="emit the full report bundle")
     p.add_argument("--model", required=True, metavar="PATH", help="ARPA model")
-    p.add_argument("--combined-single-exclusion", action="store_const", const=True,
+    p.add_argument("--combined-single-exclusion", action="store_true",
                    help="exclude only the relative pronoun from combined metrics")
     p.add_argument("--outdir", required=True, metavar="DIR",
                    help="directory for the report bundle")
@@ -353,19 +329,22 @@ def _spells(token: str, flag: str) -> bool:
     return len(name) > 2 and name.startswith("--") and flag.startswith(name)
 
 
-def _expand_config(argv: list[str]) -> list[str]:
+def _expand_config(argv: list[str]) -> tuple[list[str], dict[str, int]]:
     """Splice ``key = value`` pairs from a ``--config`` file into the
     argument list, right after the subcommand; a key whose flag is given
-    explicitly is left out, so the flag replaces it, repeatable or not."""
+    explicitly is left out, so the flag replaces it, repeatable or not.
+    Also returns each key with its line number, for :func:`main` to check
+    that every key is an option of the subcommand."""
     # Read --config as the full parser does, abbreviations included; a
     # missing value is left for the full parser to report.
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", nargs="?")
     path = config.parse_known_args(argv)[0].config
     if path is None:
-        return argv
+        return argv, {}
 
     tokens: list[str] = []
+    keys: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -374,6 +353,7 @@ def _expand_config(argv: list[str]) -> list[str]:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
+        keys[key] = lineno
         flag = "--" + key.replace("_", "-")
         if any(_spells(token, flag) for token in argv):
             continue
@@ -387,16 +367,22 @@ def _expand_config(argv: list[str]) -> list[str]:
     # insert after the subcommand name
     for i, token in enumerate(argv):
         if not token.startswith("-"):
-            return argv[: i + 1] + tokens + argv[i + 1:]
-    return argv + tokens
+            return argv[: i + 1] + tokens + argv[i + 1:], keys
+    return argv + tokens, keys
 
 
 def main(argv: list[str] | None = None) -> int:
     threshold = gc.get_threshold()
     gc.set_threshold(*_BATCH_GC_THRESHOLD)
     try:
-        argv = _expand_config(list(sys.argv[1:] if argv is None else argv))
+        argv, keys = _expand_config(list(sys.argv[1:] if argv is None else argv))
         args = _build_parser().parse_args(argv)
+        # A key argparse took as an abbreviation would escape _spells, so
+        # both its value and an explicit flag's would be read.
+        for key, lineno in keys.items():
+            if key not in vars(args):
+                raise ParseError(f"config key {key!r} is not a long option name of"
+                                 f" {args.command!r}", lineno)
         return args.func(args)
     except ValidationError as exc:
         for problem in exc.problems:

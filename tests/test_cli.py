@@ -1,11 +1,15 @@
 import gc
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import helpers
+from rcsurp import cli
+from rcsurp.accommodation import FactorConfig
 from rcsurp.cli import main
+from rcsurp.givenness import SALIENCE_WINDOW
 
 FIXTURES = Path(__file__).parent / "fixtures" / "minicorpus"
 
@@ -275,6 +279,19 @@ def test_analyze_deterministic(fixture_model, tmp_path):
     main(_analyze_args(fixture_model, out2))
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+def test_analyze_manifest_records_the_stoplist_contents(fixture_model, tmp_path):
+    stoplist = tmp_path / "stop.txt"
+    manifests = []
+    for n, lemmas in enumerate(["und\n", "der\n"]):
+        stoplist.write_text(lemmas, encoding="utf-8")
+        outdir = tmp_path / f"out{n}"
+        assert main(_analyze_args(fixture_model, outdir, "--stoplist", str(stoplist))) == 0
+        manifests.append(json.loads((outdir / "manifest.json").read_text(encoding="utf-8")))
+    first, second = manifests
+    assert first["config"] == second["config"]
+    assert first["inputs"][str(stoplist)] != second["inputs"][str(stoplist)]
 
 
 def test_analyze_validation_lists_all_offenders(fixture_model, tmp_path, capsys):
@@ -578,6 +595,29 @@ def test_config_flag_read_when_abbreviated(toy_corpus, tmp_path, capsys):
     assert "D=0.3" in capsys.readouterr().out
 
 
+# A key argparse would take as an abbreviation (``--corp``, ``--do``) is
+# rejected before any input is read, instead of adding to the explicit list.
+@pytest.mark.parametrize("command", ["train", "surprisal"])
+def test_config_key_must_be_a_full_option_name(command, fixture_model, tmp_path, capsys):
+    corpus = str(FIXTURES / "corpus.vert")
+    config = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    if command == "train":
+        key, value = "corp", "z.vert"
+        argv = ["train", "--corpus", corpus, "-o", str(out)]
+    else:
+        key, value = "do", "z"
+        argv = ["surprisal", "--model", str(fixture_model), "--corpus", corpus,
+                "--doc", "sermon-01", "-o", str(out)]
+    config.write_text(f"# defaults\n{key} = {value}\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv + ["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert f"line 2: config key {key!r}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_config_malformed_line(toy_corpus, tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("just some words\n", encoding="utf-8")
@@ -624,6 +664,42 @@ def test_removed_options_are_rejected(command, removed, config, fixture_model, t
     with pytest.raises(SystemExit) as exc:
         main(valid + removed)
     assert exc.value.code == 2
+
+
+# --- defaults ---------------------------------------------------------------
+
+_ACCOMMODATION_DEFAULTS = {"bonus": f"{FactorConfig.bonus:g}", "wearout": FactorConfig.wearout,
+                           "window": FactorConfig.window, "floor": FactorConfig.floor}
+_ANNOTATION_DEFAULTS = {"salience-window": SALIENCE_WINDOW}
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("train", {}),
+    ("surprisal", _ACCOMMODATION_DEFAULTS),
+    ("analyze", {**_ACCOMMODATION_DEFAULTS, **_ANNOTATION_DEFAULTS}),
+    ("givenness", _ANNOTATION_DEFAULTS),
+])
+def test_help_shows_each_default(command, defaults, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "500")  # no help text is wrapped
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # One entry per option: its name, metavar and help text.
+    entries = re.split(r"\s+(?=--[a-z])", capsys.readouterr().out.strip())
+    assert any(entry.startswith("--corpus PATH") for entry in entries)
+    for option, value in defaults.items():
+        entry, = (entry for entry in entries if entry.startswith(f"--{option} "))
+        assert " ".join(entry.split()).endswith(f"(default {value})"), entry
+
+
+def test_analyze_parser_defaults_are_the_library_defaults():
+    args = cli._build_parser().parse_args(
+        ["analyze", "--model", "m", "--corpus", "c", "--clauses", "x",
+         "--referents", "y", "--outdir", "o"])
+    assert cli._factor_config(args) == FactorConfig()
+    assert args.salience_window == SALIENCE_WINDOW
+    assert args.count_distinct is False
+    assert args.combined_single_exclusion is False
 
 
 # --- exit codes -------------------------------------------------------------
