@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 input or I/O error, 3 validation error, 4
 internal invariant violation. Each option's default is written once, in
 :func:`_build_parser`. A ``--config`` file overrides the defaults in a flat
 ``key = value`` format, each key the full long name of one of the
-subcommand's options; command-line flags override the file.
+subcommand's options other than ``config`` and ``help``; command-line
+flags override the file. Options are spelled in full on the command line
+as well: a prefix of an option is an unknown option.
 
 :func:`main` sets a batch threshold for the cyclic garbage collector for
 the duration of the call and restores the caller's threshold on every exit
@@ -29,6 +31,7 @@ import hashlib
 import json
 import sys
 from contextlib import nullcontext
+from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
@@ -273,30 +276,33 @@ def _build_parser() -> argparse.ArgumentParser:
     annotations.add_argument("--count-distinct", action="store_true",
                              help="count distinct referents instead of mention events")
 
+    # Full names only, so that a flag and a config key name an option one way.
     parser = argparse.ArgumentParser(
         prog="rcsurp",
         description="Surprisal and givenness measurements for relative-clause placement.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(parser.add_subparsers(dest="command", required=True).add_parser,
+                         allow_abbrev=False)
 
-    p = sub.add_parser("train", parents=[config_corpus],
-                       help="train the bigram model and write ARPA")
+    p = add_parser("train", parents=[config_corpus],
+                   help="train the bigram model and write ARPA")
     p.add_argument("--discount", type=float, help="override the estimated discount")
     p.add_argument("-o", "--output", required=True, metavar="PATH",
                    help="ARPA output path")
     p.add_argument("--report", metavar="PATH", help="also write the report here")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("surprisal", parents=[config_corpus, accommodation],
-                       help="per-lemma surprisal and accommodation TSV")
+    p = add_parser("surprisal", parents=[config_corpus, accommodation],
+                   help="per-lemma surprisal and accommodation TSV")
     p.add_argument("--model", required=True, metavar="PATH", help="ARPA model")
     p.add_argument("--doc", action="append", metavar="ID",
                    help="restrict to this document id; repeatable")
     p.add_argument("-o", "--output", metavar="PATH", help="TSV output (default stdout)")
     p.set_defaults(func=cmd_surprisal)
 
-    p = sub.add_parser("analyze", parents=[config_corpus, accommodation, annotations],
-                       help="emit the full report bundle")
+    p = add_parser("analyze", parents=[config_corpus, accommodation, annotations],
+                   help="emit the full report bundle")
     p.add_argument("--model", required=True, metavar="PATH", help="ARPA model")
     p.add_argument("--combined-single-exclusion", action="store_true",
                    help="exclude only the relative pronoun from combined metrics")
@@ -304,12 +310,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory for the report bundle")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("givenness", parents=[config_corpus, annotations],
-                       help="givenness table only")
+    p = add_parser("givenness", parents=[config_corpus, annotations],
+                   help="givenness table only")
     p.add_argument("-o", "--output", metavar="PATH", help="TSV output (default stdout)")
     p.set_defaults(func=cmd_givenness)
 
-    p = sub.add_parser("chi2", help="chi-square on a 2x2 table")
+    p = add_parser("chi2", help="chi-square on a 2x2 table")
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)
@@ -319,32 +325,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {"count_distinct", "combined_single_exclusion"}
-
-
-def _spells(token: str, flag: str) -> bool:
-    """Whether ``token`` gives the long option ``flag``, with or without
-    ``=value`` and abbreviated as the parser allows."""
-    name = token.split("=", 1)[0]
-    return len(name) > 2 and name.startswith("--") and flag.startswith(name)
-
-
-def _expand_config(argv: list[str]) -> tuple[list[str], dict[str, int]]:
+def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Splice ``key = value`` pairs from a ``--config`` file into the
     argument list, right after the subcommand; a key whose flag is given
     explicitly is left out, so the flag replaces it, repeatable or not.
-    Also returns each key with its line number, for :func:`main` to check
-    that every key is an option of the subcommand."""
-    # Read --config as the full parser does, abbreviations included; a
-    # missing value is left for the full parser to report.
-    config = argparse.ArgumentParser(add_help=False)
-    config.add_argument("--config", nargs="?")
-    path = config.parse_known_args(argv)[0].config
-    if path is None:
-        return argv, {}
+    Each key must name a long option of the subcommand's own parser, which
+    also says whether the option is a flag; ``help`` and ``config`` are not
+    keys. A missing or unknown subcommand is left for ``parser`` to report."""
+    # A missing value is left for the full parser to report.
+    reader = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    reader.add_argument("--config", nargs="?")
+    path = reader.parse_known_args(argv)[0].config
+    at = next((i for i, token in enumerate(argv) if not token.startswith("-")), None)
+    # argparse has no public way to list a parser's options; this is the one
+    # place that reads its private ``_subparsers`` and ``_actions``.
+    commands = parser._subparsers._group_actions[0].choices
+    if path is None or at is None or argv[at] not in commands:
+        return argv
+    command = argv[at]
+    options = {option: action for action in commands[command]._actions
+               for option in action.option_strings
+               if option.startswith("--") and option not in ("--help", "--config")}
 
     tokens: list[str] = []
-    keys: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -352,37 +355,29 @@ def _expand_config(argv: list[str]) -> tuple[list[str], dict[str, int]]:
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        keys[key] = lineno
         flag = "--" + key.replace("_", "-")
-        if any(_spells(token, flag) for token in argv):
+        if flag not in options:
+            raise ParseError(f"config key {key!r} names no option of {command!r}"
+                             " that a config file can set", lineno)
+        if any(token.split("=", 1)[0] == flag for token in argv):
             continue
-        if key in _FLAG_KEYS:
+        if options[flag].nargs == 0:
             if value.lower() in ("1", "true", "yes"):
                 tokens.append(flag)
             elif value.lower() not in ("0", "false", "no"):
                 raise ParseError(f"boolean expected for {key!r}, got {value!r}", lineno)
         else:
             tokens.extend([flag, value])
-    # insert after the subcommand name
-    for i, token in enumerate(argv):
-        if not token.startswith("-"):
-            return argv[: i + 1] + tokens + argv[i + 1:], keys
-    return argv + tokens, keys
+    return argv[: at + 1] + tokens + argv[at + 1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     threshold = gc.get_threshold()
     gc.set_threshold(*_BATCH_GC_THRESHOLD)
     try:
-        argv, keys = _expand_config(list(sys.argv[1:] if argv is None else argv))
-        args = _build_parser().parse_args(argv)
-        # A key argparse took as an abbreviation would escape _spells, so
-        # both its value and an explicit flag's would be read.
-        for key, lineno in keys.items():
-            if key not in vars(args):
-                raise ParseError(f"config key {key!r} is not a long option name of"
-                                 f" {args.command!r}", lineno)
+        parser = _build_parser()
+        args = parser.parse_args(
+            _expand_config(list(sys.argv[1:] if argv is None else argv), parser))
         return args.func(args)
     except ValidationError as exc:
         for problem in exc.problems:

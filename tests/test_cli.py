@@ -559,43 +559,55 @@ def test_cli_flags_override_config(toy_corpus, tmp_path, capsys):
     assert "D=0.7" in capsys.readouterr().out
 
 
-# A repeatable option replaces the config file's list under every spelling
-# the parser accepts: only the toy document is read (``--corpus``) or
-# scored (``--doc``), not the config's ``z``.
-@pytest.mark.parametrize("flag", ["--corpus", "--corpus=", "--corp", "--corp=", "--do"])
+# A repeatable option spelled in full replaces the config file's list: only
+# the toy document is read (``--corpus``) or scored (``--doc``), not the
+# config's ``z``. An abbreviation is an unknown option, so it cannot extend
+# the list either: the run exits 2 and writes nothing.
+@pytest.mark.parametrize("flag", ["--corpus", "--corpus=", "--doc", "--corp", "--corp=", "--do"])
 def test_cli_repeatable_flag_replaces_config_list(flag, toy_corpus, tmp_path, capsys):
     other = tmp_path / "z.vert"
     other.write_text("# doc: z\nfoo\tfoo\nbar\tbar\n", encoding="utf-8")
     config = tmp_path / "run.cfg"
-    model = tmp_path / "m.arpa"
-    if flag == "--do":
+    if flag.startswith("--do"):
+        model = tmp_path / "m.arpa"
         assert main(["train", "--corpus", str(toy_corpus), "-o", str(model)]) == 0
         config.write_text("doc = z\n", encoding="utf-8")
         out = tmp_path / "s.tsv"
-        code = main(["surprisal", "--config", str(config), "--model", str(model),
-                     "--corpus", str(toy_corpus), "--corpus", str(other),
-                     flag, "toy", "-o", str(out)])
-        assert code == 0
+        argv = ["surprisal", "--config", str(config), "--model", str(model),
+                "--corpus", str(toy_corpus), "--corpus", str(other),
+                flag, "toy", "-o", str(out)]
+    else:
+        config.write_text(f"corpus = {other}\n", encoding="utf-8")
+        out = tmp_path / "m.arpa"
+        corpus = [flag + str(toy_corpus)] if flag.endswith("=") else [flag, str(toy_corpus)]
+        argv = ["train", "--config", str(config), *corpus, "-o", str(out)]
+    capsys.readouterr()
+    if flag.rstrip("=") in ("--corp", "--do"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+    elif flag == "--doc":
+        assert main(argv) == 0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert {row.split("\t")[0] for row in rows} == {"toy"}
-        return
-    config.write_text(f"corpus = {other}\n", encoding="utf-8")
-    corpus = [flag + str(toy_corpus)] if flag.endswith("=") else [flag, str(toy_corpus)]
-    code = main(["train", "--config", str(config), *corpus, "-o", str(model)])
-    assert code == 0
-    assert "tokens=6\n" in capsys.readouterr().out  # the toy corpus alone
+    else:
+        assert main(argv) == 0
+        assert "tokens=6\n" in capsys.readouterr().out  # the toy corpus alone
 
 
-def test_config_flag_read_when_abbreviated(toy_corpus, tmp_path, capsys):
+def test_config_flag_rejected_when_abbreviated(toy_corpus, tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("discount = 0.3\n", encoding="utf-8")
-    code = main(["train", "--conf", str(config), "--corpus", str(toy_corpus),
-                 "-o", str(tmp_path / "m.arpa")])
-    assert code == 0
-    assert "D=0.3" in capsys.readouterr().out
+    out = tmp_path / "m.arpa"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--conf", str(config), "--corpus", str(toy_corpus), "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--conf" in capsys.readouterr().err
+    assert not out.exists()
 
 
-# A key argparse would take as an abbreviation (``--corp``, ``--do``) is
+# A prefix of an option name (``corp``, ``do``) is not a key: it is
 # rejected before any input is read, instead of adding to the explicit list.
 @pytest.mark.parametrize("command", ["train", "surprisal"])
 def test_config_key_must_be_a_full_option_name(command, fixture_model, tmp_path, capsys):
@@ -616,6 +628,55 @@ def test_config_key_must_be_a_full_option_name(command, fixture_model, tmp_path,
     assert f"line 2: config key {key!r}" in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+# ``config`` and ``help`` are options but not keys: a nested file would
+# not be read, and ``--help`` would end the run before it starts.
+@pytest.mark.parametrize("key", ["config", "help"])
+def test_config_key_config_or_help_is_rejected(key, tmp_path, capsys):
+    nested = tmp_path / "o2.cfg"
+    nested.write_text("discount = 0.5\n", encoding="utf-8")
+    config = tmp_path / "nest.cfg"
+    value = nested if key == "config" else "yes"
+    config.write_text(f"{key} = {value}\ncorpus = {FIXTURES / 'corpus.vert'}\n",
+                      encoding="utf-8")
+    out = tmp_path / "m.arpa"
+    assert main(["train", "--config", str(config), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"line 1: config key {key!r}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+_GIVENNESS = ["givenness", "--corpus", str(FIXTURES / "corpus.vert"),
+              "--clauses", str(FIXTURES / "clauses.json"),
+              "--referents", str(FIXTURES / "referents.tsv")]
+
+
+# The subcommand's parser says which keys are flags (``count-distinct``)
+# and which take a value (``salience-window``), under either spelling.
+@pytest.mark.parametrize("line, flags", [
+    ("count-distinct = yes", ["--count-distinct"]),
+    ("count-distinct = no", []),
+    ("salience_window = 3", ["--salience-window", "3"]),
+    ("salience-window = 3", ["--salience-window", "3"]),
+], ids=["flag-yes", "flag-no", "underscore", "hyphen"])
+def test_config_key_reads_as_its_flag(line, flags, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    assert main(_GIVENNESS + flags) == 0
+    expected = capsys.readouterr().out
+    assert main(_GIVENNESS + ["--config", str(config)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_config_flag_key_needs_a_boolean(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# defaults\ncount-distinct = maybe\n", encoding="utf-8")
+    assert main(_GIVENNESS + ["--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert "line 2: boolean expected" in captured.err
+    assert captured.out == ""
 
 
 def test_config_malformed_line(toy_corpus, tmp_path):
@@ -640,12 +701,14 @@ def test_config_malformed_line(toy_corpus, tmp_path):
     ("surprisal", [], "punctuation = .\n"),
     ("analyze", [], "punctuation = .\n"),
     ("givenness", [], "punctuation = .\n"),
+    ("train", [], "model = m.arpa\n"),
 ], ids=["train-unit", "surprisal-include-punctuation", "analyze-seed", "config-unit",
         "train-format", "config-format", "train-punctuation", "surprisal-punctuation",
         "analyze-punctuation", "givenness-punctuation", "config-punctuation-train",
         "config-punctuation-surprisal", "config-punctuation-analyze",
-        "config-punctuation-givenness"])
-def test_removed_options_are_rejected(command, removed, config, fixture_model, tmp_path):
+        "config-punctuation-givenness", "config-model-train"])
+def test_removed_options_are_rejected(command, removed, config, fixture_model, tmp_path,
+                                      capsys):
     corpus = str(FIXTURES / "corpus.vert")
     valid = {
         "train": ["train", "--corpus", corpus, "-o", str(tmp_path / "m.arpa")],
@@ -657,13 +720,17 @@ def test_removed_options_are_rejected(command, removed, config, fixture_model, t
                       "--referents", str(FIXTURES / "referents.tsv"),
                       "-o", str(tmp_path / "g.tsv")],
     }[command]
-    if config is not None:
-        path = tmp_path / "run.cfg"
-        path.write_text(config, encoding="utf-8")
-        removed = removed + ["--config", str(path)]
-    with pytest.raises(SystemExit) as exc:
-        main(valid + removed)
-    assert exc.value.code == 2
+    if config is None:
+        with pytest.raises(SystemExit) as exc:
+            main(valid + removed)
+        assert exc.value.code == 2
+        return
+    # A config key is checked against the subcommand's options, so it is
+    # reported with its line number.
+    path = tmp_path / "run.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert main(valid + ["--config", str(path)]) == 2
+    assert "line 1: config key" in capsys.readouterr().err
 
 
 # --- defaults ---------------------------------------------------------------
