@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterable, TextIO
 
 from .corpus import Document, Token
 from .surprisal import SurprisalAnnotation
@@ -178,23 +178,44 @@ def accommodate_document(
     return accommodation_factors(doc, content_predicate, cfg)
 
 
+_TSV_HEADER = (
+    "doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits\tx\tfactor\tweighted_surprisal\n"
+)
+
+
 def write_weighted_tsv(
-    annotation: SurprisalAnnotation, factors: Factors, fh: TextIO, header: bool = True
+    scored: Iterable[tuple[SurprisalAnnotation, Factors]], fh: TextIO
 ) -> None:
-    """Surprisal dump plus ``x factor weighted_surprisal`` columns, the
-    weighted value being ``surprisal_bits * factor``. The document's rows
-    are formatted first and written in one call."""
-    if header:
-        fh.write(
-            "doc\tposition\tlemma\tcontext\tprob\tsurprisal_bits"
-            "\tx\tfactor\tweighted_surprisal\n"
-        )
-    doc_id = annotation.doc_id
-    fh.write("".join([
-        "%s\t%s\t%s\t%s\t%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
-            doc_id, position, lemma, context, probability, bits,
-            "NA" if x is None else x, f, bits * f,
-        )
-        for (lemma, context, probability, bits, position), (x, f)
-        in zip(annotation.entries, factors, strict=True)
-    ]))
+    """Surprisal dump plus ``x factor weighted_surprisal`` columns for each
+    ``(annotation, factors)`` pair, the weighted value being
+    ``surprisal_bits * factor``. The header goes out with the first
+    document's rows, so an empty ``scored`` writes nothing. Each document's
+    rows are formatted first and written in one call; factors that do not
+    align with the entries are a ``ValueError``.
+
+    Probabilities, bits and factors repeat across the whole corpus, so the
+    float columns are formatted once per distinct ``(probability, bits,
+    factor)`` for the call. ``0.0`` and ``-0.0`` are equal keys that format
+    differently, so a row with a zero among the three is always formatted
+    anew.
+    """
+    columns: dict[tuple[float, float, float], tuple[str, str]] = {}
+    get = columns.get
+    header = _TSV_HEADER
+    for annotation, factors in scored:
+        doc_id = annotation.doc_id
+        rows = [header]
+        append = rows.append
+        for (lemma, context, probability, bits, position), (x, f) in zip(
+            annotation.entries, factors, strict=True
+        ):
+            key = (probability, bits, f)
+            text = get(key)
+            if text is None or not (probability and bits and f):
+                text = columns[key] = (
+                    "%.6e\t%.6f" % (probability, bits), "%.6f\t%.6f" % (f, bits * f)
+                )
+            append(f"{doc_id}\t{position}\t{lemma}\t{context}\t{text[0]}"
+                   f"\t{'NA' if x is None else x}\t{text[1]}\n")
+        fh.write("".join(rows))
+        header = ""

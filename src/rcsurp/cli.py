@@ -30,12 +30,12 @@ import gc
 import hashlib
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import ContextManager, TextIO
+from typing import Iterator, TextIO
 
 from . import accommodation as accom
 from . import clauses as cl
@@ -76,9 +76,24 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _open_output(path: str | None) -> ContextManager[TextIO]:
-    """The file at ``path`` opened for writing, or stdout when no path is given."""
-    return open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+@contextmanager
+def _open_output(path: str | None) -> Iterator[TextIO]:
+    """The file at ``path`` opened for writing, or stdout when no path is
+    given. When the block fails the file is removed, so a failed run leaves
+    no partial output; a path that is not a regular file, such as a device,
+    a pipe or a symbolic link, is left in place."""
+    if not path:
+        yield sys.stdout
+        return
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        output = Path(path)
+        if output.is_file() and not output.is_symlink():
+            output.unlink()
+        raise
 
 
 def _load_model(path: str) -> ngram.KneserNeyBigramModel:
@@ -135,11 +150,15 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 
     predicate = _content_predicate(args)
     factor_cfg = _factor_config(args)
-    with _open_output(args.output) as out:
-        for i, doc in enumerate(selected):
+
+    def scored():
+        # One document's entries at a time, scored as the writer asks for them.
+        for doc in selected:
             annotation = annotate_document(model, doc)
-            factors = accom.accommodate_document(annotation, doc, predicate, factor_cfg)
-            accom.write_weighted_tsv(annotation, factors, out, header=(i == 0))
+            yield annotation, accom.accommodate_document(annotation, doc, predicate, factor_cfg)
+
+    with _open_output(args.output) as out:
+        accom.write_weighted_tsv(scored(), out)
     return 0
 
 

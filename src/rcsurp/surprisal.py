@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from typing import Iterable, NamedTuple, Sequence
 
@@ -49,17 +50,34 @@ def surprisal_from_prob(probability: float) -> float:
     return -math.log2(probability)
 
 
+# ``SurprisalEntry(*fields)`` runs the NamedTuple's Python-level ``__new__``;
+# the scoring loop builds the same entry without that frame, as ``corpus``
+# does for ``Token``.
+_new_entry = partial(tuple.__new__, SurprisalEntry)
+
+
 def _score(
     model: KneserNeyBigramModel, lemmas: Iterable[str], context: str, positions: Iterable[int],
-    entries: list[SurprisalEntry],
+    entries: list[SurprisalEntry], doc_id: str | None = None,
 ) -> list[SurprisalEntry]:
     """Score a lemma chain left to right, each lemma conditioned on the
     one before it and the first on ``context``, into ``entries``, which is
     returned. An iterator of ``positions`` can run across chains: ``zip``
-    takes a position only once it has taken a lemma."""
+    takes a position only once it has taken a lemma.
+
+    A probability outside (0, 1], which an imported model with a positive
+    backoff weight can give, is a ``ValueError`` naming the document (when
+    ``doc_id`` is given), the word position, the context and the lemma."""
+    prob, log2, append = model.prob, math.log2, entries.append
     for lemma, position in zip(lemmas, positions):
-        p = model.prob(context, lemma)
-        entries.append(SurprisalEntry(lemma, context, p, surprisal_from_prob(p), position))
+        p = prob(context, lemma)
+        if not 0.0 < p <= 1.0:  # the check surprisal_from_prob makes
+            where = "" if doc_id is None else f"document {doc_id!r}, "
+            raise ValueError(
+                f"{where}word position {position}: probability of {lemma!r} after"
+                f" {context!r} must be in (0, 1], got {p}"
+            )
+        append(_new_entry((lemma, context, p, -log2(p), position)))
         context = lemma
     return entries
 
@@ -72,7 +90,7 @@ def annotate_document(
     entries: list[SurprisalEntry] = []
     positions = count()
     for lemmas in sentences(doc):
-        _score(model, lemmas, START, positions, entries)
+        _score(model, lemmas, START, positions, entries, doc.id)
     return SurprisalAnnotation(doc.id, tuple(entries))
 
 

@@ -2,7 +2,7 @@ import io
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import helpers
 from rcsurp import (
@@ -192,7 +192,7 @@ def _weighted_rows(doc, bits=1.0):
     """The accommodated TSV rows of a flat annotation, as column dicts."""
     annotation = _flat_annotation(doc, bits)
     buffer = io.StringIO()
-    write_weighted_tsv(annotation, accommodate_document(annotation, doc), buffer)
+    write_weighted_tsv([(annotation, accommodate_document(annotation, doc))], buffer)
     header, *rows = buffer.getvalue().splitlines()
     return [dict(zip(header.split("\t"), row.split("\t"))) for row in rows]
 
@@ -236,7 +236,7 @@ def test_weighted_tsv_format():
     doc = load_vertical("# doc: d\nder\tder\tART\n/\t/\nTrost\ttrost\tNN\n")[0]
     buffer = io.StringIO()
     annotation = _flat_annotation(doc, bits=2.5)
-    write_weighted_tsv(annotation, accommodate_document(annotation, doc), buffer)
+    write_weighted_tsv([(annotation, accommodate_document(annotation, doc))], buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0].split("\t") == [
         "doc", "position", "lemma", "context", "prob", "surprisal_bits",
@@ -248,41 +248,59 @@ def test_weighted_tsv_format():
     ]
 
 
-_factor_values = st.sampled_from([4.0, 2.0, 4 / 3, 1.0]) | st.floats(
+_factor_values = st.sampled_from([4.0, 2.0, 4 / 3, 1.0, 0.0, -0.0]) | st.floats(
     min_value=0.0, exclude_min=True, allow_infinity=False
 )
 
 
 @st.composite
-def _weighted_annotations(draw):
-    """An annotation with unicode lemmas and probabilities from 1e-300 to
-    1, and one ``(x, factor)`` pair per entry."""
-    entries, factors = [], []
-    for position in range(draw(st.integers(0, 12))):
-        p = draw(st.floats(min_value=1e-300, max_value=1.0))
-        entries.append(SurprisalEntry(draw(st.text()), draw(st.text()), p, -math.log2(p),
-                                      position))
-        factors.append((draw(st.none() | st.integers()), draw(_factor_values)))
-    doc_id = draw(st.none() | st.text())
-    return SurprisalAnnotation(doc_id, tuple(entries)), tuple(factors)
+def _weighted_documents(draw):
+    """Up to four ``(annotation, factors)`` pairs with unicode lemmas and one
+    ``(x, factor)`` pair per entry. Probabilities from 1e-300 to 1, and the
+    zeros, come from one small pool that every document draws from, so they
+    repeat across documents; bits are ``-log2`` of the probability or a
+    zero of either sign."""
+    pool = draw(st.lists(st.floats(min_value=1e-300, max_value=1.0)
+                         | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4))
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        entries, factors = [], []
+        for position in range(draw(st.integers(0, 8))):
+            p = draw(st.sampled_from(pool))
+            bits = draw(st.sampled_from([-math.log2(p) if p else math.inf, 0.0, -0.0]))
+            entries.append(SurprisalEntry(draw(st.text()), draw(st.text()), p, bits, position))
+            factors.append((draw(st.none() | st.integers()), draw(_factor_values)))
+        pairs.append((SurprisalAnnotation(draw(st.none() | st.text()), tuple(entries)),
+                      tuple(factors)))
+    return pairs
 
 
-def _written(write, annotation, factors, header):
+def _reference_written(pairs):
     buffer = io.StringIO()
-    write(annotation, factors, buffer, header=header)
+    for i, (annotation, factors) in enumerate(pairs):
+        helpers.reference_write_weighted_tsv(annotation, factors, buffer, header=(i == 0))
     return buffer.getvalue()
 
 
-@given(_weighted_annotations(), st.booleans())
-def test_weighted_tsv_matches_reference_writer(drawn, header):
-    annotation, factors = drawn
-    assert _written(write_weighted_tsv, annotation, factors, header) == _written(
-        helpers.reference_write_weighted_tsv, annotation, factors, header
-    )
-    for misaligned in (factors[:-1], factors + ((None, 1.0),)):
-        if len(misaligned) != len(factors):
-            with pytest.raises(ValueError):
-                write_weighted_tsv(annotation, misaligned, io.StringIO(), header=header)
+def _signed_zero_bits(doc_id):
+    # One probability whose bits are 0.0 in the first row and -0.0 in the second.
+    entries = (SurprisalEntry("a", "<s>", 1.0, 0.0, 0), SurprisalEntry("b", "a", 1.0, -0.0, 1))
+    return SurprisalAnnotation(doc_id, entries), ((None, 1.0), (1, 4.0))
+
+
+@given(_weighted_documents())
+@example([])
+@example([_signed_zero_bits("d1"), _signed_zero_bits("d2")])
+def test_weighted_tsv_matches_reference_writer(pairs):
+    buffer = io.StringIO()
+    write_weighted_tsv(iter(pairs), buffer)
+    assert buffer.getvalue() == _reference_written(pairs)
+    for i, (annotation, factors) in enumerate(pairs):
+        for misaligned in (factors[:-1], factors + ((None, 1.0),)):
+            if len(misaligned) != len(factors):
+                scored = pairs[:i] + [(annotation, misaligned)] + pairs[i + 1:]
+                with pytest.raises(ValueError):
+                    write_weighted_tsv(scored, io.StringIO())
 
 
 def test_misaligned_annotation_is_error():

@@ -246,6 +246,35 @@ def test_surprisal_rejects_zero_mass_model_entry(entry, column, value, fixture_m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("output", ["file", "symlink"])
+def test_surprisal_probability_above_one_names_the_word(output, fixture_model, tmp_path,
+                                                         capsys):
+    # ARPA allows a positive backoff weight; 10 ** 5.0 on Mann's unigram line
+    # makes p(Mann | Mann), a bigram the fixture never has, exceed 1.
+    lines = fixture_model.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split("\t")[1:2] == ["Mann"])
+    fields = lines[i].split("\t")
+    fields[2] = "5.0"
+    lines[i] = "\t".join(fields)
+    fixture_model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corpus = tmp_path / "c.vert"
+    corpus.write_text("# doc: a\nder\tder\tART\nMann\tMann\tNN\n\n"
+                      "# doc: b\nMann\tMann\tNN\nMann\tMann\tNN\nder\tder\tART\n",
+                      encoding="utf-8")
+    out = tmp_path / "out.tsv"
+    if output == "symlink":  # stands in for a device such as /dev/null
+        out.symlink_to(tmp_path / "target.tsv")
+    assert main(["surprisal", "--model", str(fixture_model), "--corpus", str(corpus),
+                 "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: document 'b', word position 1: probability of 'Mann' after 'Mann'"
+        " must be in (0, 1], got 609.7558842176561\n"
+    )
+    # Doc a's rows were written before doc b failed; a regular file is
+    # removed, anything else at the path is left in place.
+    assert out.is_symlink() if output == "symlink" else not out.exists()
+
+
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_smoke(fixture_model, tmp_path):

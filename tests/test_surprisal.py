@@ -16,7 +16,7 @@ from rcsurp import (
     surprisal_from_prob,
     train_kn,
 )
-from rcsurp.ngram import START
+from rcsurp.ngram import START, KneserNeyBigramModel
 from rcsurp.surprisal import SurprisalEntry
 
 
@@ -192,6 +192,46 @@ def test_positions_attached(toy_model):
     assert [e.doc_position for e in annotation.entries] == [7, 9]
     with pytest.raises(ValueError):
         annotate_sequence(toy_model, ["the"], START, [1, 2])
+
+
+class _CountingModel(KneserNeyBigramModel):
+    """A model that counts its ``prob`` queries."""
+
+    calls = 0
+
+    def prob(self, context, word):
+        self.calls += 1
+        return super().prob(context, word)
+
+
+def test_one_prob_query_per_scored_word(toy_model):
+    model = _CountingModel(toy_model.vocabulary, toy_model.unigram_p, toy_model.bow,
+                           toy_model.bigram_p, toy_model.discount)
+    doc = load_vertical("# doc: d\nthe\tthe\n/\t/\ncat\tcat\n\nzzz\tzzz\nsat\tsat\n")[0]
+    for annotate in (lambda: annotate_document(model, doc),
+                     lambda: annotate_sequence(model, ["the", "cat", "zzz", "sat"], "cat")):
+        model.calls = 0
+        entries = annotate().entries
+        assert model.calls == len(entries) == 4
+        for entry in entries:
+            assert type(entry) is SurprisalEntry
+            assert entry.surprisal_bits == surprisal_from_prob(entry.probability)
+
+
+@pytest.mark.parametrize("scope", ["document", "sequence"])
+def test_probability_above_one_names_the_word(scope, toy_model):
+    # A positive log10 backoff weight, which ARPA import accepts, can lift an
+    # unlisted bigram's probability above 1.
+    toy_model.bow["cat"] = 1e5
+    with pytest.raises(ValueError) as exc:
+        if scope == "document":
+            annotate_document(toy_model, load_vertical("# doc: d\ncat\tcat\nzzz\tzzz\n")[0])
+        else:
+            annotate_sequence(toy_model, ["cat", "zzz"], START)
+    where = "document 'd', " if scope == "document" else ""
+    assert str(exc.value).startswith(
+        f"{where}word position 1: probability of 'zzz' after 'cat' must be in (0, 1], got "
+    )
 
 
 # --- invariants -------------------------------------------------------------
