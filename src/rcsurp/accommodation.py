@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import compress, count, repeat
+from operator import itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -84,20 +86,27 @@ class AccommodationState:
     def observe(
         self, lemma: str, position: int, cfg: FactorConfig = FactorConfig()
     ) -> tuple[int, float]:
-        """Advance the counter for one occurrence; returns ``(x, factor)``."""
+        """Advance the counter for one occurrence; returns ``(x, factor)``,
+        computed inline as ``next_x`` and ``factor`` compute them."""
         previous = self._entries.get(lemma)
         if previous is None:
             x = 1
         else:
             prev_x, last_position = previous
-            if position <= last_position:
+            gap = position - last_position
+            if gap < 1:
                 raise ValueError(
                     f"stream must be scanned in order: {lemma!r} at {position} "
                     f"after {last_position}"
                 )
-            x = next_x(prev_x, position - last_position, cfg)
+            if gap < cfg.window:
+                x = prev_x + 1
+            else:
+                x = prev_x - gap // cfg.window
+                if x < cfg.floor:
+                    x = cfg.floor
         self._entries[lemma] = (x, position)
-        return x, factor(x, cfg)
+        return x, (cfg.bonus / x if x < cfg.wearout else 1.0)
 
 
 def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
@@ -173,7 +182,7 @@ def accommodate_document(
 ) -> Factors:
     """The mention-history factors for a document's surprisal annotation,
     which must align one-to-one with the document's word tokens."""
-    if [e.doc_position for e in annotation.entries] != list(range(doc.word_count())):
+    if list(map(itemgetter(4), annotation.entries)) != list(range(doc.word_count())):
         raise ValueError("annotation does not align with the document's word tokens")
     return accommodation_factors(doc, content_predicate, cfg)
 
@@ -193,29 +202,37 @@ def write_weighted_tsv(
     rows are formatted first and written in one call; factors that do not
     align with the entries are a ``ValueError``.
 
-    Probabilities, bits and factors repeat across the whole corpus, so the
-    float columns are formatted once per distinct ``(probability, bits,
-    factor)`` for the call. ``0.0`` and ``-0.0`` are equal keys that format
-    differently, so a row with a zero among the three is always formatted
-    anew.
+    Probabilities, bits, factors and counts repeat across the whole corpus,
+    so the row tail from ``prob`` on is formatted once per distinct
+    ``(probability, bits, factor, x)`` for the call, and the rows are joined
+    column by column. ``0.0`` and ``-0.0`` are equal keys that format
+    differently, so a row with a zero among probability, bits and factor is
+    always formatted anew.
     """
-    columns: dict[tuple[float, float, float], tuple[str, str]] = {}
-    get = columns.get
+    tails: dict[tuple[float, float, float, int | None], str] = {}
     header = _TSV_HEADER
     for annotation, factors in scored:
-        doc_id = annotation.doc_id
-        rows = [header]
-        append = rows.append
-        for (lemma, context, probability, bits, position), (x, f) in zip(
-            annotation.entries, factors, strict=True
-        ):
-            key = (probability, bits, f)
-            text = get(key)
-            if text is None or not (probability and bits and f):
-                text = columns[key] = (
-                    "%.6e\t%.6f" % (probability, bits), "%.6f\t%.6f" % (f, bits * f)
+        entries = annotation.entries
+        if len(entries) != len(factors):
+            raise ValueError(
+                f"{len(factors)} factors do not align with {len(entries)} entries"
+            )
+        keys = list(zip(map(itemgetter(2), entries), map(itemgetter(3), entries),
+                        map(itemgetter(1), factors), map(itemgetter(0), factors)))
+        row_tails = list(map(tails.get, keys))
+        # Only the rows whose tail is not cached yet run Python code.
+        for i in compress(count(), map(not_, row_tails)):
+            probability, bits, f, x = key = keys[i]
+            text = tails.get(key)  # an earlier row of this document may have added it
+            if text is None:
+                text = "%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
+                    probability, bits, "NA" if x is None else x, f, bits * f
                 )
-            append(f"{doc_id}\t{position}\t{lemma}\t{context}\t{text[0]}"
-                   f"\t{'NA' if x is None else x}\t{text[1]}\n")
-        fh.write("".join(rows))
+                if probability and bits and f:
+                    tails[key] = text
+            row_tails[i] = text
+        fh.write(header + "".join(map("\t".join, zip(
+            repeat(str(annotation.doc_id)), map(str, map(itemgetter(4), entries)),
+            map(itemgetter(0), entries), map(itemgetter(1), entries), row_tails,
+        ))))
         header = ""

@@ -168,7 +168,16 @@ class KneserNeyBigramModel:
         """p(word | context), total and strictly positive. A symbol missing
         from ``unigram_p`` and ``bow``, which hold exactly the vocabulary, is
         unknown, and so is the start symbol as a word (it is never an outcome).
+
+        A listed bigram is looked up first, as given: it holds only
+        vocabulary symbols, which the mapping leaves as they are. The start
+        symbol as a word is the exception, since it maps to the unknown
+        symbol even where an imported model lists a bigram ending in it.
         """
+        if word != START:
+            hit = self.bigram_p.get((context, word))
+            if hit is not None:
+                return hit
         v = context if context in self.bow else UNK
         w = UNK if word == START or word not in self.unigram_p else word
         hit = self.bigram_p.get((v, w))
@@ -309,8 +318,15 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     Raises :class:`ParseError` with a line number on malformed headers,
     inconsistent n-gram counts, non-numeric or out-of-range fields (a log
     probability above 0, a power of ten that overflows, or zero mass on
-    anything but the start symbol's unigram), or truncation. The reserved
-    symbols must be present among the unigrams.
+    anything but the start symbol's unigram), a repeated ``ngram``
+    declaration, or truncation. The reserved symbols must be present among
+    the unigrams.
+
+    Log10 texts repeat, so each distinct text of a log probability or a
+    backoff weight is converted and checked once per call, the mirror of
+    ``export_arpa``'s ``log10_text``. A zero power is never reused: it is
+    valid only on the start symbol's unigram line, and every other line
+    that carries it fails with its own line number.
     """
     declared: dict[int, int] = {}
     unigram_p: dict[str, float] = {}
@@ -329,13 +345,16 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         return i + 1
 
     i = expect(0, "\\data\\", "missing \\data\\ header")
-    while i < n and lines[i].strip().startswith("ngram "):
-        entry = lines[i].strip()[len("ngram "):]
+    while i < n and (entry := lines[i].strip()).startswith("ngram "):
+        entry = entry[len("ngram "):]
         try:
             order_str, count_str = entry.split("=")
-            declared[int(order_str)] = int(count_str)
+            order, size = int(order_str), int(count_str)
         except ValueError:
             raise ParseError(f"malformed ngram declaration {entry!r}", i + 1)
+        if order in declared:
+            raise ParseError(f"repeated ngram {order} declaration", i + 1)
+        declared[order] = size
         i += 1
     if set(declared) != {1, 2}:
         raise ParseError(f"expected orders 1 and 2, declared {sorted(declared)}")
@@ -356,25 +375,42 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
             raise ParseError(f"log10 value {field!r} of {entry!r} gives zero mass", lineno)
         return power
 
+    # Converted powers by log10 text: probabilities (never a zero one) and
+    # backoff weights, which are never zero.
+    probability_of: dict[str, float] = {}
+    weight_of: dict[str, float] = {}
+
     i = expect(i, "\\1-grams:", "missing \\1-grams: section")
-    while i < n and lines[i].strip() and not lines[i].startswith("\\"):
-        fields = lines[i].split("\t")
+    while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
+        fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields in 1-gram entry, got {len(fields)}", i + 1)
-        word = fields[1]
-        unigram_p[word] = parse_power(fields[0], i + 1, word)
-        bow[word] = parse_power(fields[2], i + 1, word, probability=False)
+        log_p, word, log_bow = fields
+        p = probability_of.get(log_p)
+        if p is None:
+            p = parse_power(log_p, i + 1, word)
+            if p:
+                probability_of[log_p] = p
+        unigram_p[word] = p
+        weight = weight_of.get(log_bow)
+        if weight is None:
+            weight = weight_of[log_bow] = parse_power(log_bow, i + 1, word, probability=False)
+        bow[word] = weight
         i += 1
 
     i = expect(i, "\\2-grams:", "missing \\2-grams: section")
-    while i < n and lines[i].strip() and not lines[i].startswith("\\"):
-        fields = lines[i].split("\t")
+    while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
+        fields = line.split("\t")
         if len(fields) != 2:
             raise ParseError(f"expected 2 fields in 2-gram entry, got {len(fields)}", i + 1)
-        pair = fields[1].split(" ")
+        log_p, words = fields
+        pair = words.split(" ")
         if len(pair) != 2:
-            raise ParseError(f"expected two words in bigram entry {fields[1]!r}", i + 1)
-        bigram_p[(pair[0], pair[1])] = parse_power(fields[0], i + 1, fields[1])
+            raise ParseError(f"expected two words in bigram entry {words!r}", i + 1)
+        p = probability_of.get(log_p)
+        if p is None:  # a bigram's zero power is an error, so ``p`` is not zero
+            p = probability_of[log_p] = parse_power(log_p, i + 1, words)
+        bigram_p[(pair[0], pair[1])] = p
         i += 1
 
     expect(i, "\\end\\", "missing \\end\\ marker (truncated file?)")

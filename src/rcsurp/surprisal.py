@@ -4,6 +4,13 @@ Surprisal of a token is -log2 of its conditional bigram probability. The
 context of a token is the preceding non-punctuation lemma within the same
 sentence, or the start symbol for sentence-initial tokens; punctuation is
 transparent (skipped, never conditioned on).
+
+Documents and lemma chains are scored by one column kernel. The caller
+builds the lemma column and the context column (the previous lemma, or
+the start symbol where a sentence or chain begins); the kernel maps
+``prob`` over the two columns, exactly one query per word, checks the
+whole probability column at once, and builds the entries with ``map``
+and ``zip``, so no Python frame runs per word apart from ``prob`` itself.
 """
 
 from __future__ import annotations
@@ -11,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import count
+from itertools import compress, count
+from operator import itemgetter, ne, neg
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import Document, sentences
+from .corpus import Document
 from .ngram import KneserNeyBigramModel, START
 
 _LOG10_2 = math.log10(2.0)
@@ -51,35 +59,37 @@ def surprisal_from_prob(probability: float) -> float:
 
 
 # ``SurprisalEntry(*fields)`` runs the NamedTuple's Python-level ``__new__``;
-# the scoring loop builds the same entry without that frame, as ``corpus``
-# does for ``Token``.
+# the kernel builds the same entry without that frame, as ``corpus`` does
+# for ``Token``.
 _new_entry = partial(tuple.__new__, SurprisalEntry)
 
 
 def _score(
-    model: KneserNeyBigramModel, lemmas: Iterable[str], context: str, positions: Iterable[int],
-    entries: list[SurprisalEntry], doc_id: str | None = None,
-) -> list[SurprisalEntry]:
-    """Score a lemma chain left to right, each lemma conditioned on the
-    one before it and the first on ``context``, into ``entries``, which is
-    returned. An iterator of ``positions`` can run across chains: ``zip``
-    takes a position only once it has taken a lemma.
+    model: KneserNeyBigramModel, lemmas: Sequence[str], contexts: Sequence[str],
+    positions: Iterable[int], doc_id: str | None = None,
+) -> tuple[SurprisalEntry, ...]:
+    """The entries of one lemma column scored against its context column,
+    with one ``prob`` query per lemma.
 
     A probability outside (0, 1], which an imported model with a positive
     backoff weight can give, is a ``ValueError`` naming the document (when
-    ``doc_id`` is given), the word position, the context and the lemma."""
-    prob, log2, append = model.prob, math.log2, entries.append
-    for lemma, position in zip(lemmas, positions):
-        p = prob(context, lemma)
-        if not 0.0 < p <= 1.0:  # the check surprisal_from_prob makes
-            where = "" if doc_id is None else f"document {doc_id!r}, "
-            raise ValueError(
-                f"{where}word position {position}: probability of {lemma!r} after"
-                f" {context!r} must be in (0, 1], got {p}"
-            )
-        append(_new_entry((lemma, context, p, -log2(p), position)))
-        context = lemma
-    return entries
+    ``doc_id`` is given), the first such word's position, its context and
+    its lemma."""
+    probabilities = list(map(model.prob, contexts, lemmas))
+    # ``min`` and ``max`` skip a NaN that is not first, but it makes the sum NaN.
+    if probabilities and not (
+        0.0 < min(probabilities) and max(probabilities) <= 1.0
+        and not math.isnan(sum(probabilities))
+    ):
+        for lemma, context, p, position in zip(lemmas, contexts, probabilities, positions):
+            if not 0.0 < p <= 1.0:  # the check surprisal_from_prob makes
+                where = "" if doc_id is None else f"document {doc_id!r}, "
+                raise ValueError(
+                    f"{where}word position {position}: probability of {lemma!r} after"
+                    f" {context!r} must be in (0, 1], got {p}"
+                )
+    bits = map(neg, map(math.log2, probabilities))
+    return tuple(map(_new_entry, zip(lemmas, contexts, probabilities, bits, positions)))
 
 
 def annotate_document(
@@ -87,11 +97,17 @@ def annotate_document(
 ) -> SurprisalAnnotation:
     """Score every word token of a sentence-segmented document, the
     context reset at each sentence that ``count_bigrams`` trains on."""
-    entries: list[SurprisalEntry] = []
-    positions = count()
-    for lemmas in sentences(doc):
-        _score(model, lemmas, START, positions, entries, doc.id)
-    return SurprisalAnnotation(doc.id, tuple(entries))
+    words = doc.word_tokens()
+    lemmas = list(map(itemgetter(1), words))
+    contexts = [START, *lemmas[:-1]] if lemmas else []
+    # A word whose sentence index differs from the previous word's starts a
+    # sentence, as ``sentences`` groups them.
+    sentence_index = list(map(itemgetter(4), words))
+    for i in compress(count(1), map(ne, sentence_index[1:], sentence_index)):
+        contexts[i] = START
+    return SurprisalAnnotation(
+        doc.id, _score(model, lemmas, contexts, range(len(lemmas)), doc.id)
+    )
 
 
 def annotate_sequence(
@@ -111,4 +127,6 @@ def annotate_sequence(
         positions = range(len(lemmas))
     elif len(positions) != len(lemmas):
         raise ValueError("positions must align one-to-one with lemmas")
-    return SurprisalAnnotation(None, tuple(_score(model, lemmas, initial_context, positions, [])))
+    return SurprisalAnnotation(
+        None, _score(model, lemmas, [initial_context, *lemmas[:-1]], positions)
+    )

@@ -2,15 +2,17 @@
 
 The reference functions here recompute everything from raw inputs with
 plain loops so the tests never reuse the code paths they check: the
-smoothed bigram probability from scratch counts, perplexity as an explicit
-log sum, per-token document surprisal as one loop over every token,
-the vertical-format loader as a per-document builder that parses every
-line afresh, sentence re-segmentation by copying every token, mention
-classification by rescanning the document's history for every mention,
-the accommodated surprisal TSV as one f-string and one write per row,
-the ARPA text as one f-string per entry with bigrams sorted by id tuples,
-the givenness table by scanning every mention for every record, and the
-chi-square tail by Simpson integration of the normal density.
+smoothed bigram probability from scratch counts, a model query as a symbol
+mapping and one table lookup, perplexity as an explicit log sum, per-token
+document surprisal as one loop over every token, chain surprisal as one
+loop over the chain, the vertical-format loader as a per-document builder
+that parses every line afresh, sentence re-segmentation by copying every
+token, mention classification by rescanning the document's history for
+every mention, the accommodated surprisal TSV as one f-string and one
+write per row, the ARPA text as one f-string per entry with bigrams sorted
+by id tuples, the givenness table by scanning every mention for every
+record, and the chi-square tail by Simpson integration of the normal
+density.
 ``write_vertical`` serializes documents back to the vertical format, so the
 loader can be checked by a round trip.
 """
@@ -104,6 +106,18 @@ def reference_kn(sentences: list[list[str]], discount: float):
     return prob
 
 
+def reference_mapped_prob(model, context: str, word: str) -> float:
+    """``model.prob`` as a symbol mapping and then one lookup: an unknown
+    context, an unknown word and the start symbol as a word become the
+    unknown symbol, and the mapped pair is read from the bigram table or
+    backed off to ``bow[v] * unigram_p[w]``."""
+    v = context if context in model.bow else UNK
+    w = UNK if word == START or word not in model.unigram_p else word
+    if (v, w) in model.bigram_p:
+        return model.bigram_p[(v, w)]
+    return model.bow[v] * model.unigram_p[w]
+
+
 def reference_perplexity(sentences: list[list[str]], prob) -> float:
     """Explicit log-sum perplexity over in-sentence events plus the end
     symbol, given any conditional probability function."""
@@ -155,6 +169,24 @@ def reference_annotate_document(model, doc: Document) -> SurprisalAnnotation:
         entries.append(SurprisalEntry(token.lemma, context, p, -math.log2(p), token.doc_position))
         context = token.lemma
     return SurprisalAnnotation(doc.id, tuple(entries))
+
+
+def reference_annotate_sequence(
+    model, lemmas: Sequence[str], initial_context: str = START,
+    positions: Sequence[int] | None = None,
+) -> SurprisalAnnotation:
+    """Chain surprisal as one loop: each lemma is scored after the one
+    before it, the first after ``initial_context``, and takes the next of
+    ``positions`` (by default 0, 1, ...)."""
+    if positions is None:
+        positions = range(len(lemmas))
+    entries = []
+    context = initial_context
+    for lemma, position in zip(lemmas, positions):
+        p = model.prob(context, lemma)
+        entries.append(SurprisalEntry(lemma, context, p, -math.log2(p), position))
+        context = lemma
+    return SurprisalAnnotation(None, tuple(entries))
 
 
 def reference_write_weighted_tsv(

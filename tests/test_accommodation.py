@@ -127,6 +127,46 @@ def test_no_decay_sequence():
     assert factors == [4.0, 2.0, 4 / 3, 1.0, 1.0, 1.0, 1.0, 1.0]
 
 
+@st.composite
+def _configs_and_streams(draw):
+    """A valid ``FactorConfig`` and a stream of ``(lemma, position)`` pairs
+    with increasing positions, whose steps fall on, just beside and across
+    multiples of the window."""
+    wearout = draw(st.integers(1, 8))
+    cfg = FactorConfig(
+        bonus=draw(st.floats(min_value=1e-3, max_value=1e3)),
+        wearout=wearout,
+        window=draw(st.integers(1, 40)),
+        floor=draw(st.integers(1, wearout)),
+    )
+    multiple = st.integers(1, 4).map(lambda k: k * cfg.window)
+    step = st.integers(1, 3) | multiple | multiple.map(lambda g: g + 1) | multiple.map(
+        lambda g: max(1, g - 1)
+    )
+    position = draw(st.integers(0, 1000))
+    stream = []
+    for lemma in draw(st.lists(st.sampled_from("abc"), max_size=30)):
+        position += draw(step)
+        stream.append((lemma, position))
+    return cfg, stream
+
+
+@given(_configs_and_streams())
+def test_observe_replays_next_x_and_factor(config_and_stream):
+    # The public next_x and factor are the oracle of the inlined observe.
+    cfg, stream = config_and_stream
+    state = AccommodationState()
+    replay: dict[str, tuple[int, int]] = {}
+    for lemma, position in stream:
+        if lemma in replay:
+            previous_x, last_position = replay[lemma]
+            x = next_x(previous_x, position - last_position, cfg)
+        else:
+            x = 1
+        replay[lemma] = (x, position)
+        assert state.observe(lemma, position, cfg) == (x, factor(x, cfg))
+
+
 # --- content predicate ------------------------------------------------------
 
 def _token(doc, i):

@@ -261,3 +261,41 @@ def test_import_requires_reserved_symbols():
     ])
     with pytest.raises(ParseError):
         import_arpa(text)
+
+
+def test_import_rejects_a_repeated_declaration(toy_model):
+    # The later declaration would otherwise silently win.
+    text = export_arpa(toy_model).replace("ngram 2=6", "ngram 2=99\nngram 2=6")
+    with pytest.raises(ParseError, match="line 4: repeated ngram 2 declaration"):
+        import_arpa(text)
+
+
+def test_zero_power_is_converted_per_line(toy_model):
+    # "-99.000000" is the start symbol's valid zero mass on line 6, and the
+    # same text on a later word's unigram line is that line's error.
+    text = export_arpa(toy_model)
+    assert import_arpa(text).unigram_p[START] == 0.0
+    lines = text.splitlines()
+    assert lines[5] == "-99.000000\t<s>\t-0.602060"
+    assert lines[8] == "-0.778151\tcat\t-0.301030"
+    lines[8] = "-99.000000\tcat\t-0.301030"
+    with pytest.raises(ParseError, match=r"line 9: log10 value '-99\.000000' of 'cat' gives zero mass"):
+        import_arpa("\n".join(lines) + "\n")
+
+
+def test_repeated_bad_bigram_field_is_reported_at_its_first_line(toy_model):
+    # Lines 16 and 17 share the text "-0.477121"; so does the unigram on line 7.
+    lines = export_arpa(toy_model).splitlines()
+    assert lines[15:17] == ["-0.477121\tcat ran", "-0.477121\tcat sat"]
+    lines[15:17] = ["0.5\tcat ran", "0.5\tcat sat"]
+    with pytest.raises(ParseError, match=r"line 16: non-numeric or out-of-range log10 value '0\.5'"):
+        import_arpa("\n".join(lines) + "\n")
+
+
+def test_repeated_zero_bigram_field_fails_on_its_line(toy_model):
+    # A zero power is never reused, not even one first met on the start
+    # symbol's unigram line.
+    lines = export_arpa(toy_model).splitlines()
+    lines[16] = "-99.000000\tcat sat"
+    with pytest.raises(ParseError, match=r"line 17: log10 value '-99\.000000' of 'cat sat' gives zero mass"):
+        import_arpa("\n".join(lines) + "\n")

@@ -15,7 +15,7 @@ from rcsurp import (
     perplexity,
     train_kn,
 )
-from rcsurp.ngram import END, START, UNK, BigramCounts, import_arpa
+from rcsurp.ngram import END, START, UNK, BigramCounts, export_arpa, import_arpa
 
 
 @pytest.fixture
@@ -183,6 +183,30 @@ def test_probabilities_bounded(toy_model):
     for v in [START, "the", "cat", "zzz"]:
         for w in words:
             assert 0 < toy_model.prob(v, w) <= 1
+
+
+def _with_bigram_ending_in_start(model):
+    """The model exported to ARPA with one more listed bigram, ``the <s>``,
+    which import accepts, and imported again."""
+    text = export_arpa(model)
+    text = text.replace("ngram 2=6", "ngram 2=7").replace(
+        "\\2-grams:\n", "\\2-grams:\n-0.300000\tthe <s>\n")
+    imported = import_arpa(text)
+    assert imported.bigram_p[("the", START)] == 10 ** -0.3
+    return imported
+
+
+def test_prob_equals_the_mapped_lookup(toy_model):
+    # Every pair over the vocabulary, the start symbol included, and an
+    # unknown word, on both sides.
+    listed = _with_bigram_ending_in_start(toy_model)
+    for model in (toy_model, listed):
+        symbols = model.vocabulary.words() + ["zzz-unknown"]
+        assert START in symbols
+        for v in symbols:
+            for w in symbols:
+                assert model.prob(v, w) == helpers.reference_mapped_prob(model, v, w), (v, w)
+    assert listed.prob("the", START) == listed.prob("the", UNK) != listed.bigram_p[("the", START)]
 
 
 def test_explicit_discount_validated(toy_counts):

@@ -108,9 +108,11 @@ def test_annotation_against_loop_oracle(toy_model):
 
 # Known and unknown lemmas, transparent punctuation and the "." that
 # re-segmentation turns into a sentence end; a sentence may hold only
-# punctuation.
-_token = st.sampled_from(["the", "cat", "sat", "ran", "zzz", "qqq", "/", ",", "."])
-_document = st.lists(st.lists(_token, min_size=1, max_size=6), min_size=1, max_size=6)
+# punctuation, and a document may hold no sentence at all.
+_punctuation = st.sampled_from(["/", ",", "."])
+_token = st.sampled_from(["the", "cat", "sat", "ran", "zzz", "qqq"]) | _punctuation
+_sentence = st.lists(_token, min_size=1, max_size=6) | st.lists(_punctuation, min_size=1, max_size=3)
+_document = st.lists(_sentence, min_size=0, max_size=6)
 
 
 @given(_document)
@@ -121,13 +123,34 @@ def test_annotate_document_matches_token_loop(sentences):
     )
     loaded = load_vertical(text)[0]
     for doc in (loaded, resegment_sentences(loaded)):
-        expected = helpers.reference_annotate_document(model, doc).entries
-        actual = annotate_document(model, doc).entries
-        assert len(actual) == len(expected) == doc.word_count()
-        for a, e in zip(actual, expected):
-            assert (a.lemma, a.context, a.probability, a.surprisal_bits, a.doc_position) == (
-                e.lemma, e.context, e.probability, e.surprisal_bits, e.doc_position
-            )
+        annotation = annotate_document(model, doc)
+        assert annotation == helpers.reference_annotate_document(model, doc)
+        assert len(annotation) == doc.word_count()
+        assert all(type(entry) is SurprisalEntry for entry in annotation.entries)
+
+
+_lemma = st.sampled_from(["the", "cat", "sat", "ran", "zzz", "qqq", START, "</s>"])
+
+
+@st.composite
+def _chains(draw):
+    """A lemma chain of known and unknown lemmas, an initial context drawn
+    the same way, and explicit positions or none."""
+    lemmas = draw(st.lists(_lemma, min_size=1, max_size=8))
+    positions = draw(st.none() | st.lists(st.integers(-5, 10**6), min_size=len(lemmas),
+                                          max_size=len(lemmas)))
+    return lemmas, draw(_lemma), positions
+
+
+@given(_chains())
+def test_annotate_sequence_matches_chain_loop(chain):
+    lemmas, initial_context, positions = chain
+    model = train_kn(count_bigrams(helpers.toy_documents()), discount=0.5)
+    annotation = annotate_sequence(model, lemmas, initial_context, positions)
+    assert annotation == helpers.reference_annotate_sequence(
+        model, lemmas, initial_context, positions
+    )
+    assert all(type(entry) is SurprisalEntry for entry in annotation.entries)
 
 
 def test_entries_align_with_word_tokens(toy_model):
@@ -221,17 +244,22 @@ def test_one_prob_query_per_scored_word(toy_model):
 @pytest.mark.parametrize("scope", ["document", "sequence"])
 def test_probability_above_one_names_the_word(scope, toy_model):
     # A positive log10 backoff weight, which ARPA import accepts, can lift an
-    # unlisted bigram's probability above 1.
-    toy_model.bow["cat"] = 1e5
-    with pytest.raises(ValueError) as exc:
-        if scope == "document":
-            annotate_document(toy_model, load_vertical("# doc: d\ncat\tcat\nzzz\tzzz\n")[0])
-        else:
-            annotate_sequence(toy_model, ["cat", "zzz"], START)
+    # unlisted bigram's probability above 1. A NaN weight makes it NaN, which
+    # the column check must catch although it is not the column's first value.
     where = "document 'd', " if scope == "document" else ""
-    assert str(exc.value).startswith(
-        f"{where}word position 1: probability of 'zzz' after 'cat' must be in (0, 1], got "
-    )
+    for weight in (1e5, float("nan")):
+        toy_model.bow["cat"] = weight
+        with pytest.raises(ValueError) as exc:
+            if scope == "document":
+                annotate_document(
+                    toy_model, load_vertical("# doc: d\ncat\tcat\nzzz\tzzz\nzzz\tzzz\n")[0]
+                )
+            else:
+                annotate_sequence(toy_model, ["cat", "zzz", "zzz"], START)
+        assert str(exc.value).startswith(
+            f"{where}word position 1: probability of 'zzz' after 'cat' must be in (0, 1], got "
+        )
+    assert str(exc.value).endswith("got nan")
 
 
 # --- invariants -------------------------------------------------------------
