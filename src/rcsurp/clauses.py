@@ -302,14 +302,17 @@ class ClauseScorer:
         self.accommodation = accommodation
         self.content_predicate = content_predicate
         self.combined_excludes_matrix_first = combined_excludes_matrix_first
-        self._factor_cache: dict[str, Factors] = {}
+        # Factors by document id, each with the document they were built for:
+        # ids may repeat across corpora, so an entry serves only that object.
+        self._factor_cache: dict[str, tuple[Document, Factors]] = {}
 
     def _factors(self, doc: Document) -> Factors:
-        if doc.id not in self._factor_cache:
-            self._factor_cache[doc.id] = accommodation_factors(
-                doc, self.content_predicate, self.accommodation
+        cached = self._factor_cache.get(doc.id)
+        if cached is None or cached[0] is not doc:
+            cached = self._factor_cache[doc.id] = (
+                doc, accommodation_factors(doc, self.content_predicate, self.accommodation)
             )
-        return self._factor_cache[doc.id]
+        return cached[1]
 
     def metrics(
         self,

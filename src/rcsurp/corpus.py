@@ -51,9 +51,10 @@ _new_token = partial(tuple.__new__, Token)
 
 @dataclass(frozen=True)
 class Document:
+    """An id and its tokens; a sentence is a run of one ``sentence_index``."""
+
     id: str
     tokens: tuple[Token, ...]
-    sentence_count: int
 
     # A cached property writes the instance ``__dict__`` directly, so the
     # frozen constructor, equality, hashing and ``replace`` are unaffected.
@@ -118,7 +119,7 @@ def load_vertical(
                     raise ParseError(f"duplicate document id {new_id!r}", lineno)
                 seen_ids.add(new_id)
                 if doc_id is not None:
-                    docs.append(Document(doc_id, tuple(tokens), sentence_index + sentence_open))
+                    docs.append(Document(doc_id, tuple(tokens)))
                 doc_id, tokens = new_id, []
                 sentence_index, sentence_open, next_position = 0, False, 0
                 continue
@@ -155,7 +156,7 @@ def load_vertical(
         sentence_open = True
 
     if doc_id is not None:
-        docs.append(Document(doc_id, tuple(tokens), sentence_index + sentence_open))
+        docs.append(Document(doc_id, tuple(tokens)))
     return docs
 
 
@@ -172,11 +173,10 @@ def resegment_sentences(doc: Document) -> Document:
     """Introduce a sentence boundary after every token whose surface is
     exactly ``"."``, keeping all original boundaries.
 
-    Token order and word positions are unchanged; sentence indices and the
-    sentence count are recomputed. Tokens whose sentence index stays the
-    same are shared with the input, and the input document itself is
-    returned when neither an index nor the sentence count changes.
-    Idempotent.
+    Token order and word positions are unchanged; sentence indices are
+    renumbered densely from 0. Tokens whose sentence index stays the same
+    are shared with the input, and the input document itself is returned
+    exactly when no index changes. Idempotent.
     """
     if not doc.tokens:
         return doc
@@ -202,9 +202,7 @@ def resegment_sentences(doc: Document) -> Document:
         new_tokens.append(token)
         if token.surface == ".":
             boundary_pending = True
-    if not moved and doc.sentence_count == sentence_index + 1:
-        return doc
-    return Document(doc.id, tuple(new_tokens), sentence_index + 1)
+    return Document(doc.id, tuple(new_tokens)) if moved else doc
 
 
 def sentences(doc: Document) -> Iterator[list[str]]:

@@ -6,7 +6,7 @@ unigram distribution:
 
     p(w|v) = max(c2(v,w) - D, 0) / c1(v) + lambda(v) * p_cont(w)
     lambda(v) = D * fertility(v) / c1(v)
-    p_cont(w) = continuation(w) / total_bigram_types
+    p_cont(w) = continuation(w) / bigram_types
 
 where ``continuation(w)`` is the number of distinct left contexts of ``w``
 and ``fertility(v)`` the number of distinct continuations of ``v``. The
@@ -71,7 +71,7 @@ class Vocabulary:
 
 @dataclass
 class BigramCounts:
-    """Raw and derived count statistics for one or more documents.
+    """Raw counts for one or more documents; ``train_kn`` derives the rest.
 
     ``c1`` counts tokens of each symbol in start/end-padded sentences, so
     ``sum_w c2(v, w) == c1(v)`` for every context except the end symbol.
@@ -79,14 +79,6 @@ class BigramCounts:
 
     c1: Counter = field(default_factory=Counter)
     c2: Counter = field(default_factory=Counter)
-    continuation: Counter = field(default_factory=Counter)  # distinct left contexts per word
-    fertility: Counter = field(default_factory=Counter)     # distinct continuations per context
-    total_bigram_types: int = 0
-
-    def _refresh_derived(self):
-        self.continuation = Counter(map(itemgetter(1), self.c2))
-        self.fertility = Counter(map(itemgetter(0), self.c2))
-        self.total_bigram_types = len(self.c2)
 
     def token_count(self) -> int:
         """Corpus word tokens (padding symbols excluded)."""
@@ -97,7 +89,7 @@ class BigramCounts:
 
 
 def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
-    """Count padded within-sentence lemma bigrams over all documents.
+    """Raw counts of padded within-sentence lemma bigrams in all documents.
 
     Punctuation is transparent, as in the scorer. Each sentence is wrapped
     in one start and one end symbol; no bigram crosses a sentence boundary.
@@ -127,7 +119,6 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
         raise ValueError(
             "reserved symbols cannot be corpus lemmas: " + ", ".join(map(repr, reserved))
         )
-    counts._refresh_derived()
     return counts
 
 
@@ -190,32 +181,35 @@ class KneserNeyBigramModel:
 
 
 def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBigramModel:
-    """Estimate the interpolated Kneser-Ney model from counts.
+    """Estimate the interpolated Kneser-Ney model from raw counts.
 
-    ``discount`` defaults to the count-of-counts estimate and must lie in
-    (0, 1) when given. The continuation mass of the unknown symbol is
-    ``1 / (total_bigram_types + 1)``.
+    Continuation counts, fertilities and the number of bigram types are
+    derived here from ``counts.c2``. ``discount`` defaults to the
+    count-of-counts estimate and must lie in (0, 1) when given. The
+    continuation mass of the unknown symbol is ``1 / (len(c2) + 1)``.
     """
-    if counts.total_bigram_types == 0:
+    total_types = len(counts.c2)
+    if total_types == 0:
         raise DegenerateCountsError("no bigrams to train on")
     if discount is None:
         discount = estimate_discount(counts)
     elif not 0.0 < discount < 1.0:
         raise ValueError(f"discount must be in (0, 1), got {discount}")
 
-    total_types = counts.total_bigram_types
+    continuation = Counter(map(itemgetter(1), counts.c2))
+    fertility = Counter(map(itemgetter(0), counts.c2))
 
     vocabulary = Vocabulary.from_lemmas(counts.c1)
 
     unigram_p: dict[str, float] = {START: 0.0, UNK: 1.0 / (total_types + 1)}
     for word in vocabulary.event_words():
-        unigram_p[word] = counts.continuation[word] / total_types
+        unigram_p[word] = continuation[word] / total_types
 
     bow: dict[str, float] = {}
     for context in vocabulary.words():
         c1 = counts.c1[context]
-        if c1 > 0 and counts.fertility[context] > 0:
-            bow[context] = discount * counts.fertility[context] / c1
+        if c1 > 0 and fertility[context] > 0:
+            bow[context] = discount * fertility[context] / c1
         else:
             bow[context] = 1.0
 

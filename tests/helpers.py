@@ -272,8 +272,7 @@ class _DocumentBuilder:
             self.sentence_open = False
 
     def build(self) -> Document:
-        self.end_sentence()
-        return Document(self.doc_id, tuple(self.tokens), self.sentence_index)
+        return Document(self.doc_id, tuple(self.tokens))
 
 
 def reference_load_vertical(
@@ -343,7 +342,7 @@ def reference_resegment(doc: Document) -> Document:
         new_tokens.append(token._replace(sentence_index=sentence_index))
         if token.surface == ".":
             boundary_pending = True
-    return Document(doc.id, tuple(new_tokens), sentence_index + 1)
+    return Document(doc.id, tuple(new_tokens))
 
 
 def write_vertical(docs) -> str:

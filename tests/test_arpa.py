@@ -153,7 +153,7 @@ def _model_of(sentences, discount):
         for lemma in sentence:
             tokens.append(Token("w", lemma, None, position, index, False))
             position += 1
-    document = Document("d", tuple(tokens), len(sentences))
+    document = Document("d", tuple(tokens))
     return train_kn(count_bigrams([document]), discount=discount)
 
 

@@ -330,6 +330,19 @@ def test_accommodated_ratio_in_factor_set(in_situ_record, doc, model):
     assert accommodated.adS >= bare.adS  # factors are >= 1 here
 
 
+def test_factors_are_not_shared_between_documents_with_one_id():
+    # Two corpora may each hold a document "d"; a scorer that has scored the
+    # first must not apply its accommodation factors to the second.
+    first = _doc_from_words("Herr sehen der Mann kommen Herr".split(), doc_id="d")
+    second = _doc_from_words("Herr Herr der Herr Herr Herr".split(), doc_id="d")
+    record = ClauseRecord("r", "d", Variant.EXTRAPOSED, (Span(0, 2),), Span(2, 6), 1)
+    model = train_kn(count_bigrams([first, second]))
+    scorer = ClauseScorer(model)
+    scorer.metrics(record, first, "accommodated", "rc")
+    shared = scorer.metrics(record, second, "accommodated", "rc")
+    assert shared == ClauseScorer(model).metrics(record, second, "accommodated", "rc")
+
+
 def test_clause_too_short_to_score(doc, model):
     record = ClauseRecord("tiny", "d1", Variant.EXTRAPOSED, (Span(1, 6),), Span(6, 7), 4)
     with pytest.raises(ValueError, match="too short"):

@@ -134,6 +134,16 @@ def test_train_report_file(toy_corpus, tmp_path):
     assert "vocabulary=4" in report.read_text(encoding="utf-8")
 
 
+def test_train_report_counts_sentences_with_a_word(tmp_path):
+    # Three sentences; the middle one holds only punctuation.
+    corpus = tmp_path / "c.vert"
+    corpus.write_text("# doc: d\nthe\tthe\ncat\tcat\n\n/\t/\n\ncat\tcat\n", encoding="utf-8")
+    report = tmp_path / "report.txt"
+    assert main(["train", "--corpus", str(corpus), "-o", str(tmp_path / "m.arpa"),
+                 "--report", str(report)]) == 0
+    assert "sentences=2\n" in report.read_text(encoding="utf-8")
+
+
 # --- surprisal --------------------------------------------------------------
 
 def test_surprisal_row_count(toy_corpus, tmp_path):

@@ -19,7 +19,7 @@ def test_minimal_vertical():
     assert len(docs) == 1
     doc = docs[0]
     assert len(doc.tokens) == 2
-    assert doc.sentence_count == 1
+    assert [t.sentence_index for t in doc.tokens] == [0, 0]
     assert doc.tokens[0].surface == "der"
     assert doc.tokens[1].lemma == "Mann"
     assert doc.tokens[1].pos == "NN"
@@ -28,8 +28,7 @@ def test_minimal_vertical():
 def test_blank_line_is_sentence_boundary():
     docs = load_vertical("# doc: d1\na\ta\n\nb\tb\n")
     doc = docs[0]
-    assert doc.sentence_count == 2
-    assert doc.tokens[1].sentence_index == 1
+    assert [t.sentence_index for t in doc.tokens] == [0, 1]
 
 
 def test_single_column_is_parse_error():
@@ -212,7 +211,9 @@ def test_loader_matches_builder_oracle(header, lines, malformed, newline, punctu
             load_vertical(text, punctuation)
         assert (str(got.value), got.value.line) == (str(exc), exc.line)
     else:
-        assert load_vertical(text, punctuation) == expected
+        docs = load_vertical(text, punctuation)
+        assert docs == expected
+        assert all(_numbered_densely(doc) for doc in docs)
 
 
 def test_parsed_lines_do_not_leak_across_calls():
@@ -262,9 +263,16 @@ def _doc(*sentences: list[str]) -> Document:
     return load_vertical("\n".join(lines))[0]
 
 
+def _numbered_densely(doc: Document) -> bool:
+    """Sentence indices in token order start at 0 and step by 0 or 1."""
+    indices = [t.sentence_index for t in doc.tokens]
+    return indices[:1] in ([], [0]) and all(
+        b - a in (0, 1) for a, b in zip(indices, indices[1:])
+    )
+
+
 def test_resegment_splits_at_period():
     doc = resegment_sentences(_doc(["a", ".", "b"]))
-    assert doc.sentence_count == 2
     assert [t.sentence_index for t in doc.tokens] == [0, 0, 1]
 
 
@@ -275,13 +283,12 @@ def test_resegment_without_period_is_identity():
 
 def test_resegment_consecutive_periods():
     doc = resegment_sentences(_doc(["a", ".", ".", "b"]))
-    assert doc.sentence_count == 3
     assert [t.sentence_index for t in doc.tokens] == [0, 0, 1, 2]
 
 
 def test_resegment_preserves_original_boundaries():
     doc = resegment_sentences(_doc(["a", "b"], ["c"]))
-    assert doc.sentence_count == 2
+    assert [t.sentence_index for t in doc.tokens] == [0, 0, 1]
 
 
 _words = st.lists(
@@ -317,6 +324,7 @@ def test_resegment_matches_copying_oracle(stream):
     oracle = helpers.reference_resegment(doc)
     assert fast == oracle
     assert fast.word_tokens() == oracle.word_tokens()
+    assert _numbered_densely(fast)
     if [t.sentence_index for t in oracle.tokens] == [t.sentence_index for t in doc.tokens]:
         assert fast is doc
     else:
@@ -326,16 +334,12 @@ def test_resegment_matches_copying_oracle(stream):
 
 
 def test_resegment_renumbers_hand_built_documents():
-    # The loader always numbers sentences densely from 0 and counts them;
-    # a hand-built document need not, and still comes out renumbered.
+    # The loader always numbers sentences densely from 0; a hand-built
+    # document need not, and still comes out renumbered.
     a, b = (Token(w, w, None, i, 0, False) for i, w in enumerate("ab"))
-    sparse = Document("d", (a, b._replace(sentence_index=2)), 2)
+    sparse = Document("d", (a, b._replace(sentence_index=2)))
     assert resegment_sentences(sparse) == helpers.reference_resegment(sparse)
     assert [t.sentence_index for t in resegment_sentences(sparse).tokens] == [0, 1]
-    miscounted = Document("d", (a, b), 5)
-    fixed = resegment_sentences(miscounted)
-    assert fixed.sentence_count == 1 and fixed.tokens == (a, b)
-    assert fixed.tokens[0] is a and fixed.tokens[1] is b
 
 
 # --- round trip -------------------------------------------------------------
@@ -408,5 +412,5 @@ def test_word_view_is_the_punctuation_filter(words, data):
         assert [t.doc_position for t in expected] == list(range(len(expected)))
     # ``once`` now holds its built view and a fresh copy does not: the
     # view stays out of equality and hashing.
-    fresh = Document(once.id, once.tokens, once.sentence_count)
+    fresh = Document(once.id, once.tokens)
     assert fresh == once and hash(fresh) == hash(once)

@@ -34,12 +34,12 @@ def test_toy_counts(toy_counts):
     assert toy_counts.c2[("the", "cat")] == 2
     assert toy_counts.c2[("cat", "sat")] == 1
     assert toy_counts.c2[(START, "the")] == 2
-    assert toy_counts.total_bigram_types == 6
+    assert len(toy_counts.c2) == 6
 
 
 def test_empty_corpus_counts():
     counts = count_bigrams([])
-    assert counts.total_bigram_types == 0
+    assert not counts.c2
     assert not counts.c1
 
 
@@ -80,8 +80,14 @@ def test_count_invariants_random_corpora():
             if v == END:
                 continue
             assert sum(c for (a, _), c in counts.c2.items() if a == v) == counts.c1[v]
-        assert sum(counts.continuation.values()) == counts.total_bigram_types
-        assert sum(counts.fertility.values()) == counts.total_bigram_types
+        # Distinct left contexts summed over words, and distinct
+        # continuations summed over contexts, both give the bigram types.
+        discount = 0.5
+        model = train_kn(counts, discount)
+        assert math.fsum(map(model.unigram_p.get, model.event_words())) == pytest.approx(1.0)
+        assert math.fsum(
+            model.bow[v] * counts.c1[v] / discount for v in counts.c1 if v != END
+        ) == pytest.approx(len(counts.c2))
 
 
 _corpora = st.lists(  # documents of sentences; empty and punctuation-only ones included
@@ -108,9 +114,19 @@ def test_counts_match_reference_random_corpora(corpus):
     # Same counts, in the same first-seen key order the ARPA export follows.
     assert list(counts.c1.items()) == list(c1.items())
     assert list(counts.c2.items()) == list(c2.items())
-    assert counts.continuation == {w: len(vs) for w, vs in left.items()}
-    assert counts.fertility == {v: len(ws) for v, ws in right.items()}
-    assert counts.total_bigram_types == types
+    assert len(counts.c2) == types
+    discount = 0.5
+    if not types:
+        with pytest.raises(DegenerateCountsError):
+            train_kn(counts, discount)
+        return
+    # The model's continuation and backoff tables are the distinct left
+    # contexts and continuations of the reference.
+    model = train_kn(counts, discount)
+    for w, vs in left.items():
+        assert model.unigram_p[w] == len(vs) / types
+    for v, ws in right.items():
+        assert model.bow[v] == discount * len(ws) / c1[v]
 
 
 # --- discount estimation ----------------------------------------------------
@@ -126,7 +142,6 @@ def _counts_from_c2(c2: dict) -> BigramCounts:
         counts.c2[(v, w)] = c
         counts.c1[v] += c
         counts.c1[w] += c
-    counts._refresh_derived()
     return counts
 
 
@@ -280,7 +295,6 @@ def test_monotonicity_under_fixed_discount():
             bumped = deepcopy(counts)
             bumped.c2[pair] += 1
             bumped.c1[pair[0]] += 1
-            bumped._refresh_derived()
             after = train_kn(bumped, discount).prob(*pair)
             assert after >= before
 

@@ -94,7 +94,7 @@ def test_context_resets_at_sentence_boundary(toy_model):
 def test_context_resets_after_punctuation_only_sentence(toy_model):
     doc = load_vertical("# doc: d\nthe\tthe\ncat\tcat\n\n/\t/\n\ncat\tcat\n")[0]
     annotation = annotate_document(toy_model, doc)
-    assert doc.sentence_count == 3
+    assert [t.sentence_index for t in doc.tokens] == [0, 0, 1, 2]
     assert [e.context for e in annotation.entries] == [START, "the", START]
     assert [e.doc_position for e in annotation.entries] == [0, 1, 2]
 
