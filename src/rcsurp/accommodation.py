@@ -15,8 +15,6 @@ document; state never crosses documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from importlib import resources
 from itertools import compress, count, repeat
 from operator import itemgetter, not_
 from pathlib import Path
@@ -33,22 +31,41 @@ DEFAULT_CONTENT_POS = frozenset({
 })
 
 
-@dataclass(frozen=True)
 class FactorConfig:
+    """The factor's parameters, checked when built; the class attributes are
+    the defaults. A config cannot be changed once built, and it compares
+    equal to, and hashes like, another config with the same four values."""
+
     bonus: float = 4.0   # factor at first mention
     wearout: int = 4     # effective count at which the bonus is gone
     window: int = 200    # words of silence per reset point
     floor: int = 2       # reset never drops the count below this
 
-    def __post_init__(self):
-        if not (math.isfinite(self.bonus) and self.bonus > 0):
+    def __init__(self, bonus: float = bonus, wearout: int = wearout,
+                 window: int = window, floor: int = floor):
+        if not (math.isfinite(bonus) and bonus > 0):
             raise ValueError("bonus must be positive and finite")
-        if self.wearout < 1:
+        if wearout < 1:
             raise ValueError("wearout must be >= 1")
-        if self.window < 1:
+        if window < 1:
             raise ValueError("window must be >= 1")
-        if not 1 <= self.floor <= self.wearout:
+        if not 1 <= floor <= wearout:
             raise ValueError("floor must lie in [1, wearout]")
+        self.__dict__.update(bonus=bonus, wearout=wearout, window=window, floor=floor)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a FactorConfig")
+
+    def _key(self) -> tuple[float, int, int, int]:
+        return self.bonus, self.wearout, self.window, self.floor
+
+    def __eq__(self, other):
+        if type(other) is not FactorConfig:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def factor(x: int, cfg: FactorConfig = FactorConfig()) -> float:
@@ -114,10 +131,8 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
     the bundled German list; one lemma per line, ``#`` comments, UTF-8
     with or without a byte-order mark."""
     if path is None:
-        text = (
-            resources.files("rcsurp").joinpath("data/function_words_de.txt")
-            .read_text(encoding="utf-8")
-        )
+        text = (Path(__file__).with_name("data") / "function_words_de.txt").read_text(
+            encoding="utf-8")
     else:
         text = Path(path).read_text(encoding="utf-8-sig")
     lemmas = set()

@@ -20,9 +20,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
-from statistics import fmean
-from typing import Callable, Iterable, Mapping, Sequence, TextIO
+from functools import partial, total_ordering
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .accommodation import FactorConfig, Factors, accommodation_factors
 from .corpus import Document, Token
@@ -43,14 +42,35 @@ class Variant(enum.Enum):
         return Variant.EXTRAPOSED if self is Variant.IN_SITU else Variant.IN_SITU
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Span:
-    start: int
-    end: int  # exclusive
+    """A word-position interval ``[start, end)``, checked when built. A span
+    cannot be changed once built; it compares, orders and hashes as its
+    ``(start, end)`` pair."""
 
-    def __post_init__(self):
-        if self.start < 0 or self.end <= self.start:
-            raise ValueError(f"invalid span [{self.start}, {self.end})")
+    def __init__(self, start: int, end: int):
+        if start < 0 or end <= start:
+            raise ValueError(f"invalid span [{start}, {end})")
+        self.__dict__.update(start=start, end=end)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a Span")
+
+    def __repr__(self) -> str:
+        return f"Span(start={self.start!r}, end={self.end!r})"
+
+    def __eq__(self, other):
+        if type(other) is not Span:
+            return NotImplemented
+        return (self.start, self.end) == (other.start, other.end)
+
+    def __lt__(self, other):
+        if type(other) is not Span:
+            return NotImplemented
+        return (self.start, self.end) < (other.start, other.end)
+
+    def __hash__(self):
+        return hash((self.start, self.end))
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -62,8 +82,7 @@ class Span:
         return self.start < other.end and other.start < self.end
 
 
-@dataclass(frozen=True)
-class ClauseRecord:
+class ClauseRecord(NamedTuple):
     id: str
     doc_id: str
     variant: Variant
@@ -204,15 +223,18 @@ def parse_clause_annotations(
     return records
 
 
-@dataclass(frozen=True)
-class LinearToken:
+class LinearToken(NamedTuple):
     lemma: str
     doc_position: int
     part: str  # "matrix" or "rc"
 
 
-@dataclass(frozen=True)
-class Linearization:
+# ``relinearize`` builds each token without the NamedTuple's Python-level
+# ``__new__``, as ``corpus`` does for ``Token``.
+_new_linear_token = partial(tuple.__new__, LinearToken)
+
+
+class Linearization(NamedTuple):
     tokens: tuple[LinearToken, ...]
     initial_context: str
 
@@ -234,10 +256,9 @@ def relinearize(record: ClauseRecord, doc: Document, target: Variant) -> Lineari
     its sentence.
     """
     words = doc.word_tokens()
-    matrix = [
-        LinearToken(words[p].lemma, p, "matrix") for p in record.matrix_positions()
-    ]
-    rc = [LinearToken(words[p].lemma, p, "rc") for p in record.rc_span.positions()]
+    new_token = _new_linear_token
+    matrix = [new_token((words[p].lemma, p, "matrix")) for p in record.matrix_positions()]
+    rc = [new_token((words[p].lemma, p, "rc")) for p in record.rc_span.positions()]
 
     if target is Variant.IN_SITU:
         split = sum(1 for t in matrix if t.doc_position < record.attachment)
@@ -255,8 +276,7 @@ def relinearize(record: ClauseRecord, doc: Document, target: Variant) -> Lineari
     return Linearization(tuple(ordered), context)
 
 
-@dataclass(frozen=True)
-class ClauseMetrics:
+class ClauseMetrics(NamedTuple):
     adS: float
     avS: float
     n_scored: int
@@ -397,8 +417,7 @@ _TABLE_PLAN = {
 }
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     variant: Variant
     label: str
     n: int
@@ -419,7 +438,10 @@ def _summary_rows(
             scorer.metrics(r, documents[r.doc_id], mode, part, linearization)
             for r in records
         ]
-        means = (fmean(m.adS for m in ms), fmean(m.avS for m in ms)) if ms else (None, None)
+        means = (
+            (math.fsum(m.adS for m in ms) / len(ms), math.fsum(m.avS for m in ms) / len(ms))
+            if ms else (None, None)
+        )
         rows.append(TableRow(variant, label, len(ms), *means))
     return rows
 

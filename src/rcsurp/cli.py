@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import sys
 from contextlib import contextmanager
@@ -70,10 +69,6 @@ def _content_predicate(args: argparse.Namespace):
     )
     stoplist = accom.load_stoplist(args.stoplist) if args.stoplist else None
     return accom.make_content_predicate(pos, stoplist)
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @contextmanager
@@ -220,6 +215,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(outdir / name, "w", encoding="utf-8") as fh:
             write(rows, fh)
 
+    # Only this manifest hashes, so the other subcommands skip the import.
+    from hashlib import sha256
+
     inputs = [args.model, args.clauses, args.referents, *args.corpus]
     if args.stoplist:
         inputs.append(args.stoplist)
@@ -227,9 +225,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     canonical = json.dumps(config, sort_keys=True).encode("utf-8")
     manifest = {
         "config": config,
-        "config_sha256": hashlib.sha256(canonical).hexdigest(),
-        "inputs": {str(name): _sha256_file(Path(name)) for name in inputs},
-        "outputs": {name: _sha256_file(outdir / name) for name in bundle},
+        "config_sha256": sha256(canonical).hexdigest(),
+        "inputs": {str(name): sha256(Path(name).read_bytes()).hexdigest() for name in inputs},
+        "outputs": {name: sha256((outdir / name).read_bytes()).hexdigest() for name in bundle},
     }
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)

@@ -17,7 +17,6 @@ the early-modern virgule ``/``. Punctuation tokens carry no position.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import groupby
 from operator import attrgetter
@@ -49,15 +48,29 @@ class Token(NamedTuple):
 _new_token = partial(tuple.__new__, Token)
 
 
-@dataclass(frozen=True)
 class Document:
-    """An id and its tokens; a sentence is a run of one ``sentence_index``."""
+    """An id and its tokens; a sentence is a run of one ``sentence_index``.
 
-    id: str
-    tokens: tuple[Token, ...]
+    A document cannot be changed once built. It compares equal to, and
+    hashes like, another document with the same id and tokens.
+    """
 
-    # A cached property writes the instance ``__dict__`` directly, so the
-    # frozen constructor, equality, hashing and ``replace`` are unaffected.
+    def __init__(self, id: str, tokens: tuple[Token, ...]):
+        self.__dict__.update(id=id, tokens=tokens)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a Document")
+
+    def __eq__(self, other):
+        if type(other) is not Document:
+            return NotImplemented
+        return (self.id, self.tokens) == (other.id, other.tokens)
+
+    def __hash__(self):
+        return hash((self.id, self.tokens))
+
+    # A cached property writes the instance ``__dict__`` directly, past
+    # ``__setattr__``, and stays out of equality and hashing.
     @cached_property
     def _words(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if not t.is_punctuation)

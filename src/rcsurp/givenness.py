@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from functools import partial
+from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from .clauses import ClauseRecord, Variant
 from .corpus import Document
@@ -35,8 +35,7 @@ class SalienceCategory(enum.Enum):
 SALIENT_CATEGORIES = (SalienceCategory.GIVEN_SALIENT, SalienceCategory.SALIENT_TOPIC)
 
 
-@dataclass(frozen=True)
-class ReferentMention:
+class ReferentMention(NamedTuple):
     doc_id: str
     start: int
     end: int  # exclusive, word positions
@@ -47,6 +46,10 @@ class ReferentMention:
 
 
 ClassifiedMention = tuple[ReferentMention, SalienceCategory]
+
+# The loader builds each mention without the NamedTuple's Python-level
+# ``__new__``, as ``corpus`` does for ``Token``.
+_new_mention = partial(tuple.__new__, ReferentMention)
 
 
 def check_salience_window(window: int) -> None:
@@ -151,15 +154,14 @@ def load_referent_annotations(
                     f"mention of {referent_id!r} at [{start}, {end}) exceeds document {doc_id!r}"
                 )
             mentions.append(
-                ReferentMention(doc_id, start, end, referent_id, inferable, topic, i)
+                _new_mention((doc_id, start, end, referent_id, inferable, topic, i))
             )
     if problems:
         raise ValidationError(problems)
     return mentions
 
 
-@dataclass(frozen=True)
-class GivennessCounts:
+class GivennessCounts(NamedTuple):
     by_category: Mapping[SalienceCategory, int]
 
     @property
@@ -229,8 +231,7 @@ _GIVENNESS_ROWS = (
 )
 
 
-@dataclass(frozen=True)
-class GivennessRow:
+class GivennessRow(NamedTuple):
     label: str
     part: str
     variant: Variant

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterable
 
@@ -39,11 +38,21 @@ RESERVED = (START, END, UNK)
 DISCOUNT_EPS = 1e-6
 
 
-@dataclass(frozen=True)
 class Vocabulary:
-    """Dense 0-based lemma ids with the reserved symbols first."""
+    """Dense 0-based lemma ids with the reserved symbols first. The ``index``
+    cannot be replaced once built; two vocabularies are equal when their
+    indexes are, and a vocabulary has no hash."""
 
-    index: dict[str, int]
+    def __init__(self, index: dict[str, int]):
+        self.__dict__.update(index=index)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a Vocabulary")
+
+    def __eq__(self, other):
+        if type(other) is not Vocabulary:
+            return NotImplemented
+        return self.index == other.index
 
     @classmethod
     def from_lemmas(cls, lemmas: Iterable[str]) -> "Vocabulary":
@@ -69,16 +78,23 @@ class Vocabulary:
         return [w for w in self.words() if w not in (START, UNK)]
 
 
-@dataclass
 class BigramCounts:
     """Raw counts for one or more documents; ``train_kn`` derives the rest.
 
     ``c1`` counts tokens of each symbol in start/end-padded sentences, so
     ``sum_w c2(v, w) == c1(v)`` for every context except the end symbol.
+    Each counter starts empty unless given. Two counts are equal when both
+    counters are; a ``BigramCounts`` has no hash.
     """
 
-    c1: Counter = field(default_factory=Counter)
-    c2: Counter = field(default_factory=Counter)
+    def __init__(self, c1: Counter | None = None, c2: Counter | None = None):
+        self.c1 = Counter() if c1 is None else c1
+        self.c2 = Counter() if c2 is None else c2
+
+    def __eq__(self, other):
+        if type(other) is not BigramCounts:
+            return NotImplemented
+        return (self.c1, self.c2) == (other.c1, other.c2)
 
     def token_count(self) -> int:
         """Corpus word tokens (padding symbols excluded)."""
@@ -139,21 +155,38 @@ def estimate_discount(counts: BigramCounts) -> float:
     return discount
 
 
-@dataclass
 class KneserNeyBigramModel:
     """Queryable bigram model over linear-space probability tables.
 
     ``bigram_p`` stores the full interpolated probability for every
     counted bigram; all other pairs back off to ``bow[v] * unigram_p[w]``.
     The tables double as the ARPA serialization content, so a model
-    imported from ARPA behaves identically to the trained original.
+    imported from ARPA behaves identically to the trained original. Two
+    models are equal when their vocabularies, tables and discounts are; a
+    model has no hash.
     """
 
-    vocabulary: Vocabulary
-    unigram_p: dict[str, float]   # continuation distribution; START maps to 0.0
-    bow: dict[str, float]         # per-context backoff weight; 1.0 when unseen as context
-    bigram_p: dict[tuple[str, str], float]
-    discount: float | None = None  # estimation metadata; absent on imported models
+    def __init__(
+        self,
+        vocabulary: Vocabulary,
+        unigram_p: dict[str, float],  # continuation distribution; START maps to 0.0
+        bow: dict[str, float],        # per-context backoff weight; 1.0 when unseen as context
+        bigram_p: dict[tuple[str, str], float],
+        discount: float | None = None,  # estimation metadata; absent on imported models
+    ):
+        self.vocabulary = vocabulary
+        self.unigram_p = unigram_p
+        self.bow = bow
+        self.bigram_p = bigram_p
+        self.discount = discount
+
+    def _key(self) -> tuple:
+        return self.vocabulary, self.unigram_p, self.bow, self.bigram_p, self.discount
+
+    def __eq__(self, other):
+        if type(other) is not KneserNeyBigramModel:
+            return NotImplemented
+        return self._key() == other._key()
 
     def prob(self, context: str, word: str) -> float:
         """p(word | context), total and strictly positive. A symbol missing

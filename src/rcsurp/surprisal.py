@@ -16,7 +16,6 @@ and ``zip``, so no Python frame runs per word apart from ``prob`` itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import compress, count
 from operator import itemgetter, ne, neg
@@ -36,10 +35,24 @@ class SurprisalEntry(NamedTuple):
     doc_position: int
 
 
-@dataclass(frozen=True)
 class SurprisalAnnotation:
-    doc_id: str | None
-    entries: tuple[SurprisalEntry, ...]
+    """A document's (or a chain's, with ``doc_id`` None) scored entries.
+    It cannot be changed once built, and it compares equal to, and hashes
+    like, another annotation with the same id and entries."""
+
+    def __init__(self, doc_id: str | None, entries: tuple[SurprisalEntry, ...]):
+        self.__dict__.update(doc_id=doc_id, entries=entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a SurprisalAnnotation")
+
+    def __eq__(self, other):
+        if type(other) is not SurprisalAnnotation:
+            return NotImplemented
+        return (self.doc_id, self.entries) == (other.doc_id, other.entries)
+
+    def __hash__(self):
+        return hash((self.doc_id, self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)
