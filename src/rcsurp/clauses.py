@@ -297,6 +297,10 @@ class ClauseMetrics(NamedTuple):
         return cls(avS * n, avS, n, mode, linearization, part)
 
 
+# A scored chain by column: each token's part, document position and
+# surprisal in bits, in the order of its linearization.
+_Chain = tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...]]
+
 MODES = ("bare", "accommodated")
 PARTS = ("rc", "matrix", "combined")
 LINEARIZATIONS = ("attested", "hypothetical")
@@ -304,7 +308,11 @@ LINEARIZATIONS = ("attested", "hypothetical")
 
 class ClauseScorer:
     """Scores clause records against a trained model, caching the
-    per-document accommodation factors.
+    per-document accommodation factors and each record's scored chains.
+
+    A record has two chains, attested and hypothetical, and every
+    (mode, part) cell of a linearization filters and weights the same
+    chain, so each chain is re-linearized and annotated once per scorer.
 
     ``combined_excludes_matrix_first`` keeps the symmetric two-word
     exclusion for the combined metric; set it to False to drop only the
@@ -325,6 +333,9 @@ class ClauseScorer:
         # Factors by document id, each with the document they were built for:
         # ids may repeat across corpora, so an entry serves only that object.
         self._factor_cache: dict[str, tuple[Document, Factors]] = {}
+        # Scored chains by record object and linearization, each with the
+        # record and document it was scored for, under the same rule.
+        self._chain_cache: dict[tuple[int, str], tuple[ClauseRecord, Document, _Chain]] = {}
 
     def _factors(self, doc: Document) -> Factors:
         cached = self._factor_cache.get(doc.id)
@@ -333,6 +344,23 @@ class ClauseScorer:
                 doc, accommodation_factors(doc, self.content_predicate, self.accommodation)
             )
         return cached[1]
+
+    def _chain(self, record: ClauseRecord, doc: Document, linearization: str) -> _Chain:
+        key = (id(record), linearization)
+        cached = self._chain_cache.get(key)
+        if cached is None or cached[0] is not record or cached[1] is not doc:
+            target = record.variant if linearization == "attested" else record.variant.other()
+            linear = relinearize(record, doc, target)
+            positions = linear.positions()
+            annotation = annotate_sequence(
+                self.model, linear.lemmas(), linear.initial_context, positions
+            )
+            cached = self._chain_cache[key] = (record, doc, (
+                tuple(t.part for t in linear.tokens),
+                tuple(positions),
+                tuple(e.surprisal_bits for e in annotation.entries),
+            ))
+        return cached[2]
 
     def metrics(
         self,
@@ -356,28 +384,24 @@ class ClauseScorer:
         if linearization not in LINEARIZATIONS:
             raise ValueError(f"unknown linearization {linearization!r}")
 
-        target = record.variant if linearization == "attested" else record.variant.other()
-        linear = relinearize(record, doc, target)
-        annotation = annotate_sequence(
-            self.model, linear.lemmas(), linear.initial_context, linear.positions()
-        )
+        chain = self._chain(record, doc, linearization)
 
         rc_first = record.rc_span.start
-        matrix_first = min(record.matrix_positions())
+        # Spans are never empty, so this is the first matrix position.
+        matrix_first = min(span.start for span in record.matrix_spans)
         excluded = {rc_first}
         if part != "rc" and (part != "combined" or self.combined_excludes_matrix_first):
             excluded.add(matrix_first)
 
         values: list[float] = []
         factors = self._factors(doc) if mode == "accommodated" else None
-        for token, entry in zip(linear.tokens, annotation.entries):
-            if part != "combined" and token.part != part:
+        for token_part, position, value in zip(*chain):
+            if part != "combined" and token_part != part:
                 continue
-            if token.doc_position in excluded:
+            if position in excluded:
                 continue
-            value = entry.surprisal_bits
             if factors is not None:
-                value *= factors[token.doc_position][1]
+                value *= factors[position][1]
             values.append(value)
         if not values:
             raise ValueError(f"clause too short to score: {record.id} ({part})")

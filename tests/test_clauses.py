@@ -1,8 +1,10 @@
 import json
 import math
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcsurp import (
     ClauseMetrics,
@@ -20,6 +22,9 @@ from rcsurp import (
 )
 from rcsurp.accommodation import accommodation_factors
 from rcsurp.clauses import (
+    LINEARIZATIONS,
+    MODES,
+    PARTS,
     build_surprisal_table,
     render_table,
 )
@@ -341,6 +346,105 @@ def test_factors_are_not_shared_between_documents_with_one_id():
     scorer.metrics(record, first, "accommodated", "rc")
     shared = scorer.metrics(record, second, "accommodated", "rc")
     assert shared == ClauseScorer(model).metrics(record, second, "accommodated", "rc")
+
+
+_CELLS = [(mode, part, linearization)
+          for mode in MODES for part in PARTS for linearization in LINEARIZATIONS]
+
+
+def test_chains_are_not_shared_between_documents_with_one_id():
+    # A bare cell reads the scored chain, not the factors: a scorer that has
+    # scored a record against one document "d" must re-score it against another.
+    first = _doc_from_words("Herr sehen der Mann kommen Herr".split(), doc_id="d")
+    second = _doc_from_words("Mann Herr kommen der sehen Mann".split(), doc_id="d")
+    record = ClauseRecord("r", "d", Variant.EXTRAPOSED, (Span(0, 2),), Span(2, 6), 1)
+    model = train_kn(count_bigrams([first, second]), discount=0.5)
+    scorer = ClauseScorer(model)
+    for cell in [cell for cell in _CELLS if cell[0] == "bare"]:
+        own = [ClauseScorer(model).metrics(record, d, *cell) for d in (first, second)]
+        assert own[0] != own[1]
+        assert [scorer.metrics(record, d, *cell) for d in (first, second)] == own
+
+
+def test_equal_records_give_equal_cells(extraposed_record, doc, model):
+    twin = ClauseRecord(*extraposed_record)
+    assert twin == extraposed_record and twin is not extraposed_record
+    scorer = ClauseScorer(model)
+    for cell in _CELLS:
+        assert scorer.metrics(twin, doc, *cell) == scorer.metrics(extraposed_record, doc, *cell)
+
+
+def test_records_that_share_an_id_get_their_own_chains(doc, model):
+    # Record ids are unique within one annotation file, not across callers.
+    short = ClauseRecord("c", "d1", Variant.EXTRAPOSED, (Span(1, 4),), Span(6, 8), 3)
+    long = ClauseRecord("c", "d1", Variant.EXTRAPOSED, (Span(1, 6),), Span(6, 8), 4)
+    scorer = ClauseScorer(model)
+    for cell in _CELLS:
+        for record in (short, long):
+            assert scorer.metrics(record, doc, *cell) == ClauseScorer(model).metrics(
+                record, doc, *cell
+            )
+
+
+_PROPERTY_WORDS = "p0 m1 m2 H m3 m4 r1 r2 m1 H r1 m2 r2 m3".split()
+
+
+@cache
+def _property_doc_and_model():
+    doc = _doc_from_words(_PROPERTY_WORDS, sentence_breaks=(4, 9))
+    return doc, train_kn(count_bigrams([doc]), discount=0.5)
+
+
+@st.composite
+def _scorable_record_payloads(draw, record_id):
+    """A well-formed record, with at least two words in each part, on a
+    document of ``len(_PROPERTY_WORDS)`` words."""
+    n = len(_PROPERTY_WORDS)
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 4))
+        end = draw(st.integers(start + 2, n - 2))
+        rc_start = draw(st.integers(end, n - 2))
+        rc = [rc_start, draw(st.integers(rc_start + 2, n))]
+        attachment = draw(st.integers(start + 1, end))
+        variant, matrix = "extraposed", [[start, end]]
+    else:
+        a = draw(st.integers(0, n - 4))
+        b = draw(st.integers(a + 1, n - 3))
+        c = draw(st.integers(b + 2, n - 1))
+        d = draw(st.integers(c + 1, n))
+        variant, matrix, rc, attachment = "in_situ", [[a, b], [c, d]], [b, c], b
+        if draw(st.booleans()):
+            matrix.reverse()
+    return {"id": record_id, "doc": "d1", "variant": variant,
+            "matrix": matrix, "rc": rc, "attachment": attachment}
+
+
+@st.composite
+def _records_and_requests(draw):
+    """Records and a shuffled order of all their cells, some asked for twice."""
+    count = draw(st.integers(1, 3))
+    payloads = [draw(_scorable_record_payloads(f"c{i}")) for i in range(count)]
+    requests = [(i, cell) for i in range(count) for cell in _CELLS]
+    repeats = draw(st.lists(st.sampled_from(requests), max_size=8))
+    return payloads, draw(st.permutations(requests + repeats))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_records_and_requests(), st.booleans())
+def test_one_scorer_matches_fresh_scorers_and_reference(case, excludes_matrix_first):
+    doc, model = _property_doc_and_model()
+    payloads, requests = case
+    records = parse_clause_annotations(json.dumps(payloads), {"d1": doc})
+    scorer = ClauseScorer(model, combined_excludes_matrix_first=excludes_matrix_first)
+    for i, (mode, part, linearization) in requests:
+        record = records[i]
+        metrics = scorer.metrics(record, doc, mode, part, linearization)
+        fresh = ClauseScorer(model, combined_excludes_matrix_first=excludes_matrix_first)
+        assert metrics == fresh.metrics(record, doc, mode, part, linearization)
+        total, n = _reference_metrics(record, doc, model, mode, part, linearization,
+                                      excludes_matrix_first)
+        assert metrics.n_scored == n
+        assert metrics.adS == pytest.approx(total, abs=1e-9)
 
 
 def test_clause_too_short_to_score(doc, model):

@@ -1,12 +1,14 @@
 import gc
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import helpers
 from rcsurp import cli
+from rcsurp import clauses as cl
 from rcsurp.accommodation import FactorConfig
 from rcsurp.cli import main
 from rcsurp.givenness import SALIENCE_WINDOW
@@ -318,6 +320,28 @@ def test_analyze_deterministic(fixture_model, tmp_path):
     main(_analyze_args(fixture_model, out2))
     for path in sorted(out1.iterdir()):
         assert path.read_bytes() == (out2 / path.name).read_bytes(), path.name
+
+
+def test_analyze_scores_each_chain_once(fixture_model, tmp_path, monkeypatch):
+    # Six table cells per record over its two chains, attested and
+    # hypothetical: three rows in each of tables 2 and 3 for an in-situ
+    # record, two each and two hypotheticals for an extraposed one.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("relinearize", "annotate_sequence"):
+        monkeypatch.setattr(cl, name, counting(name, getattr(cl, name)))
+    monkeypatch.setattr(cl.ClauseScorer, "metrics",
+                        counting("metrics", cl.ClauseScorer.metrics))
+    assert main(_analyze_args(fixture_model, tmp_path / "out")) == 0
+    records = len(json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8")))
+    assert calls == {"relinearize": 2 * records, "annotate_sequence": 2 * records,
+                     "metrics": 6 * records}
 
 
 def test_analyze_manifest_records_the_stoplist_contents(fixture_model, tmp_path):

@@ -1,0 +1,62 @@
+"""Relations between whole ``analyze`` runs on the committed fixture.
+
+Each test changes the input in a way the paper's tables must not see and
+checks that all five tables are byte-identical to those of the plain run.
+No reference implementation is needed, so these catch a wrong answer that
+every unit oracle passes, such as a cache that serves one document's
+values for another.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from rcsurp.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures" / "minicorpus"
+CORPUS = FIXTURES / "corpus.vert"
+TABLES = ("table1.tsv", "table2.tsv", "table3.tsv", "hypotheticals.tsv", "chi_square.tsv")
+
+
+def _analyze(model, corpora, outdir):
+    argv = ["analyze", "--model", str(model)]
+    for corpus in corpora:
+        argv += ["--corpus", str(corpus)]
+    argv += ["--clauses", str(FIXTURES / "clauses.json"),
+             "--referents", str(FIXTURES / "referents.tsv"), "--outdir", str(outdir)]
+    assert main(argv) == 0
+    return {name: (outdir / name).read_bytes() for name in TABLES}
+
+
+def _documents(text):
+    """The corpus text split before each document header."""
+    return [block for block in re.split(r"(?m)^(?=# doc:)", text) if block]
+
+
+@pytest.fixture(scope="module")
+def plain_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("plain")
+    model = tmp / "model.arpa"
+    assert main(["train", "--corpus", str(CORPUS), "-o", str(model)]) == 0
+    return model, _analyze(model, [CORPUS], tmp / "out")
+
+
+def test_reversed_document_order_leaves_the_tables(plain_run, tmp_path):
+    model, tables = plain_run
+    documents = _documents(CORPUS.read_text(encoding="utf-8"))
+    assert len(documents) > 1
+    reversed_corpus = tmp_path / "reversed.vert"
+    reversed_corpus.write_text("".join(reversed(documents)), encoding="utf-8")
+    assert _analyze(model, [reversed_corpus], tmp_path / "out") == tables
+
+
+def test_unreferenced_document_leaves_the_tables(plain_run, tmp_path):
+    # A copy of the first document under a new id: the same words, scored as
+    # another document that no clause or mention refers to.
+    model, tables = plain_run
+    first = _documents(CORPUS.read_text(encoding="utf-8"))[0]
+    extra = tmp_path / "extra.vert"
+    extra.write_text(re.sub(r"^# doc: .*", "# doc: unreferenced", first), encoding="utf-8")
+    for corpora in ([CORPUS, extra], [extra, CORPUS]):
+        assert _analyze(model, corpora, tmp_path / "out") == tables
