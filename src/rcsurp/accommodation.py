@@ -20,6 +20,7 @@ from operator import itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
+from ._value import Frozen
 from .corpus import Document, Token
 from .surprisal import SurprisalAnnotation
 
@@ -31,10 +32,11 @@ DEFAULT_CONTENT_POS = frozenset({
 })
 
 
-class FactorConfig:
+class FactorConfig(Frozen):
     """The factor's parameters, checked when built; the class attributes are
-    the defaults. A config cannot be changed once built, and it compares
-    equal to, and hashes like, another config with the same four values."""
+    the defaults."""
+
+    _fields = ("bonus", "wearout", "window", "floor")
 
     bonus: float = 4.0   # factor at first mention
     wearout: int = 4     # effective count at which the bonus is gone
@@ -52,20 +54,6 @@ class FactorConfig:
         if not 1 <= floor <= wearout:
             raise ValueError("floor must lie in [1, wearout]")
         self.__dict__.update(bonus=bonus, wearout=wearout, window=window, floor=floor)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r} of a FactorConfig")
-
-    def _key(self) -> tuple[float, int, int, int]:
-        return self.bonus, self.wearout, self.window, self.floor
-
-    def __eq__(self, other):
-        if type(other) is not FactorConfig:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
 
 def factor(x: int, cfg: FactorConfig = FactorConfig()) -> float:

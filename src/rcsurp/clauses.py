@@ -23,7 +23,10 @@ import math
 from functools import partial, total_ordering
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
-from .accommodation import FactorConfig, Factors, accommodation_factors
+from ._value import Frozen
+from .accommodation import (
+    FactorConfig, Factors, accommodation_factors, make_content_predicate,
+)
 from .corpus import Document, Token
 from .errors import ParseError, ValidationError
 from .ngram import START, KneserNeyBigramModel
@@ -43,34 +46,24 @@ class Variant(enum.Enum):
 
 
 @total_ordering
-class Span:
-    """A word-position interval ``[start, end)``, checked when built. A span
-    cannot be changed once built; it compares, orders and hashes as its
-    ``(start, end)`` pair."""
+class Span(Frozen):
+    """A word-position interval ``[start, end)``, checked when built; spans
+    order by their ``(start, end)`` pair."""
+
+    _fields = ("start", "end")
 
     def __init__(self, start: int, end: int):
         if start < 0 or end <= start:
             raise ValueError(f"invalid span [{start}, {end})")
         self.__dict__.update(start=start, end=end)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r} of a Span")
-
     def __repr__(self) -> str:
         return f"Span(start={self.start!r}, end={self.end!r})"
-
-    def __eq__(self, other):
-        if type(other) is not Span:
-            return NotImplemented
-        return (self.start, self.end) == (other.start, other.end)
 
     def __lt__(self, other):
         if type(other) is not Span:
             return NotImplemented
-        return (self.start, self.end) < (other.start, other.end)
-
-    def __hash__(self):
-        return hash((self.start, self.end))
+        return self._key() < other._key()
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -328,7 +321,11 @@ class ClauseScorer:
     ):
         self.model = model
         self.accommodation = accommodation
-        self.content_predicate = content_predicate
+        # The default predicate reads the bundled stoplist, so it is built
+        # once here rather than once per document.
+        self.content_predicate = (
+            make_content_predicate() if content_predicate is None else content_predicate
+        )
         self.combined_excludes_matrix_first = combined_excludes_matrix_first
         # Factors by document id, each with the document they were built for:
         # ids may repeat across corpora, so an entry serves only that object.

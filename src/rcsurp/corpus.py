@@ -23,12 +23,16 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
+from ._value import Frozen
 from .errors import ParseError
 
 # Characters that make a token count as punctuation when they are all it
 # consists of. ``/`` is included because the historical texts this toolkit
 # targets use the virgule as a comma-like delimiter.
 DEFAULT_PUNCTUATION = frozenset('.,;:?!/()„“”"—')
+# ``str.strip`` removes every character of this string from both ends, so
+# nothing is left exactly when a surface is all punctuation.
+_PUNCTUATION_CHARS = "".join(DEFAULT_PUNCTUATION)
 
 DOC_HEADER = "# doc:"
 
@@ -48,29 +52,16 @@ class Token(NamedTuple):
 _new_token = partial(tuple.__new__, Token)
 
 
-class Document:
-    """An id and its tokens; a sentence is a run of one ``sentence_index``.
+class Document(Frozen):
+    """An id and its tokens; a sentence is a run of one ``sentence_index``."""
 
-    A document cannot be changed once built. It compares equal to, and
-    hashes like, another document with the same id and tokens.
-    """
+    _fields = ("id", "tokens")
 
     def __init__(self, id: str, tokens: tuple[Token, ...]):
         self.__dict__.update(id=id, tokens=tokens)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r} of a Document")
-
-    def __eq__(self, other):
-        if type(other) is not Document:
-            return NotImplemented
-        return (self.id, self.tokens) == (other.id, other.tokens)
-
-    def __hash__(self):
-        return hash((self.id, self.tokens))
-
     # A cached property writes the instance ``__dict__`` directly, past
-    # ``__setattr__``, and stays out of equality and hashing.
+    # ``__setattr__``; it is not a field.
     @cached_property
     def _words(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if not t.is_punctuation)
@@ -89,10 +80,7 @@ def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
     return iter(source)
 
 
-def load_vertical(
-    source: str | TextIO | Iterable[str],
-    punctuation: frozenset[str] = DEFAULT_PUNCTUATION,
-) -> list[Document]:
+def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
     """Parse vertical-format text into documents.
 
     ``source`` may be a string, an open text file, or any iterable of
@@ -100,7 +88,6 @@ def load_vertical(
     token lines, token lines outside any document, and duplicate
     document ids. An empty source yields an empty list.
     """
-    chars = "".join(punctuation)
     docs: list[Document] = []
     seen_ids: set[str] = set()
     # The open document: its id (None before the first header), its tokens,
@@ -114,9 +101,9 @@ def load_vertical(
     # Each token line seen so far, as read, mapped to its checked
     # ``(surface, lemma, pos, is_punctuation)``: a repeated line skips the
     # split and the checks, and its tokens share one set of strings. It
-    # lives for one call, because ``is_punctuation`` depends on
-    # ``punctuation``. Only token lines are stored, and only once a document
-    # is open, so a hit needs no check of the parser state either.
+    # lives for one call, so no call keeps the lines of an earlier input
+    # alive. Only token lines are stored, and only once a document is open,
+    # so a hit needs no check of the parser state either.
     parsed: dict[str, tuple[str, str, str | None, bool]] = {}
     new_token = _new_token
 
@@ -154,9 +141,7 @@ def load_vertical(
             pos = columns[2] if len(columns) == 3 and columns[2] else None
             if not surface:
                 raise ParseError("empty surface form", lineno)
-            # ``str.strip`` removes every character of the set from both
-            # ends, so nothing is left exactly when the surface is all of them.
-            punct = not surface.strip(chars)
+            punct = not surface.strip(_PUNCTUATION_CHARS)
             if not lemma and not punct:
                 raise ParseError(f"empty lemma for word token {surface!r}", lineno)
             fields = parsed[raw] = (surface, lemma or surface, pos, punct)
@@ -173,13 +158,11 @@ def load_vertical(
     return docs
 
 
-def load_vertical_file(
-    path: str | Path, punctuation: frozenset[str] = DEFAULT_PUNCTUATION
-) -> list[Document]:
+def load_vertical_file(path: str | Path) -> list[Document]:
     """Load a vertical file from disk. UTF-8 only, with or without a leading
     byte-order mark; invalid bytes are a hard error."""
     with open(path, encoding="utf-8-sig", errors="strict") as fh:
-        return load_vertical(fh, punctuation)
+        return load_vertical(fh)
 
 
 def resegment_sentences(doc: Document) -> Document:

@@ -27,6 +27,7 @@ from collections import Counter
 from operator import itemgetter
 from typing import Iterable
 
+from ._value import Frozen, Value
 from .corpus import Document, sentences
 from .errors import DegenerateCountsError, ParseError
 
@@ -38,21 +39,13 @@ RESERVED = (START, END, UNK)
 DISCOUNT_EPS = 1e-6
 
 
-class Vocabulary:
-    """Dense 0-based lemma ids with the reserved symbols first. The ``index``
-    cannot be replaced once built; two vocabularies are equal when their
-    indexes are, and a vocabulary has no hash."""
+class Vocabulary(Frozen):
+    """Dense 0-based lemma ids with the reserved symbols first."""
+
+    _fields = ("index",)
 
     def __init__(self, index: dict[str, int]):
         self.__dict__.update(index=index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r} of a Vocabulary")
-
-    def __eq__(self, other):
-        if type(other) is not Vocabulary:
-            return NotImplemented
-        return self.index == other.index
 
     @classmethod
     def from_lemmas(cls, lemmas: Iterable[str]) -> "Vocabulary":
@@ -78,23 +71,19 @@ class Vocabulary:
         return [w for w in self.words() if w not in (START, UNK)]
 
 
-class BigramCounts:
+class BigramCounts(Value):
     """Raw counts for one or more documents; ``train_kn`` derives the rest.
 
     ``c1`` counts tokens of each symbol in start/end-padded sentences, so
     ``sum_w c2(v, w) == c1(v)`` for every context except the end symbol.
-    Each counter starts empty unless given. Two counts are equal when both
-    counters are; a ``BigramCounts`` has no hash.
+    Each counter starts empty unless given.
     """
+
+    _fields = ("c1", "c2")
 
     def __init__(self, c1: Counter | None = None, c2: Counter | None = None):
         self.c1 = Counter() if c1 is None else c1
         self.c2 = Counter() if c2 is None else c2
-
-    def __eq__(self, other):
-        if type(other) is not BigramCounts:
-            return NotImplemented
-        return (self.c1, self.c2) == (other.c1, other.c2)
 
     def token_count(self) -> int:
         """Corpus word tokens (padding symbols excluded)."""
@@ -155,16 +144,16 @@ def estimate_discount(counts: BigramCounts) -> float:
     return discount
 
 
-class KneserNeyBigramModel:
+class KneserNeyBigramModel(Value):
     """Queryable bigram model over linear-space probability tables.
 
     ``bigram_p`` stores the full interpolated probability for every
     counted bigram; all other pairs back off to ``bow[v] * unigram_p[w]``.
     The tables double as the ARPA serialization content, so a model
-    imported from ARPA behaves identically to the trained original. Two
-    models are equal when their vocabularies, tables and discounts are; a
-    model has no hash.
+    imported from ARPA behaves identically to the trained original.
     """
+
+    _fields = ("vocabulary", "unigram_p", "bow", "bigram_p", "discount")
 
     def __init__(
         self,
@@ -179,14 +168,6 @@ class KneserNeyBigramModel:
         self.bow = bow
         self.bigram_p = bigram_p
         self.discount = discount
-
-    def _key(self) -> tuple:
-        return self.vocabulary, self.unigram_p, self.bow, self.bigram_p, self.discount
-
-    def __eq__(self, other):
-        if type(other) is not KneserNeyBigramModel:
-            return NotImplemented
-        return self._key() == other._key()
 
     def prob(self, context: str, word: str) -> float:
         """p(word | context), total and strictly positive. A symbol missing

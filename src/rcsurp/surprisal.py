@@ -21,6 +21,7 @@ from itertools import compress, count
 from operator import itemgetter, ne, neg
 from typing import Iterable, NamedTuple, Sequence
 
+from ._value import Frozen
 from .corpus import Document
 from .ngram import KneserNeyBigramModel, START
 
@@ -35,24 +36,13 @@ class SurprisalEntry(NamedTuple):
     doc_position: int
 
 
-class SurprisalAnnotation:
-    """A document's (or a chain's, with ``doc_id`` None) scored entries.
-    It cannot be changed once built, and it compares equal to, and hashes
-    like, another annotation with the same id and entries."""
+class SurprisalAnnotation(Frozen):
+    """A document's (or a chain's, with ``doc_id`` None) scored entries."""
+
+    _fields = ("doc_id", "entries")
 
     def __init__(self, doc_id: str | None, entries: tuple[SurprisalEntry, ...]):
         self.__dict__.update(doc_id=doc_id, entries=entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r} of a SurprisalAnnotation")
-
-    def __eq__(self, other):
-        if type(other) is not SurprisalAnnotation:
-            return NotImplemented
-        return (self.doc_id, self.entries) == (other.doc_id, other.entries)
-
-    def __hash__(self):
-        return hash((self.doc_id, self.entries))
 
     def __len__(self) -> int:
         return len(self.entries)

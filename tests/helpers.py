@@ -241,24 +241,23 @@ def reference_export_arpa(model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _all_punctuation(surface: str, punctuation: frozenset[str]) -> bool:
-    return bool(surface) and all(ch in punctuation for ch in surface)
+def _all_punctuation(surface: str) -> bool:
+    return bool(surface) and all(ch in DEFAULT_PUNCTUATION for ch in surface)
 
 
 class _DocumentBuilder:
     """Accumulates tokens for one document, assigning positions and
     sentence indices on the fly."""
 
-    def __init__(self, doc_id: str, punctuation: frozenset[str]):
+    def __init__(self, doc_id: str):
         self.doc_id = doc_id
-        self.punctuation = punctuation
         self.tokens: list[Token] = []
         self.sentence_index = 0
         self.sentence_open = False
         self.next_position = 0
 
     def add_token(self, surface: str, lemma: str, pos: str | None):
-        punct = _all_punctuation(surface, self.punctuation)
+        punct = _all_punctuation(surface)
         position = None
         if not punct:
             position = self.next_position
@@ -275,9 +274,7 @@ class _DocumentBuilder:
         return Document(self.doc_id, tuple(self.tokens))
 
 
-def reference_load_vertical(
-    source: str, punctuation: frozenset[str] = DEFAULT_PUNCTUATION
-) -> list[Document]:
+def reference_load_vertical(source: str) -> list[Document]:
     """The vertical-format loader as a per-document builder that splits and
     checks every line afresh, with no parsed-line cache, and tests
     punctuation character by character."""
@@ -295,7 +292,7 @@ def reference_load_vertical(
             seen_ids.add(doc_id)
             if builder is not None:
                 docs.append(builder.build())
-            builder = _DocumentBuilder(doc_id, punctuation)
+            builder = _DocumentBuilder(doc_id)
             continue
         if line.startswith("#"):
             continue
@@ -314,7 +311,7 @@ def reference_load_vertical(
         pos = columns[2] if len(columns) == 3 and columns[2] else None
         if not surface:
             raise ParseError("empty surface form", lineno)
-        if not lemma and not _all_punctuation(surface, punctuation):
+        if not lemma and not _all_punctuation(surface):
             raise ParseError(f"empty lemma for word token {surface!r}", lineno)
         builder.add_token(surface, lemma or surface, pos)
     if builder is not None:
@@ -346,11 +343,8 @@ def reference_resegment(doc: Document) -> Document:
 
 
 def write_vertical(docs) -> str:
-    """Serialize documents back to vertical format.
-
-    ``load_vertical`` is the exact inverse for output produced here,
-    provided the same punctuation set is used on reload.
-    """
+    """Serialize documents back to vertical format; ``load_vertical`` is
+    the exact inverse for output produced here."""
     out: list[str] = []
     for doc in docs:
         out.append(f"# doc: {doc.id}")

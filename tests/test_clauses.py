@@ -2,6 +2,7 @@ import json
 import math
 import random
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,13 @@ from rcsurp import (
     annotate_sequence,
     count_bigrams,
     load_vertical,
+    load_vertical_file,
     parse_clause_annotations,
     relinearize,
+    resegment_sentences,
     train_kn,
 )
+from rcsurp import accommodation
 from rcsurp.accommodation import accommodation_factors
 from rcsurp.clauses import (
     LINEARIZATIONS,
@@ -346,6 +350,26 @@ def test_factors_are_not_shared_between_documents_with_one_id():
     scorer.metrics(record, first, "accommodated", "rc")
     shared = scorer.metrics(record, second, "accommodated", "rc")
     assert shared == ClauseScorer(model).metrics(record, second, "accommodated", "rc")
+
+
+def test_default_predicate_reads_the_stoplist_once(monkeypatch):
+    fixtures = Path(__file__).parent / "fixtures" / "minicorpus"
+    docs = {d.id: resegment_sentences(d)
+            for d in load_vertical_file(fixtures / "corpus.vert")}
+    records = parse_clause_annotations(
+        (fixtures / "clauses.json").read_text(encoding="utf-8"), docs)
+    model = train_kn(count_bigrams(docs.values()))
+    calls = []
+    load_stoplist = accommodation.load_stoplist
+
+    def counting_load_stoplist(*args, **kwargs):
+        calls.append(args)
+        return load_stoplist(*args, **kwargs)
+
+    monkeypatch.setattr(accommodation, "load_stoplist", counting_load_stoplist)
+    build_surprisal_table(records, docs, ClauseScorer(model), "accommodated")
+    assert len({r.doc_id for r in records}) == 4
+    assert len(calls) == 1
 
 
 _CELLS = [(mode, part, linearization)

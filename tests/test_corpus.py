@@ -87,27 +87,16 @@ def test_loader_marks_punctuation_surfaces():
     assert [t.is_punctuation for t in tokens] == [True, True, False]
 
 
-@given(st.frozensets(st.characters(), min_size=1), st.data())
-def test_loader_punctuation_is_all_characters_in_set(punctuation, data):
-    # Surfaces mix characters of the set with arbitrary ones, so both
-    # outcomes are drawn often. A surface with a tab would split its line,
-    # and one that starts with ``#`` would make it a comment.
-    surface = data.draw(
-        st.text(st.sampled_from(sorted(punctuation)) | st.characters(), min_size=1)
-        .filter(lambda s: "\t" not in s and not s.startswith("#"))
-    )
-    (token,) = load_vertical(["# doc: d\n", f"{surface}\tl\n"], punctuation)[0].tokens
-    assert token.is_punctuation == all(ch in punctuation for ch in surface)
-
-
-def test_custom_punctuation_set():
-    docs = load_vertical(
-        "# doc: d1\na\ta\n/\t/\n-\t-\n.\t.\n-/\t-/\nb\tb\na-b\ta-b\n",
-        frozenset("/-"),
-    )
-    tokens = docs[0].tokens
-    assert [t.is_punctuation for t in tokens] == [False, True, True, False, True, False, False]
-    assert [t.doc_position for t in tokens] == [0, None, None, 1, None, 2, 3]
+# Surfaces mix characters of the set with arbitrary ones, so both outcomes
+# are drawn often. A surface with a tab would split its line, and one that
+# starts with ``#`` would make it a comment.
+@given(
+    st.text(st.sampled_from(sorted(DEFAULT_PUNCTUATION)) | st.characters(), min_size=1)
+    .filter(lambda s: "\t" not in s and not s.startswith("#"))
+)
+def test_loader_punctuation_is_all_characters_in_set(surface):
+    (token,) = load_vertical(["# doc: d\n", f"{surface}\tl\n"])[0].tokens
+    assert token.is_punctuation == all(ch in DEFAULT_PUNCTUATION for ch in surface)
 
 
 # --- Token and Document semantics ------------------------------------------
@@ -178,7 +167,7 @@ def test_loaded_and_renumbered_tokens_are_tokens():
 # include punctuation with an empty lemma and an empty third column.
 _valid_lines = [
     "der\tder\tART", "Mann\tMann\tNN", "sagt\tsagen", "gut\tgut\t",
-    "/\t/", "/\t", ".\t.\t$.", ".\t\t$.", "-\t-", "-\t",
+    "/\t/", "/\t", ".\t.\t$.", ".\t\t$.", "-\t-",
 ]
 # ``None`` opens a new document with a fresh id.
 _structure_lines = ["", "", "  ", "# a comment", None, None]
@@ -193,9 +182,8 @@ _malformed_lines = [
     st.lists(st.sampled_from(_valid_lines + _structure_lines), max_size=60),
     st.one_of(st.none(), st.tuples(st.sampled_from(_malformed_lines), st.integers(0, 60))),
     st.sampled_from(["\n", "\r\n"]),
-    st.sampled_from([DEFAULT_PUNCTUATION, frozenset("/-")]),
 )
-def test_loader_matches_builder_oracle(header, lines, malformed, newline, punctuation):
+def test_loader_matches_builder_oracle(header, lines, malformed, newline):
     ids = iter(range(1, len(lines) + 1))
     lines = (["# doc: d0"] if header else []) + [
         f"# doc: d{next(ids)}" if line is None else line for line in lines
@@ -205,28 +193,26 @@ def test_loader_matches_builder_oracle(header, lines, malformed, newline, punctu
         lines.insert(min(at, len(lines)), bad)
     text = newline.join(lines)
     try:
-        expected = helpers.reference_load_vertical(text, punctuation)
+        expected = helpers.reference_load_vertical(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as got:
-            load_vertical(text, punctuation)
+            load_vertical(text)
         assert (str(got.value), got.value.line) == (str(exc), exc.line)
     else:
-        docs = load_vertical(text, punctuation)
+        docs = load_vertical(text)
         assert docs == expected
         assert all(_numbered_densely(doc) for doc in docs)
 
 
 def test_parsed_lines_do_not_leak_across_calls():
-    # "-" is a word by default and punctuation in the custom set, where it
-    # may also have an empty lemma.
-    text = "# doc: d\na\ta\n-\t-\nb\tb\n-\t-\n"
-    dash = frozenset("-")
-    for punctuation in (DEFAULT_PUNCTUATION, dash, DEFAULT_PUNCTUATION):
-        docs = load_vertical(text, punctuation)
-        assert docs == helpers.reference_load_vertical(text, punctuation)
-    assert [t.doc_position for t in docs[0].tokens] == [0, 1, 2, 3]
+    # Each call parses its lines afresh, so its tokens share no strings with
+    # an earlier call's, and a line that parsed before is checked again.
+    text = "# doc: d\nMann\tMann\n-\t-\nb\tb\n-\t-\n"
+    first, second = (load_vertical(text) for _ in range(2))
+    assert first == second == helpers.reference_load_vertical(text)
+    assert [t.doc_position for t in second[0].tokens] == [0, 1, 2, 3]
+    assert first[0].tokens[0].surface is not second[0].tokens[0].surface
     no_lemma = "# doc: d\n-\t\na\ta\n-\t\n"
-    assert [t.lemma for t in load_vertical(no_lemma, dash)[0].tokens] == ["-", "a", "-"]
     with pytest.raises(ParseError, match="line 2: empty lemma for word token '-'"):
         load_vertical(no_lemma)
 

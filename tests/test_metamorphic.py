@@ -1,7 +1,9 @@
-"""Relations between whole ``analyze`` runs on the committed fixture.
+"""Relations between whole runs on the committed fixture.
 
-Each test changes the input in a way the paper's tables must not see and
-checks that all five tables are byte-identical to those of the plain run.
+Most tests change the input in a way the paper's tables must not see and
+check that all five tables (and, where they train, the model) are
+byte-identical to those of the plain run; one checks that a document's
+surprisal rows are the same alone as in a run over every document.
 No reference implementation is needed, so these catch a wrong answer that
 every unit oracle passes, such as a cache that serves one document's
 values for another.
@@ -49,6 +51,38 @@ def test_reversed_document_order_leaves_the_tables(plain_run, tmp_path):
     reversed_corpus = tmp_path / "reversed.vert"
     reversed_corpus.write_text("".join(reversed(documents)), encoding="utf-8")
     assert _analyze(model, [reversed_corpus], tmp_path / "out") == tables
+
+
+def test_corpus_split_over_two_files_leaves_the_model_and_tables(plain_run, tmp_path):
+    model, tables = plain_run
+    documents = _documents(CORPUS.read_text(encoding="utf-8"))
+    half = len(documents) // 2
+    parts = [tmp_path / "first.vert", tmp_path / "second.vert"]
+    for part, chunk in zip(parts, (documents[:half], documents[half:])):
+        part.write_text("".join(chunk), encoding="utf-8")
+    split_model = tmp_path / "split.arpa"
+    argv = ["train", "--corpus", str(parts[0]), "--corpus", str(parts[1]),
+            "-o", str(split_model)]
+    assert main(argv) == 0
+    assert split_model.read_bytes() == model.read_bytes()
+    assert _analyze(split_model, parts, tmp_path / "out") == tables
+
+
+def test_surprisal_of_one_document_is_its_rows_of_the_full_run(plain_run, tmp_path):
+    model, _ = plain_run
+    full = tmp_path / "all.tsv"
+    assert main(["surprisal", "--model", str(model), "--corpus", str(CORPUS),
+                 "-o", str(full)]) == 0
+    header, *rows = full.read_bytes().splitlines(keepends=True)
+    ids = [re.match(r"# doc: (.*)", block).group(1).strip()
+           for block in _documents(CORPUS.read_text(encoding="utf-8"))]
+    for doc_id in ids:
+        one = tmp_path / f"{doc_id}.tsv"
+        assert main(["surprisal", "--model", str(model), "--corpus", str(CORPUS),
+                     "--doc", doc_id, "-o", str(one)]) == 0
+        own = [row for row in rows if row.startswith(doc_id.encode() + b"\t")]
+        assert own
+        assert one.read_bytes() == header + b"".join(own)
 
 
 def test_unreferenced_document_leaves_the_tables(plain_run, tmp_path):

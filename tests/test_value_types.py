@@ -203,3 +203,21 @@ def test_annotation_length_is_its_entry_count(values):
     annotation = values["SurprisalAnnotation"][0]
     assert len(annotation) == len(annotation.entries) == 7
     assert len(SurprisalAnnotation(None, ())) == 0
+
+
+PLAIN = ("BigramCounts", "Document", "FactorConfig", "KneserNeyBigramModel", "Span",
+         "SurprisalAnnotation", "Vocabulary")
+
+
+def test_plain_value_equals_no_other_type_and_not_its_field_tuple(values):
+    # Unlike the NamedTuple types, these do not equal the tuple of their
+    # fields, nor a value of another type whose fields are equal.
+    pairs = [(Span(1, 3), (1, 3)), (Document("a", ()), SurprisalAnnotation("a", ()))]
+    for name in PLAIN:
+        value, names = values[name]
+        pairs.append((value, tuple(getattr(value, n) for n in names)))
+        pairs += [(value, other) for other_name, (other, _) in values.items()
+                  if other_name != name]
+    for a, b in pairs:
+        for left, right in ((a, b), (b, a)):
+            assert not left == right and left != right
