@@ -27,6 +27,7 @@ from .clauses import (
 from .corpus import (
     Document,
     Token,
+    Word,
     load_vertical,
     load_vertical_file,
     resegment_sentences,

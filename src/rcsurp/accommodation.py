@@ -15,13 +15,14 @@ document; state never crosses documents.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import compress, count, repeat
 from operator import itemgetter, not_
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
 from ._value import Frozen
-from .corpus import Document, Token
+from .corpus import Document, Word
 from .surprisal import SurprisalAnnotation
 
 # POS tags treated as content words (UD tags plus the common STTS ones).
@@ -134,21 +135,28 @@ def load_stoplist(path: str | Path | None = None) -> frozenset[str]:
 def make_content_predicate(
     content_pos: frozenset[str] = DEFAULT_CONTENT_POS,
     stoplist: frozenset[str] | None = None,
-) -> Callable[[Token], bool]:
-    """Token predicate for "content word": POS in the content set when a
+) -> Callable[[Word], bool]:
+    """Word predicate for "content word": POS in the content set when a
     tag is present, otherwise lemma not in the function-word stoplist
     (the bundled German list when ``stoplist`` is None)."""
     if stoplist is None:
         stoplist = load_stoplist()
 
-    def is_content(token: Token) -> bool:
-        if token.is_punctuation:
+    def is_content(word: Word) -> bool:
+        if word.is_punctuation:
             return False
-        if token.pos is not None:
-            return token.pos in content_pos
-        return token.lemma not in stoplist
+        if word.pos is not None:
+            return word.pos in content_pos
+        return word.lemma not in stoplist
 
     return is_content
+
+
+@cache
+def _default_content_predicate() -> Callable[[Word], bool]:
+    """The default predicate, built once, so the bundled stoplist is read
+    once per process."""
+    return make_content_predicate()
 
 
 # ``(x, factor)`` per word position; x is None for non-content words.
@@ -157,7 +165,7 @@ Factors = tuple[tuple[int | None, float], ...]
 
 def accommodation_factors(
     doc: Document,
-    content_predicate: Callable[[Token], bool] | None = None,
+    content_predicate: Callable[[Word], bool] | None = None,
     cfg: FactorConfig = FactorConfig(),
 ) -> Factors:
     """Scan a document once and give every word position its ``(x,
@@ -166,25 +174,30 @@ def accommodation_factors(
 
     Factors depend only on the lemma stream, so they can be applied to
     scores from any re-linearization anchored at the same positions.
+
+    ``content_predicate`` is called with each word as a ``Word``: a loaded
+    document passes its rows, so the predicate may read only ``lemma``,
+    ``pos`` and ``is_punctuation``, by name.
     """
     if content_predicate is None:
-        content_predicate = make_content_predicate()
+        content_predicate = _default_content_predicate()
     state = AccommodationState()
+    columns = doc._word_columns
     return tuple(
-        state.observe(token.lemma, token.doc_position, cfg)
-        if content_predicate(token) else (None, 1.0)
-        for token in doc.word_tokens()
+        state.observe(word.lemma, position, cfg) if content_predicate(word) else (None, 1.0)
+        for word, position in zip(columns.words, columns.positions)
     )
 
 
 def accommodate_document(
     annotation: SurprisalAnnotation,
     doc: Document,
-    content_predicate: Callable[[Token], bool] | None = None,
+    content_predicate: Callable[[Word], bool] | None = None,
     cfg: FactorConfig = FactorConfig(),
 ) -> Factors:
     """The mention-history factors for a document's surprisal annotation,
-    which must align one-to-one with the document's word tokens."""
+    which must align one-to-one with the document's word tokens.
+    ``content_predicate`` is called as by ``accommodation_factors``."""
     if list(map(itemgetter(4), annotation.entries)) != list(range(doc.word_count())):
         raise ValueError("annotation does not align with the document's word tokens")
     return accommodation_factors(doc, content_predicate, cfg)

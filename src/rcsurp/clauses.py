@@ -20,14 +20,15 @@ from __future__ import annotations
 import enum
 import json
 import math
+from bisect import bisect_left
 from functools import partial, total_ordering
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from ._value import Frozen
 from .accommodation import (
-    FactorConfig, Factors, accommodation_factors, make_content_predicate,
+    FactorConfig, Factors, _default_content_predicate, accommodation_factors,
 )
-from .corpus import Document, Token
+from .corpus import Document, Word
 from .errors import ParseError, ValidationError
 from .ngram import START, KneserNeyBigramModel
 from .surprisal import annotate_sequence
@@ -248,10 +249,11 @@ def relinearize(record: ClauseRecord, doc: Document, target: Variant) -> Lineari
     clause word in the document, or the start symbol when that word opens
     its sentence.
     """
-    words = doc.word_tokens()
+    columns = doc._word_columns
+    lemmas = columns.lemmas
     new_token = _new_linear_token
-    matrix = [new_token((words[p].lemma, p, "matrix")) for p in record.matrix_positions()]
-    rc = [new_token((words[p].lemma, p, "rc")) for p in record.rc_span.positions()]
+    matrix = [new_token((lemmas[p], p, "matrix")) for p in record.matrix_positions()]
+    rc = [new_token((lemmas[p], p, "rc")) for p in record.rc_span.positions()]
 
     if target is Variant.IN_SITU:
         split = sum(1 for t in matrix if t.doc_position < record.attachment)
@@ -260,12 +262,10 @@ def relinearize(record: ClauseRecord, doc: Document, target: Variant) -> Lineari
         ordered = matrix + rc
 
     first_position = ordered[0].doc_position
-    if first_position == 0:
-        context = START
-    else:
-        previous = words[first_position - 1]
-        current = words[first_position]
-        context = START if previous.sentence_index != current.sentence_index else previous.lemma
+    starts = columns.starts
+    i = bisect_left(starts, first_position)
+    opens_sentence = i < len(starts) and starts[i] == first_position
+    context = START if opens_sentence else lemmas[first_position - 1]
     return Linearization(tuple(ordered), context)
 
 
@@ -309,22 +309,21 @@ class ClauseScorer:
 
     ``combined_excludes_matrix_first`` keeps the symmetric two-word
     exclusion for the combined metric; set it to False to drop only the
-    relative pronoun there.
+    relative pronoun there. ``content_predicate`` is called as by
+    ``accommodation_factors``, with ``Word``s.
     """
 
     def __init__(
         self,
         model: KneserNeyBigramModel,
         accommodation: FactorConfig = FactorConfig(),
-        content_predicate: Callable[[Token], bool] | None = None,
+        content_predicate: Callable[[Word], bool] | None = None,
         combined_excludes_matrix_first: bool = True,
     ):
         self.model = model
         self.accommodation = accommodation
-        # The default predicate reads the bundled stoplist, so it is built
-        # once here rather than once per document.
         self.content_predicate = (
-            make_content_predicate() if content_predicate is None else content_predicate
+            _default_content_predicate() if content_predicate is None else content_predicate
         )
         self.combined_excludes_matrix_first = combined_excludes_matrix_first
         # Factors by document id, each with the document they were built for:

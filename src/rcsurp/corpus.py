@@ -9,6 +9,14 @@ treated as comments. A file may start with a UTF-8 byte-order mark.
 A ``Token`` is a ``NamedTuple``: it compares equal to, and hashes like, the
 plain tuple of its six fields in order.
 
+A loaded ``Document`` holds the loader's parsed rows, one shared
+``(surface, lemma, pos, is_punctuation)`` tuple per distinct token line,
+and the row index where each sentence starts. Its ``tokens`` are built the
+first time they are asked for. Counting and scoring read the document's
+cached word columns instead (word rows, lemmas, sentence starts and word
+positions), which a document built from its tokens derives from them, so
+they build no ``Token``.
+
 Word positions (``doc_position``) count non-punctuation tokens only, so
 that distances measured in "words" are not inflated by delimiters such as
 the early-modern virgule ``/``. Punctuation tokens carry no position.
@@ -18,10 +26,10 @@ from __future__ import annotations
 
 import io
 from functools import cached_property, partial
-from itertools import groupby
-from operator import attrgetter
+from itertools import accumulate, compress, count, repeat
+from operator import eq, itemgetter, ne, not_
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence, TextIO
 
 from ._value import Frozen
 from .errors import ParseError
@@ -46,38 +54,134 @@ class Token(NamedTuple):
     is_punctuation: bool
 
 
+class _Row(NamedTuple):
+    """One checked token line, shared by every repeat of that line."""
+
+    surface: str
+    lemma: str
+    pos: str | None
+    is_punctuation: bool
+
+
 # ``Token(*fields)`` runs the NamedTuple's Python-level ``__new__``, which
 # only calls ``tuple.__new__(Token, fields)``; the loops below call that
 # directly and get the same ``Token`` without the extra frame.
 _new_token = partial(tuple.__new__, Token)
+_new_row = partial(tuple.__new__, _Row)
+
+
+class Word(Protocol):
+    """What counting, scoring and a content predicate read of a word: a
+    ``Token``, or a loaded document's row, which has no position or
+    sentence index and is not indexed like a ``Token``."""
+
+    @property
+    def lemma(self) -> str: ...
+    @property
+    def pos(self) -> str | None: ...
+    @property
+    def is_punctuation(self) -> bool: ...
+
+
+class _WordColumns(NamedTuple):
+    words: Sequence[Word]
+    lemmas: list[str]
+    starts: Sequence[int]  # the word index where each sentence with a word starts
+    positions: Sequence[int]
 
 
 class Document(Frozen):
-    """An id and its tokens; a sentence is a run of one ``sentence_index``."""
+    """An id and its tokens; a sentence is a run of one ``sentence_index``.
+
+    A loaded document holds the loader's rows and sentence starts instead
+    and builds its tokens from them on first use; equality and hashing
+    still compare ids and tokens."""
 
     _fields = ("id", "tokens")
+    # A loaded document's rows, sentence starts and re-segmentation source,
+    # set by ``_loaded``; a document built from its tokens has no rows.
+    _rows: tuple[_Row, ...] | None = None
+    _starts: tuple[int, ...]
+    _source: Document | None
 
     def __init__(self, id: str, tokens: tuple[Token, ...]):
         self.__dict__.update(id=id, tokens=tokens)
 
+    @classmethod
+    def _loaded(cls, id: str, rows: tuple[_Row, ...], starts: tuple[int, ...],
+                source: Document | None = None) -> Document:
+        """A document of parsed rows, ``starts`` the increasing row indices
+        where its sentences start. A re-segmented document names its
+        ``source``, whose unmoved tokens its own tokens share."""
+        doc = cls.__new__(cls)
+        doc.__dict__.update(id=id, _rows=rows, _starts=starts, _source=source)
+        return doc
+
     # A cached property writes the instance ``__dict__`` directly, past
-    # ``__setattr__``; it is not a field.
+    # ``__setattr__``; the ``tokens`` that ``__init__`` stores there shadow
+    # this one, and neither cached view is a field.
+    @cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        if self._source is not None:
+            return tuple(_renumbered(self._source.tokens)[0])
+        rows, starts = self._rows, self._starts
+        new_token = _new_token
+        tokens: list[Token] = []
+        position = 0
+        for sentence_index, (start, end) in enumerate(zip(starts, [*starts[1:], len(rows)])):
+            for surface, lemma, pos, punct in rows[start:end]:
+                if punct:
+                    tokens.append(new_token((surface, lemma, pos, None, sentence_index, True)))
+                else:
+                    tokens.append(new_token((surface, lemma, pos, position, sentence_index, False)))
+                    position += 1
+        return tuple(tokens)
+
     @cached_property
     def _words(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if not t.is_punctuation)
+
+    @cached_property
+    def _word_columns(self) -> _WordColumns:
+        """The view that counting and scoring read, the same from rows as
+        from tokens."""
+        rows = self._rows
+        if rows is None:
+            words = self._words
+            index = list(map(itemgetter(4), words))
+            starts = [0, *compress(count(1), map(ne, index[1:], index))] if words else []
+            positions = list(map(itemgetter(3), words))
+        else:
+            is_word = list(map(not_, map(itemgetter(3), rows)))
+            words = list(compress(rows, is_word))
+            # A sentence's word start is the count of words before its first
+            # row; a sentence without words shares it with the next, and the
+            # last word is followed by none.
+            words_before = list(accumulate(is_word, initial=0))
+            starts = list(dict.fromkeys(map(words_before.__getitem__, self._starts)))
+            if starts and starts[-1] == len(words):
+                starts.pop()
+            positions = range(len(words))
+        return _WordColumns(words, list(map(itemgetter(1), words)), starts, positions)
 
     def word_tokens(self) -> tuple[Token, ...]:
         """The non-punctuation tokens in order, built once on first use."""
         return self._words
 
     def word_count(self) -> int:
-        return len(self._words)
+        return len(self._word_columns.words)
 
 
 def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
     if isinstance(source, str):
         return iter(io.StringIO(source))
     return iter(source)
+
+
+def _closed(doc_id: str, rows: list[_Row], starts: list[int]) -> Document:
+    if starts[-1] == len(rows):  # no row followed the last boundary
+        starts.pop()
+    return Document._loaded(doc_id, tuple(rows), tuple(starts))
 
 
 def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
@@ -90,26 +194,24 @@ def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
     """
     docs: list[Document] = []
     seen_ids: set[str] = set()
-    # The open document: its id (None before the first header), its tokens,
-    # the current sentence index, whether that sentence has a token yet, and
-    # the next word position.
+    # The open document: its id (None before the first header), its rows,
+    # the row index where each of its sentences starts, and whether the
+    # last sentence has a row yet.
     doc_id: str | None = None
-    tokens: list[Token] = []
-    sentence_index = 0
+    rows: list[_Row] = []
+    starts = [0]
     sentence_open = False
-    next_position = 0
-    # Each token line seen so far, as read, mapped to its checked
-    # ``(surface, lemma, pos, is_punctuation)``: a repeated line skips the
-    # split and the checks, and its tokens share one set of strings. It
-    # lives for one call, so no call keeps the lines of an earlier input
-    # alive. Only token lines are stored, and only once a document is open,
-    # so a hit needs no check of the parser state either.
-    parsed: dict[str, tuple[str, str, str | None, bool]] = {}
-    new_token = _new_token
+    # Each token line seen so far, as read, mapped to its checked row: a
+    # repeated line skips the split and the checks, and its documents share
+    # one row. It lives for one call, so no call keeps the lines of an
+    # earlier input alive. Only token lines are stored, and only once a
+    # document is open, so a hit needs no check of the parser state either.
+    parsed: dict[str, _Row] = {}
+    new_row = _new_row
 
     for lineno, raw in enumerate(_iter_lines(source), start=1):
-        fields = parsed.get(raw)
-        if fields is None:
+        row = parsed.get(raw)
+        if row is None:
             line = raw.rstrip("\n").rstrip("\r")
             if line.startswith(DOC_HEADER):
                 new_id = line[len(DOC_HEADER):].strip()
@@ -119,15 +221,14 @@ def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
                     raise ParseError(f"duplicate document id {new_id!r}", lineno)
                 seen_ids.add(new_id)
                 if doc_id is not None:
-                    docs.append(Document(doc_id, tuple(tokens)))
-                doc_id, tokens = new_id, []
-                sentence_index, sentence_open, next_position = 0, False, 0
+                    docs.append(_closed(doc_id, rows, starts))
+                doc_id, rows, starts, sentence_open = new_id, [], [0], False
                 continue
             if line.startswith("#"):
                 continue  # comment
             if not line.strip():
                 if sentence_open:
-                    sentence_index += 1
+                    starts.append(len(rows))
                     sentence_open = False
                 continue
             if doc_id is None:
@@ -144,17 +245,12 @@ def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
             punct = not surface.strip(_PUNCTUATION_CHARS)
             if not lemma and not punct:
                 raise ParseError(f"empty lemma for word token {surface!r}", lineno)
-            fields = parsed[raw] = (surface, lemma or surface, pos, punct)
-        surface, lemma, pos, punct = fields
-        if punct:
-            tokens.append(new_token((surface, lemma, pos, None, sentence_index, True)))
-        else:
-            tokens.append(new_token((surface, lemma, pos, next_position, sentence_index, False)))
-            next_position += 1
+            row = parsed[raw] = new_row((surface, lemma or surface, pos, punct))
+        rows.append(row)
         sentence_open = True
 
     if doc_id is not None:
-        docs.append(Document(doc_id, tuple(tokens)))
+        docs.append(_closed(doc_id, rows, starts))
     return docs
 
 
@@ -165,23 +261,16 @@ def load_vertical_file(path: str | Path) -> list[Document]:
         return load_vertical(fh)
 
 
-def resegment_sentences(doc: Document) -> Document:
-    """Introduce a sentence boundary after every token whose surface is
-    exactly ``"."``, keeping all original boundaries.
-
-    Token order and word positions are unchanged; sentence indices are
-    renumbered densely from 0. Tokens whose sentence index stays the same
-    are shared with the input, and the input document itself is returned
-    exactly when no index changes. Idempotent.
-    """
-    if not doc.tokens:
-        return doc
+def _renumbered(tokens: tuple[Token, ...]) -> tuple[list[Token], bool]:
+    """``tokens`` with a sentence boundary after each ``"."`` and indices
+    renumbered densely from 0, and whether any index changed. Tokens whose
+    index stays are the input's objects."""
     new_tokens: list[Token] = []
     moved = False
     sentence_index = 0
     boundary_pending = False
-    previous_original = doc.tokens[0].sentence_index
-    for token in doc.tokens:
+    previous_original = tokens[0].sentence_index if tokens else 0
+    for token in tokens:
         original = token.sentence_index
         if original != previous_original:
             boundary_pending = True
@@ -198,12 +287,36 @@ def resegment_sentences(doc: Document) -> Document:
         new_tokens.append(token)
         if token.surface == ".":
             boundary_pending = True
-    return Document(doc.id, tuple(new_tokens)) if moved else doc
+    return new_tokens, moved
+
+
+def resegment_sentences(doc: Document) -> Document:
+    """Introduce a sentence boundary after every token whose surface is
+    exactly ``"."``, keeping all original boundaries.
+
+    Token order and word positions are unchanged; sentence indices are
+    renumbered densely from 0. Tokens whose sentence index stays the same
+    are shared with the input, and the input document itself is returned
+    exactly when no index changes. Idempotent. A loaded document gets the
+    new sentence starts over the same rows, and builds no token.
+    """
+    rows = doc._rows
+    if rows is None:
+        tokens, moved = _renumbered(doc.tokens)
+        return Document(doc.id, tuple(tokens)) if moved else doc
+    # The row after each "." starts a sentence, if there is one.
+    after_stop = set(compress(count(1), map(eq, map(itemgetter(0), rows), repeat("."))))
+    after_stop.discard(len(rows))
+    added = after_stop.difference(doc._starts)
+    if not added:
+        return doc
+    return Document._loaded(doc.id, rows, tuple(sorted(added.union(doc._starts))), doc)
 
 
 def sentences(doc: Document) -> Iterator[list[str]]:
-    """Yield per-sentence lists of word lemmas; punctuation is skipped, so
+    """The per-sentence lists of word lemmas; punctuation is skipped, so
     it is transparent to bigram context, and punctuation-only sentences
     yield nothing."""
-    for _, tokens in groupby(doc.word_tokens(), key=attrgetter("sentence_index")):
-        yield [t.lemma for t in tokens]
+    columns = doc._word_columns
+    lemmas, starts = columns.lemmas, columns.starts
+    return map(lemmas.__getitem__, map(slice, starts, [*starts[1:], len(lemmas)]))

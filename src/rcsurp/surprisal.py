@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from itertools import compress, count
-from operator import itemgetter, ne, neg
+from operator import neg
 from typing import Iterable, NamedTuple, Sequence
 
 from ._value import Frozen
@@ -100,13 +99,12 @@ def annotate_document(
 ) -> SurprisalAnnotation:
     """Score every word token of a sentence-segmented document, the
     context reset at each sentence that ``count_bigrams`` trains on."""
-    words = doc.word_tokens()
-    lemmas = list(map(itemgetter(1), words))
+    columns = doc._word_columns
+    lemmas = columns.lemmas
     contexts = [START, *lemmas[:-1]] if lemmas else []
-    # A word whose sentence index differs from the previous word's starts a
-    # sentence, as ``sentences`` groups them.
-    sentence_index = list(map(itemgetter(4), words))
-    for i in compress(count(1), map(ne, sentence_index[1:], sentence_index)):
+    # Each sentence's first word is scored after the start symbol, as
+    # ``sentences`` splits them.
+    for i in columns.starts:
         contexts[i] = START
     return SurprisalAnnotation(
         doc.id, _score(model, lemmas, contexts, range(len(lemmas)), doc.id)

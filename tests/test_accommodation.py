@@ -1,5 +1,6 @@
 import io
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,9 +10,15 @@ from rcsurp import (
     AccommodationState,
     FactorConfig,
     accommodate_document,
+    accommodation,
+    annotate_document,
+    count_bigrams,
     factor,
     load_vertical,
+    load_vertical_file,
     next_x,
+    resegment_sentences,
+    train_kn,
 )
 from rcsurp.accommodation import (
     accommodation_factors,
@@ -374,3 +381,26 @@ def test_counter_ignores_function_word_occurrences():
     assert factors[0] == (1, 4.0)
     assert factors[1] == (None, 1.0)
     assert factors[2] == (2, 2.0)
+
+
+def test_default_predicate_reads_the_stoplist_once_per_process(monkeypatch):
+    # Weighting each fixture document with the default predicate reads the
+    # bundled stoplist once. The cache is emptied first, so that a read by
+    # an earlier test does not hide one.
+    corpus = Path(__file__).parent / "fixtures" / "minicorpus" / "corpus.vert"
+    docs = [resegment_sentences(doc) for doc in load_vertical_file(corpus)]
+    model = train_kn(count_bigrams(docs))
+    calls = []
+    load = accommodation.load_stoplist
+
+    def counting_load_stoplist(*args, **kwargs):
+        calls.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(accommodation, "load_stoplist", counting_load_stoplist)
+    accommodation._default_content_predicate.cache_clear()
+    for doc in docs:
+        accommodate_document(annotate_document(model, doc), doc)
+        accommodation_factors(doc)
+    assert len(docs) == 4
+    assert len(calls) == 1

@@ -367,6 +367,7 @@ def test_default_predicate_reads_the_stoplist_once(monkeypatch):
         return load_stoplist(*args, **kwargs)
 
     monkeypatch.setattr(accommodation, "load_stoplist", counting_load_stoplist)
+    accommodation._default_content_predicate.cache_clear()
     build_surprisal_table(records, docs, ClauseScorer(model), "accommodated")
     assert len({r.doc_id for r in records}) == 4
     assert len(calls) == 1

@@ -9,6 +9,7 @@ import pytest
 import helpers
 from rcsurp import cli
 from rcsurp import clauses as cl
+from rcsurp import corpus
 from rcsurp.accommodation import FactorConfig
 from rcsurp.cli import main
 from rcsurp.givenness import SALIENCE_WINDOW
@@ -342,6 +343,34 @@ def test_analyze_scores_each_chain_once(fixture_model, tmp_path, monkeypatch):
     records = len(json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8")))
     assert calls == {"relinearize": 2 * records, "annotate_sequence": 2 * records,
                      "metrics": 6 * records}
+
+
+def test_pipeline_builds_no_token(fixture_model, tmp_path, monkeypatch, capsys):
+    # The subcommands read each document's word columns, never its tokens.
+    built = []
+    new_token = corpus._new_token
+
+    def counting_new_token(fields):
+        built.append(fields)
+        return new_token(fields)
+
+    monkeypatch.setattr(corpus, "_new_token", counting_new_token)
+    annotations = ["--clauses", str(FIXTURES / "clauses.json"),
+                   "--referents", str(FIXTURES / "referents.tsv")]
+    commands = [
+        ["train", "--corpus", str(FIXTURES / "corpus.vert"), "-o", str(tmp_path / "m.arpa")],
+        ["surprisal", "--model", str(fixture_model), "--corpus", str(FIXTURES / "corpus.vert"),
+         "-o", str(tmp_path / "s.tsv")],
+        _analyze_args(fixture_model, tmp_path / "out"),
+        ["givenness", "--corpus", str(FIXTURES / "corpus.vert"), *annotations],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv[0]
+    assert built == []
+    # The counter sees every token that a loaded document does build.
+    doc = corpus.load_vertical_file(FIXTURES / "corpus.vert")[0]
+    assert len(doc.tokens) > doc.word_count() > 0
+    assert len(built) == len(doc.tokens)
 
 
 def test_analyze_manifest_records_the_stoplist_contents(fixture_model, tmp_path):

@@ -11,7 +11,11 @@ from rcsurp import (
     load_vertical_file,
     resegment_sentences,
 )
-from rcsurp.corpus import DEFAULT_PUNCTUATION, Token
+from rcsurp.accommodation import accommodation_factors
+from rcsurp.clauses import ClauseRecord, Span, Variant, relinearize
+from rcsurp.corpus import DEFAULT_PUNCTUATION, Token, sentences
+from rcsurp.ngram import count_bigrams, train_kn
+from rcsurp.surprisal import annotate_document
 
 
 def test_minimal_vertical():
@@ -400,3 +404,64 @@ def test_word_view_is_the_punctuation_filter(words, data):
     # view stays out of equality and hashing.
     fresh = Document(once.id, once.tokens)
     assert fresh == once and hash(fresh) == hash(once)
+
+
+# --- word columns of loaded rows against hand-built tokens ------------------
+
+# Token lines with punctuation among the words, a "." inside sentences,
+# POS tags on some, and an empty lemma on punctuation; comments, runs of
+# blank lines (one only spaces) and further document headers between them.
+_column_lines = st.sampled_from([
+    "der\tder\tART", "Mann\tMann\tNN", "sagt\tsagen", "gut\tgut\tADJD", "Herr\tHerr",
+    ".\t.\t$.", ".\t", "/\t/", ",\t,", "# a comment", "", "", "   ", None,
+])
+_COLUMN_MODEL = train_kn(count_bigrams(load_vertical(
+    "# doc: m\nder\tder\nMann\tMann\nsagt\tsagen\n\nHerr\tHerr\nsagt\tsagen\ngut\tgut\n"
+)), discount=0.5)
+
+
+def _records(n, data):
+    """A valid record of each variant over ``n`` words, drawn from ``data``:
+    matrix ``[a, b)``, relative clause ``[b, c)`` and, in situ, the rest of
+    the matrix from ``c``; none when there are fewer than three words."""
+    if n < 3:
+        return []
+    a = data.draw(st.integers(0, n - 3))
+    b = data.draw(st.integers(a + 1, n - 2))
+    c = data.draw(st.integers(b + 1, n))
+    attachment = data.draw(st.integers(a + 1, b))
+    records = [ClauseRecord("x", "d", Variant.EXTRAPOSED, (Span(a, b),), Span(b, c), attachment)]
+    if c < n:
+        records.append(
+            ClauseRecord("i", "d", Variant.IN_SITU, (Span(a, b), Span(c, n)), Span(b, c), b))
+    return records
+
+
+def _column_results(doc, records):
+    """Everything the pipeline reads from a document's word columns."""
+    return (
+        doc.word_count(),
+        list(sentences(doc)),
+        annotate_document(_COLUMN_MODEL, doc),
+        accommodation_factors(doc),
+        [relinearize(r, doc, target) for r in records for target in Variant],
+    )
+
+
+@given(st.lists(_column_lines, max_size=50), st.sampled_from(["\n", "\r\n"]), st.data())
+def test_loaded_rows_read_like_hand_built_tokens(lines, newline, data):
+    ids = iter(range(1, len(lines) + 1))
+    text = newline.join(["# doc: d0"] + [
+        f"# doc: d{next(ids)}" if line is None else line for line in lines
+    ]) + newline
+    for loaded in load_vertical(text):
+        once = resegment_sentences(loaded)
+        for doc in (loaded,) if once is loaded else (loaded, once):
+            records = _records(doc.word_count(), data)
+            got = _column_results(doc, records)
+            # The columns are read from the rows: no token was built.
+            assert "tokens" not in vars(doc)
+            hand = Document(doc.id, doc.tokens)
+            assert doc == hand and hash(doc) == hash(hand)
+            assert got == _column_results(hand, records)
+            assert got[2] == helpers.reference_annotate_document(_COLUMN_MODEL, hand)

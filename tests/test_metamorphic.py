@@ -10,9 +10,11 @@ values for another.
 """
 
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rcsurp.cli import main
 
@@ -51,6 +53,20 @@ def test_reversed_document_order_leaves_the_tables(plain_run, tmp_path):
     reversed_corpus = tmp_path / "reversed.vert"
     reversed_corpus.write_text("".join(reversed(documents)), encoding="utf-8")
     assert _analyze(model, [reversed_corpus], tmp_path / "out") == tables
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.permutations(_documents(CORPUS.read_text(encoding="utf-8"))))
+def test_permuted_documents_leave_the_model_and_tables(plain_run, documents):
+    model, tables = plain_run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        permuted = tmp / "permuted.vert"
+        permuted.write_text("".join(documents), encoding="utf-8")
+        permuted_model = tmp / "permuted.arpa"
+        assert main(["train", "--corpus", str(permuted), "-o", str(permuted_model)]) == 0
+        assert permuted_model.read_bytes() == model.read_bytes()
+        assert _analyze(permuted_model, [permuted], tmp / "out") == tables
 
 
 def test_corpus_split_over_two_files_leaves_the_model_and_tables(plain_run, tmp_path):
