@@ -17,6 +17,13 @@ plus the sentence-end symbol). The unknown symbol sits outside that
 simplex as an epsilon floor on the continuation distribution, so known
 probabilities are untouched by out-of-vocabulary policy while unknown
 queries still return a positive value.
+
+Every table is keyed by ``Vocabulary`` id, never by symbol: the counts and
+the model carry their vocabulary, per-symbol tables are lists indexed by
+id, and the pair ``(v, w)`` is the integer ``id[v] * len(vocabulary) +
+id[w]``, which orders pairs as the tuple of their ids does. ``prob`` takes
+symbols and maps them through the vocabulary. ``string_tables()`` gives
+the tables of counts or of a model keyed by symbol, for tests and oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from operator import itemgetter
+from itertools import chain, count, islice, repeat
+from operator import add, mul, sub, truediv
 from typing import Iterable
 
 from ._value import Frozen, Value
@@ -35,31 +43,31 @@ START = "<s>"
 END = "</s>"
 UNK = "<unk>"
 RESERVED = (START, END, UNK)
+START_ID, END_ID, UNK_ID = range(len(RESERVED))  # their ids in every vocabulary
 
 DISCOUNT_EPS = 1e-6
 
 
 class Vocabulary(Frozen):
-    """Dense 0-based lemma ids with the reserved symbols first."""
+    """Dense 0-based lemma ids with the reserved symbols first; ``size`` is
+    their number, read by every ``prob`` query without a call."""
 
     _fields = ("index",)
 
     def __init__(self, index: dict[str, int]):
-        self.__dict__.update(index=index)
+        self.__dict__.update(index=index, size=len(index))
 
     @classmethod
     def from_lemmas(cls, lemmas: Iterable[str]) -> "Vocabulary":
         """The reserved symbols at ids 0-2, then the other distinct
         symbols of ``lemmas`` in sorted order."""
-        index = {symbol: i for i, symbol in enumerate(RESERVED)}
-        for lemma in sorted(set(lemmas).difference(RESERVED)):
-            index[lemma] = len(index)
-        return cls(index)
+        return cls(dict(zip(chain(RESERVED, sorted(set(lemmas).difference(RESERVED))), count())))
 
     def __len__(self) -> int:
-        return len(self.index)
+        return self.size
 
     def words(self) -> list[str]:
+        """The symbols in id order."""
         return sorted(self.index, key=self.index.__getitem__)
 
     def corpus_size(self) -> int:
@@ -71,59 +79,92 @@ class Vocabulary(Frozen):
         return [w for w in self.words() if w not in (START, UNK)]
 
 
+def _by_symbol_pair(words: list[str], table: dict[int, object]) -> dict[tuple[str, str], object]:
+    size = len(words)
+    return {(words[key // size], words[key % size]): value for key, value in table.items()}
+
+
 class BigramCounts(Value):
     """Raw counts for one or more documents; ``train_kn`` derives the rest.
 
-    ``c1`` counts tokens of each symbol in start/end-padded sentences, so
-    ``sum_w c2(v, w) == c1(v)`` for every context except the end symbol.
-    Each counter starts empty unless given.
+    ``c1`` counts tokens of each symbol id in start/end-padded sentences,
+    and ``c2`` each pair's integer key, so ``sum_w c2(v, w) == c1(v)`` for
+    every context except the end symbol. Each counter starts empty unless
+    given.
     """
 
-    _fields = ("c1", "c2")
+    _fields = ("vocabulary", "c1", "c2")
 
-    def __init__(self, c1: Counter | None = None, c2: Counter | None = None):
+    def __init__(self, vocabulary: Vocabulary, c1: Counter | None = None,
+                 c2: Counter | None = None):
+        self.vocabulary = vocabulary
         self.c1 = Counter() if c1 is None else c1
         self.c2 = Counter() if c2 is None else c2
 
     def token_count(self) -> int:
         """Corpus word tokens (padding symbols excluded)."""
-        return sum(n for w, n in self.c1.items() if w not in RESERVED)
+        return sum(n for i, n in self.c1.items() if i >= len(RESERVED))
 
     def sentence_count(self) -> int:
-        return self.c1[START]
+        return self.c1[START_ID]
+
+    def string_tables(self) -> tuple[dict[str, int], dict[tuple[str, str], int]]:
+        """``c1`` keyed by symbol and ``c2`` by symbol pair, for tests and
+        oracles."""
+        words = self.vocabulary.words()
+        return {words[i]: n for i, n in self.c1.items()}, _by_symbol_pair(words, self.c2)
 
 
 def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
-    """Raw counts of padded within-sentence lemma bigrams in all documents.
+    """Raw counts of padded within-sentence lemma bigrams in all documents,
+    over the vocabulary of their lemmas.
 
     Punctuation is transparent, as in the scorer. Each sentence is wrapped
     in one start and one end symbol; no bigram crosses a sentence boundary.
     Sentences without any countable token contribute nothing. Counting
-    makes one update of each counter per document. A corpus lemma that is
-    a reserved symbol is a ``ValueError`` naming every such symbol.
+    builds no pair tuple: it counts each document's adjacent ids at once as
+    pair keys, adds the padding pairs, and takes off at the end the pairs
+    that straddle a sentence boundary. A corpus lemma that is a reserved
+    symbol is a ``ValueError`` naming every such symbol.
     """
-    counts = BigramCounts()
-    sentence_total = 0
-    for doc in docs:
-        # The document's padded sentences back to back, and the pairs within
-        # each sentence, in the order per-sentence updates would see them.
-        symbols: list[str] = []
-        pairs: list[tuple[str, str]] = []
-        for sentence in sentences(doc):
-            padded = [START, *sentence, END]
-            symbols += padded
-            pairs += zip(padded, padded[1:])
-            sentence_total += 1
-        counts.c1.update(symbols)
-        counts.c2.update(pairs)
-    # Padding adds one start and one end symbol per sentence and never the
-    # unknown symbol, so any other count of them comes from corpus lemmas.
-    expected = {START: sentence_total, END: sentence_total, UNK: 0}
-    reserved = [symbol for symbol, n in expected.items() if counts.c1[symbol] != n]
+    columns = [doc._word_columns for doc in docs]
+    lemmas = set().union(*[column.lemmas for column in columns])
+    reserved = [symbol for symbol in RESERVED if symbol in lemmas]
     if reserved:
         raise ValueError(
             "reserved symbols cannot be corpus lemmas: " + ", ".join(map(repr, reserved))
         )
+    vocabulary = Vocabulary.from_lemmas(lemmas)
+    counts = BigramCounts(vocabulary)
+    c1, c2 = counts.c1, counts.c2
+    index, size = vocabulary.index, len(vocabulary)
+    scaled = list(range(0, size * size, size))  # id * size, by id
+    # Each pair from the last word of one sentence to the first of the next.
+    straddles: Counter = Counter()
+    sentence_total = 0
+    for column in columns:
+        ids = list(map(index.__getitem__, column.lemmas))
+        if not ids:
+            continue  # no sentence with a word
+        starts = column.starts
+        firsts = list(map(ids.__getitem__, starts))
+        lasts = list(map(ids.__getitem__, map(sub, [*starts[1:], len(ids)], repeat(1))))
+        c1.update(ids)
+        # Every adjacent pair of the document, then each sentence's start
+        # pair (whose key is the first word's id) and end pair.
+        c2.update(map(add, map(scaled.__getitem__, ids), islice(ids, 1, None)))
+        c2.update(firsts)
+        c2.update(map(add, map(scaled.__getitem__, lasts), repeat(END_ID)))
+        straddles.update(map(add, map(scaled.__getitem__, lasts), islice(firsts, 1, None)))
+        sentence_total += len(starts)
+    for key, n in straddles.items():
+        n = c2[key] - n
+        if n:
+            c2[key] = n
+        else:
+            del c2[key]
+    if sentence_total:
+        c1[START_ID] = c1[END_ID] = sentence_total
     return counts
 
 
@@ -148,9 +189,10 @@ class KneserNeyBigramModel(Value):
     """Queryable bigram model over linear-space probability tables.
 
     ``bigram_p`` stores the full interpolated probability for every
-    counted bigram; all other pairs back off to ``bow[v] * unigram_p[w]``.
-    The tables double as the ARPA serialization content, so a model
-    imported from ARPA behaves identically to the trained original.
+    counted bigram, keyed by pair; all other pairs back off to
+    ``bow[v] * unigram_p[w]``. The tables double as the ARPA serialization
+    content, so a model imported from ARPA behaves identically to the
+    trained original.
     """
 
     _fields = ("vocabulary", "unigram_p", "bow", "bigram_p", "discount")
@@ -158,9 +200,9 @@ class KneserNeyBigramModel(Value):
     def __init__(
         self,
         vocabulary: Vocabulary,
-        unigram_p: dict[str, float],  # continuation distribution; START maps to 0.0
-        bow: dict[str, float],        # per-context backoff weight; 1.0 when unseen as context
-        bigram_p: dict[tuple[str, str], float],
+        unigram_p: list[float],  # continuation distribution by id; START's is 0.0
+        bow: list[float],        # backoff weight by id; 1.0 when unseen as context
+        bigram_p: dict[int, float],
         discount: float | None = None,  # estimation metadata; absent on imported models
     ):
         self.vocabulary = vocabulary
@@ -170,28 +212,31 @@ class KneserNeyBigramModel(Value):
         self.discount = discount
 
     def prob(self, context: str, word: str) -> float:
-        """p(word | context), total and strictly positive. A symbol missing
-        from ``unigram_p`` and ``bow``, which hold exactly the vocabulary, is
-        unknown, and so is the start symbol as a word (it is never an outcome).
-
-        A listed bigram is looked up first, as given: it holds only
-        vocabulary symbols, which the mapping leaves as they are. The start
-        symbol as a word is the exception, since it maps to the unknown
-        symbol even where an imported model lists a bigram ending in it.
+        """p(word | context), total and strictly positive. A symbol outside
+        the vocabulary is unknown, and so is the start symbol as a word (it
+        is never an outcome), even where an imported model lists a bigram
+        ending in it. The mapped pair's listed probability is returned, or
+        else its backoff estimate.
         """
-        if word != START:
-            hit = self.bigram_p.get((context, word))
-            if hit is not None:
-                return hit
-        v = context if context in self.bow else UNK
-        w = UNK if word == START or word not in self.unigram_p else word
-        hit = self.bigram_p.get((v, w))
+        vocabulary = self.vocabulary
+        index = vocabulary.index
+        v = index.get(context, UNK_ID)
+        w = UNK_ID if word == START else index.get(word, UNK_ID)
+        hit = self.bigram_p.get(v * vocabulary.size + w)
         if hit is not None:
             return hit
         return self.bow[v] * self.unigram_p[w]
 
     def event_words(self) -> list[str]:
         return self.vocabulary.event_words()
+
+    def string_tables(self) -> tuple[dict[str, float], dict[str, float],
+                                     dict[tuple[str, str], float]]:
+        """``unigram_p`` and ``bow`` keyed by symbol and ``bigram_p`` by
+        symbol pair, for tests and oracles."""
+        words = self.vocabulary.words()
+        return (dict(zip(words, self.unigram_p)), dict(zip(words, self.bow)),
+                _by_symbol_pair(words, self.bigram_p))
 
 
 def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBigramModel:
@@ -202,7 +247,8 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
     count-of-counts estimate and must lie in (0, 1) when given. The
     continuation mass of the unknown symbol is ``1 / (len(c2) + 1)``.
     """
-    total_types = len(counts.c2)
+    c1, c2 = counts.c1, counts.c2
+    total_types = len(c2)
     if total_types == 0:
         raise DegenerateCountsError("no bigrams to train on")
     if discount is None:
@@ -210,26 +256,33 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
     elif not 0.0 < discount < 1.0:
         raise ValueError(f"discount must be in (0, 1), got {discount}")
 
-    continuation = Counter(map(itemgetter(1), counts.c2))
-    fertility = Counter(map(itemgetter(0), counts.c2))
+    vocabulary = counts.vocabulary
+    size = len(vocabulary)
+    keys = list(c2)
+    contexts = list(map(size.__rfloordiv__, keys))
+    words = list(map(size.__rmod__, keys))
+    continuation = Counter(words)
+    fertility = Counter(contexts)
+    tokens = list(map(c1.get, range(size), repeat(0)))
 
-    vocabulary = Vocabulary.from_lemmas(counts.c1)
+    # continuation(w) / bigram_types; the start symbol is never an outcome.
+    unigram_p = list(map(truediv, map(continuation.get, range(size), repeat(0)),
+                         repeat(total_types)))
+    unigram_p[START_ID] = 0.0
+    unigram_p[UNK_ID] = 1.0 / (total_types + 1)
 
-    unigram_p: dict[str, float] = {START: 0.0, UNK: 1.0 / (total_types + 1)}
-    for word in vocabulary.event_words():
-        unigram_p[word] = continuation[word] / total_types
+    # D * fertility(v) / c1(v) for every context, 1.0 for other symbols.
+    weight = dict(zip(fertility, map(truediv, map(mul, repeat(discount), fertility.values()),
+                                     map(tokens.__getitem__, fertility))))
+    bow = list(map(weight.get, range(size), repeat(1.0)))
 
-    bow: dict[str, float] = {}
-    for context in vocabulary.words():
-        c1 = counts.c1[context]
-        if c1 > 0 and fertility[context] > 0:
-            bow[context] = discount * fertility[context] / c1
-        else:
-            bow[context] = 1.0
-
-    bigram_p: dict[tuple[str, str], float] = {}
-    for (v, w), c in counts.c2.items():
-        bigram_p[(v, w)] = max(c - discount, 0.0) / counts.c1[v] + bow[v] * unigram_p[w]
+    # max(c2(v,w) - D, 0) / c1(v) + bow(v) * p_cont(w); bigram counts take
+    # few distinct values, so each one's discounted count is computed once.
+    discounted_of = {c: max(c - discount, 0.0) for c in set(c2.values())}
+    discounted = map(truediv, map(discounted_of.__getitem__, c2.values()),
+                     map(tokens.__getitem__, contexts))
+    backoff = map(mul, map(bow.__getitem__, contexts), map(unigram_p.__getitem__, words))
+    bigram_p = dict(zip(keys, map(add, discounted, backoff)))
 
     return KneserNeyBigramModel(vocabulary, unigram_p, bow, bigram_p, discount)
 
@@ -282,38 +335,38 @@ def export_arpa(model: KneserNeyBigramModel) -> str:
     lemma.
     """
     words = model.vocabulary.words()
-    spaced = [word for word in words if any(map(str.isspace, word))]
-    if spaced:
+    joined = "".join(words)  # not empty: it holds the reserved symbols
+    if joined.split() != [joined]:  # some lemma holds a whitespace character
+        spaced = [word for word in words if any(map(str.isspace, word))]
         raise ValueError(
             "lemmas containing whitespace cannot be written to ARPA: "
             + ", ".join(map(repr, spaced))
         )
-    word_id = model.vocabulary.index
     unigram_p, bow, bigram_p = model.unigram_p, model.bow, model.bigram_p
     # Values repeat: 49,530 bigram probabilities of the benchmark corpus take
     # 4,788 distinct values. A unigram probability at or below zero is
     # written as the sentinel, so it needs no entry.
     log10_text = {
         value: _fmt(math.log10(value))
-        for value in {*bow.values(), *bigram_p.values(),
-                      *(p for p in unigram_p.values() if not p <= 0.0)}
+        for value in {*bow, *bigram_p.values(), *(p for p in unigram_p if not p <= 0.0)}
     }
     sentinel = _fmt(_LOG10_ZERO)
     lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(bigram_p)}", ""]
 
     lines.append("\\1-grams:")
     lines += [
-        f"{sentinel if p <= 0.0 else log10_text[p]}\t{word}\t{log10_text[bow[word]]}"
-        for word, p in zip(words, map(unigram_p.__getitem__, words))
+        f"{sentinel if p <= 0.0 else log10_text[p]}\t{word}\t{log10_text[weight]}"
+        for word, p, weight in zip(words, unigram_p, bow)
     ]
     lines.append("")
 
-    # Ids are dense in [0, size), so this integer orders pairs as the tuple
-    # (id[v], id[w]) does.
-    size = len(word_id)
-    bigrams = sorted(bigram_p, key=lambda vw: word_id[vw[0]] * size + word_id[vw[1]])
+    size = len(words)  # keys sort as their (id[v], id[w]) pairs do
+    contexts = [f"\t{word} " for word in words]
     lines.append("\\2-grams:")
-    lines += [f"{log10_text[bigram_p[vw]]}\t{vw[0]} {vw[1]}" for vw in bigrams]
+    lines += [
+        f"{log10_text[bigram_p[key]]}{contexts[key // size]}{words[key % size]}"
+        for key in sorted(bigram_p)
+    ]
     lines.append("")
 
     lines += ["\\end\\", ""]  # the empty last entry ends the text with a newline
@@ -337,9 +390,9 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     that carries it fails with its own line number.
     """
     declared: dict[int, int] = {}
+    # The unigram lines' values by word, until the vocabulary is known.
     unigram_p: dict[str, float] = {}
     bow: dict[str, float] = {}
-    bigram_p: dict[tuple[str, str], float] = {}
 
     lines = text.splitlines()
     n = len(lines)
@@ -406,6 +459,15 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         bow[word] = weight
         i += 1
 
+    vocabulary = Vocabulary.from_lemmas(unigram_p)
+    index, size = vocabulary.index, len(vocabulary)
+    bigram_p: dict[int, float] = {}
+    # Pairs with a word that is not a unigram, in order of first occurrence;
+    # they are reported only after the count and reserved-symbol checks.
+    undeclared: dict[tuple[str, str], None] = {}
+    # Bigrams come grouped by context, so its id is looked up once per run.
+    context, base = None, None
+
     i = expect(i, "\\2-grams:", "missing \\2-grams: section")
     while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
         fields = line.split("\t")
@@ -418,7 +480,17 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         p = probability_of.get(log_p)
         if p is None:  # a bigram's zero power is an error, so ``p`` is not zero
             p = probability_of[log_p] = parse_power(log_p, i + 1, words)
-        bigram_p[(pair[0], pair[1])] = p
+        v, w = pair
+        if v != context:
+            context = v
+            base = index.get(v)
+            if base is not None:
+                base *= size
+        w_id = index.get(w)
+        if base is None or w_id is None:
+            undeclared[v, w] = None
+        else:
+            bigram_p[base + w_id] = p
         i += 1
 
     expect(i, "\\end\\", "missing \\end\\ marker (truncated file?)")
@@ -427,16 +499,18 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         raise ParseError(
             f"declared {declared[1]} unigrams but found {len(unigram_p)}"
         )
-    if len(bigram_p) != declared[2]:
+    if len(bigram_p) + len(undeclared) != declared[2]:
         raise ParseError(
-            f"declared {declared[2]} bigrams but found {len(bigram_p)}"
+            f"declared {declared[2]} bigrams but found {len(bigram_p) + len(undeclared)}"
         )
+    # The vocabulary holds every reserved symbol, so a bigram may name one
+    # that is missing from the unigrams; this check reports it first.
     for symbol in RESERVED:
         if symbol not in unigram_p:
             raise ParseError(f"reserved symbol {symbol!r} missing from unigrams")
-    for (v, w) in bigram_p:
-        if v not in unigram_p or w not in unigram_p:
-            raise ParseError(f"bigram ({v!r}, {w!r}) uses an undeclared word")
+    for (v, w) in undeclared:
+        raise ParseError(f"bigram ({v!r}, {w!r}) uses an undeclared word")
 
-    vocabulary = Vocabulary.from_lemmas(unigram_p)
-    return KneserNeyBigramModel(vocabulary, unigram_p, bow, bigram_p)
+    symbols = vocabulary.words()
+    return KneserNeyBigramModel(vocabulary, list(map(unigram_p.__getitem__, symbols)),
+                                list(map(bow.__getitem__, symbols)), bigram_p)

@@ -110,12 +110,13 @@ def reference_mapped_prob(model, context: str, word: str) -> float:
     """``model.prob`` as a symbol mapping and then one lookup: an unknown
     context, an unknown word and the start symbol as a word become the
     unknown symbol, and the mapped pair is read from the bigram table or
-    backed off to ``bow[v] * unigram_p[w]``."""
-    v = context if context in model.bow else UNK
-    w = UNK if word == START or word not in model.unigram_p else word
-    if (v, w) in model.bigram_p:
-        return model.bigram_p[(v, w)]
-    return model.bow[v] * model.unigram_p[w]
+    backed off to ``bow[v] * unigram_p[w]``, all keyed by symbol."""
+    unigram_p, bow, bigram_p = model.string_tables()
+    v = context if context in bow else UNK
+    w = UNK if word == START or word not in unigram_p else word
+    if (v, w) in bigram_p:
+        return bigram_p[(v, w)]
+    return bow[v] * unigram_p[w]
 
 
 def reference_perplexity(sentences: list[list[str]], prob) -> float:
@@ -226,16 +227,17 @@ def reference_export_arpa(model) -> str:
             + ", ".join(repr(word) for word in spaced)
         )
     word_id = model.vocabulary.index
-    lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(model.bigram_p)}", ""]
+    unigram_p, bow, bigram_p = model.string_tables()
+    lines = ["\\data\\", f"ngram 1={len(words)}", f"ngram 2={len(bigram_p)}", ""]
     lines.append("\\1-grams:")
     for word in words:
-        p = model.unigram_p[word]
+        p = unigram_p[word]
         lp = -99.0 if p <= 0.0 else math.log10(p)
-        lines.append(f"{_reference_fmt(lp)}\t{word}\t{_reference_fmt(math.log10(model.bow[word]))}")
+        lines.append(f"{_reference_fmt(lp)}\t{word}\t{_reference_fmt(math.log10(bow[word]))}")
     lines.append("")
     lines.append("\\2-grams:")
-    for (v, w) in sorted(model.bigram_p, key=lambda vw: (word_id[vw[0]], word_id[vw[1]])):
-        lines.append(f"{_reference_fmt(math.log10(model.bigram_p[(v, w)]))}\t{v} {w}")
+    for (v, w) in sorted(bigram_p, key=lambda vw: (word_id[vw[0]], word_id[vw[1]])):
+        lines.append(f"{_reference_fmt(math.log10(bigram_p[(v, w)]))}\t{v} {w}")
     lines.append("")
     lines.append("\\end\\")
     return "\n".join(lines) + "\n"

@@ -300,6 +300,15 @@ _factor_values = st.sampled_from([4.0, 2.0, 4 / 3, 1.0, 0.0, -0.0]) | st.floats(
 )
 
 
+# Lemma, context and document-id text: non-ASCII letters, the TSV's tab, a
+# space, the brackets of the reserved symbols, the virgule and the letters of
+# ``NA``, the writer's missing-value text. A fixed alphabet needs no Unicode
+# character table, which Hypothesis otherwise builds on the first ``st.text()``
+# of a clean checkout and counts as this test's input generation.
+_TEXT_ALPHABET = "aäßſNA\t <>/"
+_text = st.text(_TEXT_ALPHABET) | st.just("NA")
+
+
 @st.composite
 def _weighted_documents(draw):
     """Up to four ``(annotation, factors)`` pairs with unicode lemmas and one
@@ -315,9 +324,9 @@ def _weighted_documents(draw):
         for position in range(draw(st.integers(0, 8))):
             p = draw(st.sampled_from(pool))
             bits = draw(st.sampled_from([-math.log2(p) if p else math.inf, 0.0, -0.0]))
-            entries.append(SurprisalEntry(draw(st.text()), draw(st.text()), p, bits, position))
+            entries.append(SurprisalEntry(draw(_text), draw(_text), p, bits, position))
             factors.append((draw(st.none() | st.integers()), draw(_factor_values)))
-        pairs.append((SurprisalAnnotation(draw(st.none() | st.text()), tuple(entries)),
+        pairs.append((SurprisalAnnotation(draw(st.none() | _text), tuple(entries)),
                       tuple(factors)))
     return pairs
 

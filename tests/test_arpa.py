@@ -93,7 +93,7 @@ def test_unigram_log10_semantics():
         "\\end\\",
     ])
     model = import_arpa(text)
-    assert model.unigram_p["cat"] == pytest.approx(0.1, abs=1e-12)
+    assert model.string_tables()[0]["cat"] == pytest.approx(0.1, abs=1e-12)
     assert model.prob("never-seen", "cat") == pytest.approx(0.1, abs=1e-12)
     assert model.prob("cat", END) == pytest.approx(10 ** -0.5, abs=1e-12)
 
@@ -238,7 +238,7 @@ def test_import_out_of_range_log10(toy_model, section, column, value):
 
 def test_import_positive_backoff_weight(toy_model):
     text, _ = _set_first_entry_field(export_arpa(toy_model), "\\1-grams:", 2, "0.5")
-    assert import_arpa(text).bow[START] == pytest.approx(10 ** 0.5)
+    assert import_arpa(text).string_tables()[1][START] == pytest.approx(10 ** 0.5)
 
 
 def test_import_inconsistent_counts(toy_model):
@@ -263,6 +263,41 @@ def test_import_requires_reserved_symbols():
         import_arpa(text)
 
 
+def _arpa(unigrams, bigrams, declared=None):
+    """ARPA text with the given unigram words and bigram pairs, every value
+    log10 -0.5; ``declared`` overrides the header's unigram and bigram counts."""
+    n1, n2 = declared or (len(unigrams), len(bigrams))
+    return "\n".join([
+        "\\data\\", f"ngram 1={n1}", f"ngram 2={n2}", "",
+        "\\1-grams:", *[f"{'-99.000000' if w == START else '-0.500000'}\t{w}\t0.000000"
+                         for w in unigrams], "",
+        "\\2-grams:", *[f"-0.500000\t{v} {w}" for v, w in bigrams], "",
+        "\\end\\", "",
+    ])
+
+
+@pytest.mark.parametrize("text, message", [
+    (_arpa([START, END, UNK, "a"], [("a", END)], declared=(5, 1)),
+     "declared 5 unigrams but found 4"),
+    (_arpa([START, END, UNK, "a"], [("a", END), ("a", "a")], declared=(4, 3)),
+     "declared 3 bigrams but found 2"),
+    (_arpa([START, END, "a"], [("a", END)]),
+     "reserved symbol '<unk>' missing from unigrams"),
+    (_arpa([START, END, UNK, "a"], [("a", END), ("a", "zzz"), ("yyy", "a")]),
+     "bigram ('a', 'zzz') uses an undeclared word"),
+    # The checks run in that order: each file below also fails a later one.
+    (_arpa([START, END, UNK, "a"], [("a", "zzz")], declared=(4, 2)),
+     "declared 2 bigrams but found 1"),
+    (_arpa([START, END, "a"], [("a", UNK), ("a", "zzz")]),
+     "reserved symbol '<unk>' missing from unigrams"),
+], ids=["unigram-count", "bigram-count", "reserved", "undeclared-word",
+        "count-before-undeclared", "reserved-before-undeclared"])
+def test_import_validation_messages_and_order(text, message):
+    with pytest.raises(ParseError) as exc:
+        import_arpa(text)
+    assert str(exc.value) == message
+
+
 def test_import_rejects_a_repeated_declaration(toy_model):
     # The later declaration would otherwise silently win.
     text = export_arpa(toy_model).replace("ngram 2=6", "ngram 2=99\nngram 2=6")
@@ -274,7 +309,7 @@ def test_zero_power_is_converted_per_line(toy_model):
     # "-99.000000" is the start symbol's valid zero mass on line 6, and the
     # same text on a later word's unigram line is that line's error.
     text = export_arpa(toy_model)
-    assert import_arpa(text).unigram_p[START] == 0.0
+    assert import_arpa(text).string_tables()[0][START] == 0.0
     lines = text.splitlines()
     assert lines[5] == "-99.000000\t<s>\t-0.602060"
     assert lines[8] == "-0.778151\tcat\t-0.301030"

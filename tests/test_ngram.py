@@ -3,7 +3,7 @@ import random
 from copy import deepcopy
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from rcsurp import (
@@ -31,9 +31,10 @@ def toy_model(toy_counts):
 # --- counting ---------------------------------------------------------------
 
 def test_toy_counts(toy_counts):
-    assert toy_counts.c2[("the", "cat")] == 2
-    assert toy_counts.c2[("cat", "sat")] == 1
-    assert toy_counts.c2[(START, "the")] == 2
+    _, c2 = toy_counts.string_tables()
+    assert c2[("the", "cat")] == 2
+    assert c2[("cat", "sat")] == 1
+    assert c2[(START, "the")] == 2
     assert len(toy_counts.c2) == 6
 
 
@@ -45,21 +46,21 @@ def test_empty_corpus_counts():
 
 def test_single_word_sentence_padding():
     docs = load_vertical("# doc: d\na\ta\n")
-    counts = count_bigrams(docs)
-    assert counts.c2[(START, "a")] == 1
-    assert counts.c2[("a", END)] == 1
+    _, c2 = count_bigrams(docs).string_tables()
+    assert c2[(START, "a")] == 1
+    assert c2[("a", END)] == 1
 
 
 def test_no_cross_sentence_bigrams():
     docs = load_vertical("# doc: d\na\ta\n\nb\tb\n")
-    counts = count_bigrams(docs)
-    assert ("a", "b") not in counts.c2
+    _, c2 = count_bigrams(docs).string_tables()
+    assert ("a", "b") not in c2
 
 
 def test_punctuation_excluded_by_default():
     docs = load_vertical("# doc: d\na\ta\n/\t/\nb\tb\n")
-    counts = count_bigrams(docs)
-    assert counts.c2[("a", "b")] == 1
+    _, c2 = count_bigrams(docs).string_tables()
+    assert c2[("a", "b")] == 1
 
 
 def test_count_invariants_random_corpora():
@@ -76,18 +77,19 @@ def test_count_invariants_random_corpora():
             lines.extend(f"{w}\t{w}" for w in s)
             lines.append("")
         counts = count_bigrams(load_vertical("\n".join(lines)))
-        for v in counts.c1:
+        c1, c2 = counts.string_tables()
+        for v in c1:
             if v == END:
                 continue
-            assert sum(c for (a, _), c in counts.c2.items() if a == v) == counts.c1[v]
+            assert sum(c for (a, _), c in c2.items() if a == v) == c1[v]
         # Distinct left contexts summed over words, and distinct
         # continuations summed over contexts, both give the bigram types.
         discount = 0.5
-        model = train_kn(counts, discount)
-        assert math.fsum(map(model.unigram_p.get, model.event_words())) == pytest.approx(1.0)
+        unigram_p, bow, _ = train_kn(counts, discount).string_tables()
+        assert math.fsum(map(unigram_p.get, counts.vocabulary.event_words())) == pytest.approx(1.0)
         assert math.fsum(
-            model.bow[v] * counts.c1[v] / discount for v in counts.c1 if v != END
-        ) == pytest.approx(len(counts.c2))
+            bow[v] * c1[v] / discount for v in c1 if v != END
+        ) == pytest.approx(len(c2))
 
 
 _corpora = st.lists(  # documents of sentences; empty and punctuation-only ones included
@@ -111,9 +113,7 @@ def test_counts_match_reference_random_corpora(corpus):
                 expected_sentences.append(words)
     counts = count_bigrams(load_vertical("\n".join(lines)))
     c1, c2, left, right, types = helpers.reference_counts(expected_sentences)
-    # Same counts, in the same first-seen key order the ARPA export follows.
-    assert list(counts.c1.items()) == list(c1.items())
-    assert list(counts.c2.items()) == list(c2.items())
+    assert counts.string_tables() == (c1, c2)
     assert len(counts.c2) == types
     discount = 0.5
     if not types:
@@ -122,11 +122,11 @@ def test_counts_match_reference_random_corpora(corpus):
         return
     # The model's continuation and backoff tables are the distinct left
     # contexts and continuations of the reference.
-    model = train_kn(counts, discount)
+    unigram_p, bow, _ = train_kn(counts, discount).string_tables()
     for w, vs in left.items():
-        assert model.unigram_p[w] == len(vs) / types
+        assert unigram_p[w] == len(vs) / types
     for v, ws in right.items():
-        assert model.bow[v] == discount * len(ws) / c1[v]
+        assert bow[v] == discount * len(ws) / c1[v]
 
 
 # --- discount estimation ----------------------------------------------------
@@ -137,11 +137,13 @@ def test_toy_discount(toy_counts):
 
 
 def _counts_from_c2(c2: dict) -> BigramCounts:
-    counts = BigramCounts()
+    vocabulary = Vocabulary.from_lemmas(symbol for pair in c2 for symbol in pair)
+    counts = BigramCounts(vocabulary)
+    index = vocabulary.index
     for (v, w), c in c2.items():
-        counts.c2[(v, w)] = c
-        counts.c1[v] += c
-        counts.c1[w] += c
+        counts.c2[index[v] * len(index) + index[w]] = c
+        counts.c1[index[v]] += c
+        counts.c1[index[w]] += c
     return counts
 
 
@@ -207,7 +209,7 @@ def _with_bigram_ending_in_start(model):
     text = text.replace("ngram 2=6", "ngram 2=7").replace(
         "\\2-grams:\n", "\\2-grams:\n-0.300000\tthe <s>\n")
     imported = import_arpa(text)
-    assert imported.bigram_p[("the", START)] == 10 ** -0.3
+    assert imported.string_tables()[2][("the", START)] == 10 ** -0.3
     return imported
 
 
@@ -221,7 +223,7 @@ def test_prob_equals_the_mapped_lookup(toy_model):
         for v in symbols:
             for w in symbols:
                 assert model.prob(v, w) == helpers.reference_mapped_prob(model, v, w), (v, w)
-    assert listed.prob("the", START) == listed.prob("the", UNK) != listed.bigram_p[("the", START)]
+    assert listed.prob("the", START) == listed.prob("the", UNK) != listed.string_tables()[2][("the", START)]
 
 
 def test_explicit_discount_validated(toy_counts):
@@ -289,14 +291,75 @@ def test_monotonicity_under_fixed_discount():
     for _ in range(40):
         sents = _random_corpus(rng)
         counts = count_bigrams(_docs_from_sentences(sents))
-        pair, _ = max(counts.c2.items(), key=lambda kv: (kv[1], kv[0]))
+        pair, _ = max(counts.string_tables()[1].items(), key=lambda kv: (kv[1], kv[0]))
+        index = counts.vocabulary.index
         for discount in (0.25, 0.5, 0.85):
             before = train_kn(counts, discount).prob(*pair)
             bumped = deepcopy(counts)
-            bumped.c2[pair] += 1
-            bumped.c1[pair[0]] += 1
+            bumped.c2[index[pair[0]] * len(index) + index[pair[1]]] += 1
+            bumped.c1[index[pair[0]]] += 1
             after = train_kn(bumped, discount).prob(*pair)
             assert after >= before
+
+
+# --- id-keyed tables against the string oracles -----------------------------
+
+# Word lemmas from an explicit alphabet. As strings "0", "!a" and ";" sort
+# before every reserved symbol and "<a" between them, yet the reserved
+# symbols take the first ids.
+_KERNEL_LEMMAS = ["0", "!a", ";", "<a", "a", "ä", "zz"]
+# A word token is a ``(surface, lemma)`` pair: ";" is punctuation as a surface.
+_kernel_tokens = st.one_of(
+    st.sampled_from(_KERNEL_LEMMAS).map(lambda lemma: ("w", lemma)),
+    st.sampled_from([".", ",", "/"]).map(lambda mark: (mark, mark)),
+)
+_kernel_corpora = st.lists(  # documents of sentences of tokens
+    st.lists(st.lists(_kernel_tokens, min_size=1, max_size=5), max_size=4),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_corpora, st.sampled_from([0.25, 0.5, 0.85]))
+@example(  # a single-word sentence, a punctuation-only one, and one of both kinds
+    [[[("w", "a")], [(".", "."), (",", ",")], [("w", "0"), ("/", "/"), ("w", "<a")]],
+     [[("w", "<a"), ("w", ";")], [("w", "!a")]]],
+    0.5,
+)
+def test_id_tables_match_string_oracles(corpus, discount):
+    lines, sentences = [], []
+    for i, doc in enumerate(corpus):
+        lines.append(f"# doc: d{i}")
+        for sentence in doc:
+            lines += [f"{surface}\t{lemma}" for surface, lemma in sentence]
+            lines.append("")
+            words = [lemma for surface, lemma in sentence if surface == "w"]
+            if words:
+                sentences.append(words)
+    counts = count_bigrams(load_vertical("\n".join(lines)))
+    c1, c2, _, _, types = helpers.reference_counts(sentences)
+    assert counts.string_tables() == (c1, c2)
+    if not types:
+        return
+    model = train_kn(counts, discount)
+    oracle = helpers.reference_kn(sentences, discount)
+    symbols = model.vocabulary.words() + ["zzz-unseen"]
+    assert UNK in symbols
+    for v in symbols:
+        for w in symbols:
+            assert model.prob(v, w) == pytest.approx(oracle(v, w), abs=1e-12), (v, w)
+    assert export_arpa(model) == helpers.reference_export_arpa(model)
+
+
+def test_pair_tables_are_keyed_by_integers(toy_counts, toy_model):
+    imported = import_arpa(export_arpa(toy_model))
+    for table in (toy_counts.c1, toy_counts.c2, toy_model.bigram_p, imported.bigram_p):
+        assert table and all(type(key) is int for key in table)
+    size = len(toy_model.vocabulary)
+    index = toy_model.vocabulary.index
+    assert toy_counts.c2[index["the"] * size + index["cat"]] == 2
+    assert imported.vocabulary == toy_model.vocabulary
+    assert set(imported.bigram_p) == set(toy_model.bigram_p)
 
 
 # --- perplexity -------------------------------------------------------------

@@ -248,7 +248,7 @@ def test_probability_above_one_names_the_word(scope, toy_model):
     # the column check must catch although it is not the column's first value.
     where = "document 'd', " if scope == "document" else ""
     for weight in (1e5, float("nan")):
-        toy_model.bow["cat"] = weight
+        toy_model.bow[toy_model.vocabulary.index["cat"]] = weight
         with pytest.raises(ValueError) as exc:
             if scope == "document":
                 annotate_document(

@@ -68,7 +68,7 @@ def _values():
     table = build_surprisal_table([record], docs, ClauseScorer(model), "bare")
     return {
         "Document": (doc, ("id", "tokens")),
-        "BigramCounts": (counts, ("c1", "c2")),
+        "BigramCounts": (counts, ("vocabulary", "c1", "c2")),
         "Vocabulary": (model.vocabulary, ("index",)),
         "KneserNeyBigramModel": (
             model, ("vocabulary", "unigram_p", "bow", "bigram_p", "discount")),
@@ -156,7 +156,8 @@ def test_values_of_one_type_with_other_fields_differ(values):
     record = values["ClauseRecord"][0]
     assert Span(1, 3) != Span(1, 4) and Span(1, 3) != record.rc_span
     assert FactorConfig() != FactorConfig(bonus=5.0)
-    assert BigramCounts() != BigramCounts(Counter({"a": 1}))
+    vocabulary = values["Vocabulary"][0]
+    assert BigramCounts(vocabulary) != BigramCounts(vocabulary, Counter({3: 1}))
     doc = values["Document"][0]
     assert doc != Document("other", doc.tokens) and doc != Document(doc.id, doc.tokens[1:])
 
