@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import compress, count, repeat
-from operator import itemgetter, not_
+from operator import eq, not_
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
@@ -198,7 +198,12 @@ def accommodate_document(
     """The mention-history factors for a document's surprisal annotation,
     which must align one-to-one with the document's word tokens.
     ``content_predicate`` is called as by ``accommodation_factors``."""
-    if list(map(itemgetter(4), annotation.entries)) != list(range(doc.word_count())):
+    positions, expected = annotation._columns.positions, range(doc.word_count())
+    # ``annotate_document`` gives this range itself; other columns are
+    # compared element-wise.
+    if positions != expected and not (
+        len(positions) == len(expected) and all(map(eq, positions, expected))
+    ):
         raise ValueError("annotation does not align with the document's word tokens")
     return accommodation_factors(doc, content_predicate, cfg)
 
@@ -220,35 +225,33 @@ def write_weighted_tsv(
 
     Probabilities, bits, factors and counts repeat across the whole corpus,
     so the row tail from ``prob`` on is formatted once per distinct
-    ``(probability, bits, factor, x)`` for the call, and the rows are joined
-    column by column. ``0.0`` and ``-0.0`` are equal keys that format
+    ``(probability, bits, (x, factor))`` for the call, and the rows are
+    joined column by column. ``0.0`` and ``-0.0`` are equal keys that format
     differently, so a row with a zero among probability, bits and factor is
     always formatted anew.
     """
-    tails: dict[tuple[float, float, float, int | None], str] = {}
+    tails: dict[tuple[float, float, tuple[int | None, float]], str] = {}
     header = _TSV_HEADER
     for annotation, factors in scored:
-        entries = annotation.entries
-        if len(entries) != len(factors):
+        lemmas, contexts, probabilities, bits, positions = annotation._columns
+        if len(lemmas) != len(factors):
             raise ValueError(
-                f"{len(factors)} factors do not align with {len(entries)} entries"
+                f"{len(factors)} factors do not align with {len(lemmas)} entries"
             )
-        keys = list(zip(map(itemgetter(2), entries), map(itemgetter(3), entries),
-                        map(itemgetter(1), factors), map(itemgetter(0), factors)))
+        keys = list(zip(probabilities, bits, factors))
         row_tails = list(map(tails.get, keys))
         # Only the rows whose tail is not cached yet run Python code.
         for i in compress(count(), map(not_, row_tails)):
-            probability, bits, f, x = key = keys[i]
+            probability, b, (x, f) = key = keys[i]
             text = tails.get(key)  # an earlier row of this document may have added it
             if text is None:
                 text = "%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
-                    probability, bits, "NA" if x is None else x, f, bits * f
+                    probability, b, "NA" if x is None else x, f, b * f
                 )
-                if probability and bits and f:
+                if probability and b and f:
                     tails[key] = text
             row_tails[i] = text
         fh.write(header + "".join(map("\t".join, zip(
-            repeat(str(annotation.doc_id)), map(str, map(itemgetter(4), entries)),
-            map(itemgetter(0), entries), map(itemgetter(1), entries), row_tails,
+            repeat(str(annotation.doc_id)), map(str, positions), lemmas, contexts, row_tails,
         ))))
         header = ""

@@ -354,7 +354,7 @@ class ClauseScorer:
             cached = self._chain_cache[key] = (record, doc, (
                 tuple(t.part for t in linear.tokens),
                 tuple(positions),
-                tuple(e.surprisal_bits for e in annotation.entries),
+                tuple(annotation._columns.bits),
             ))
         return cached[2]
 

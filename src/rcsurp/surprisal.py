@@ -9,16 +9,19 @@ Documents and lemma chains are scored by one column kernel. The caller
 builds the lemma column and the context column (the previous lemma, or
 the start symbol where a sentence or chain begins); the kernel maps
 ``prob`` over the two columns, exactly one query per word, checks the
-whole probability column at once, and builds the entries with ``map``
-and ``zip``, so no Python frame runs per word apart from ``prob`` itself.
+whole probability column at once and maps ``log2`` over it, so no Python
+frame runs per word apart from ``prob`` itself. An annotation holds the
+five columns (lemmas, contexts, probabilities, bits and positions), which
+the TSV writer and the clause chains read; its ``entries`` are built from
+them the first time they are read.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 from operator import neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from ._value import Frozen
 from .corpus import Document
@@ -35,16 +38,43 @@ class SurprisalEntry(NamedTuple):
     doc_position: int
 
 
+class _ScoreColumns(NamedTuple):
+    lemmas: Sequence[str]
+    contexts: Sequence[str]
+    probabilities: Sequence[float]
+    bits: Sequence[float]
+    positions: Sequence[int]
+
+
 class SurprisalAnnotation(Frozen):
-    """A document's (or a chain's, with ``doc_id`` None) scored entries."""
+    """A document's (or a chain's, with ``doc_id`` None) scored entries.
+
+    The scores are held as columns, one per entry field; an annotation
+    built by scoring builds its ``entries`` on first read. Equality and
+    hashing compare the id and the entries."""
 
     _fields = ("doc_id", "entries")
+    _columns: _ScoreColumns
 
     def __init__(self, doc_id: str | None, entries: tuple[SurprisalEntry, ...]):
-        self.__dict__.update(doc_id=doc_id, entries=entries)
+        self.__dict__.update(
+            doc_id=doc_id, entries=entries,
+            _columns=_ScoreColumns(*zip(*entries)) if entries else _ScoreColumns(*[()] * 5),
+        )
+
+    @classmethod
+    def _scored(cls, doc_id: str | None, columns: _ScoreColumns) -> SurprisalAnnotation:
+        annotation = cls.__new__(cls)
+        annotation.__dict__.update(doc_id=doc_id, _columns=columns)
+        return annotation
+
+    # The ``entries`` that ``__init__`` stores shadow this cached view.
+    @cached_property
+    def entries(self) -> tuple[SurprisalEntry, ...]:
+        return tuple(map(_new_entry, zip(*self._columns)))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._columns.lemmas)
 
 
 def log10_to_bits(log10_prob: float) -> float:
@@ -61,17 +91,17 @@ def surprisal_from_prob(probability: float) -> float:
 
 
 # ``SurprisalEntry(*fields)`` runs the NamedTuple's Python-level ``__new__``;
-# the kernel builds the same entry without that frame, as ``corpus`` does
+# ``entries`` builds the same entry without that frame, as ``corpus`` does
 # for ``Token``.
 _new_entry = partial(tuple.__new__, SurprisalEntry)
 
 
 def _score(
     model: KneserNeyBigramModel, lemmas: Sequence[str], contexts: Sequence[str],
-    positions: Iterable[int], doc_id: str | None = None,
-) -> tuple[SurprisalEntry, ...]:
-    """The entries of one lemma column scored against its context column,
-    with one ``prob`` query per lemma.
+    positions: Sequence[int], doc_id: str | None = None,
+) -> _ScoreColumns:
+    """The score columns of ``lemmas`` after their ``contexts``, with one
+    ``prob`` query per lemma.
 
     A probability outside (0, 1], which an imported model with a positive
     backoff weight can give, is a ``ValueError`` naming the document (when
@@ -90,8 +120,8 @@ def _score(
                     f"{where}word position {position}: probability of {lemma!r} after"
                     f" {context!r} must be in (0, 1], got {p}"
                 )
-    bits = map(neg, map(math.log2, probabilities))
-    return tuple(map(_new_entry, zip(lemmas, contexts, probabilities, bits, positions)))
+    bits = list(map(neg, map(math.log2, probabilities)))
+    return _ScoreColumns(lemmas, contexts, probabilities, bits, positions)
 
 
 def annotate_document(
@@ -106,7 +136,7 @@ def annotate_document(
     # ``sentences`` splits them.
     for i in columns.starts:
         contexts[i] = START
-    return SurprisalAnnotation(
+    return SurprisalAnnotation._scored(
         doc.id, _score(model, lemmas, contexts, range(len(lemmas)), doc.id)
     )
 
@@ -120,14 +150,18 @@ def annotate_sequence(
     """Score a lemma chain left to right from an explicit initial context.
 
     Optional ``positions`` attach source word positions to the entries so
-    callers can align scores with document locations.
+    callers can align scores with document locations. Both sequences are
+    copied, so changing them later leaves the annotation as it was.
     """
     if not lemmas:
         raise ValueError("cannot annotate an empty lemma sequence")
+    lemmas = tuple(lemmas)
     if positions is None:
         positions = range(len(lemmas))
-    elif len(positions) != len(lemmas):
-        raise ValueError("positions must align one-to-one with lemmas")
-    return SurprisalAnnotation(
+    else:
+        positions = tuple(positions)
+        if len(positions) != len(lemmas):
+            raise ValueError("positions must align one-to-one with lemmas")
+    return SurprisalAnnotation._scored(
         None, _score(model, lemmas, [initial_context, *lemmas[:-1]], positions)
     )

@@ -26,7 +26,7 @@ from rcsurp.accommodation import (
     make_content_predicate,
     write_weighted_tsv,
 )
-from rcsurp.surprisal import SurprisalAnnotation, SurprisalEntry
+from rcsurp.surprisal import SurprisalAnnotation, SurprisalEntry, annotate_sequence
 
 GOLDEN_POSITIONS = [624, 656, 681, 702, 715, 1267, 2785]
 GOLDEN_FACTORS = [4.0, 2.0, 4 / 3, 1.0, 1.0, 4 / 3, 2.0]
@@ -309,25 +309,50 @@ _TEXT_ALPHABET = "aäßſNA\t <>/"
 _text = st.text(_TEXT_ALPHABET) | st.just("NA")
 
 
+_TOY_MODEL = train_kn(count_bigrams(helpers.toy_documents()), discount=0.5)
+_toy_lemma = st.sampled_from(["the", "cat", "sat", "ran", "zzz", "ä"])
+
+
+@st.composite
+def _scored_annotation(draw):
+    """An annotation in the scorer's column form: a document of toy lemmas
+    and virgules, or a lemma chain with or without explicit positions."""
+    if draw(st.booleans()):
+        sentences = draw(st.lists(st.lists(_toy_lemma | st.just("/"), min_size=1, max_size=5),
+                                  max_size=3))
+        doc = load_vertical("# doc: d\n" + "\n".join(
+            "".join(f"{t}\t{t}\n" for t in sentence) for sentence in sentences))[0]
+        return annotate_document(_TOY_MODEL, doc)
+    lemmas = draw(st.lists(_toy_lemma, min_size=1, max_size=8))
+    positions = draw(st.none() | st.lists(st.integers(-5, 10**6), min_size=len(lemmas),
+                                          max_size=len(lemmas)))
+    return annotate_sequence(_TOY_MODEL, lemmas, draw(_toy_lemma | st.just("<s>")), positions)
+
+
 @st.composite
 def _weighted_documents(draw):
-    """Up to four ``(annotation, factors)`` pairs with unicode lemmas and one
-    ``(x, factor)`` pair per entry. Probabilities from 1e-300 to 1, and the
-    zeros, come from one small pool that every document draws from, so they
-    repeat across documents; bits are ``-log2`` of the probability or a
-    zero of either sign."""
+    """Up to four ``(annotation, factors)`` pairs with one ``(x, factor)``
+    pair per entry. An annotation is scored by the toy model, or built from
+    entries with unicode lemmas. The entries' probabilities from 1e-300 to
+    1, and the zeros, come from one small pool that every document draws
+    from, so they repeat across documents; bits are ``-log2`` of the
+    probability or a zero of either sign."""
     pool = draw(st.lists(st.floats(min_value=1e-300, max_value=1.0)
                          | st.sampled_from([0.0, -0.0]), min_size=1, max_size=4))
     pairs = []
     for _ in range(draw(st.integers(0, 4))):
-        entries, factors = [], []
-        for position in range(draw(st.integers(0, 8))):
-            p = draw(st.sampled_from(pool))
-            bits = draw(st.sampled_from([-math.log2(p) if p else math.inf, 0.0, -0.0]))
-            entries.append(SurprisalEntry(draw(_text), draw(_text), p, bits, position))
-            factors.append((draw(st.none() | st.integers()), draw(_factor_values)))
-        pairs.append((SurprisalAnnotation(draw(st.none() | _text), tuple(entries)),
-                      tuple(factors)))
+        if draw(st.booleans()):
+            annotation = draw(_scored_annotation())
+        else:
+            entries = []
+            for position in range(draw(st.integers(0, 8))):
+                p = draw(st.sampled_from(pool))
+                bits = draw(st.sampled_from([-math.log2(p) if p else math.inf, 0.0, -0.0]))
+                entries.append(SurprisalEntry(draw(_text), draw(_text), p, bits, position))
+            annotation = SurprisalAnnotation(draw(st.none() | _text), tuple(entries))
+        factors = [(draw(st.none() | st.integers()), draw(_factor_values))
+                   for _ in range(len(annotation))]
+        pairs.append((annotation, tuple(factors)))
     return pairs
 
 
@@ -348,9 +373,15 @@ def _signed_zero_bits(doc_id):
 @example([])
 @example([_signed_zero_bits("d1"), _signed_zero_bits("d2")])
 def test_weighted_tsv_matches_reference_writer(pairs):
+    # Scored annotations are written from their columns before any entry is
+    # built; the same rows rebuilt from the entries must write the same text.
     buffer = io.StringIO()
     write_weighted_tsv(iter(pairs), buffer)
     assert buffer.getvalue() == _reference_written(pairs)
+    from_entries = io.StringIO()
+    write_weighted_tsv([(SurprisalAnnotation(annotation.doc_id, annotation.entries), factors)
+                        for annotation, factors in pairs], from_entries)
+    assert from_entries.getvalue() == buffer.getvalue()
     for i, (annotation, factors) in enumerate(pairs):
         for misaligned in (factors[:-1], factors + ((None, 1.0),)):
             if len(misaligned) != len(factors):
@@ -362,9 +393,15 @@ def test_weighted_tsv_matches_reference_writer(pairs):
 def test_misaligned_annotation_is_error():
     doc = _trace_document()
     annotation = _flat_annotation(doc)
-    broken = SurprisalAnnotation(doc.id, annotation.entries[:-1])
-    with pytest.raises(ValueError, match="align"):
-        accommodate_document(broken, doc)
+    shifted = SurprisalAnnotation(doc.id, tuple(
+        entry._replace(doc_position=entry.doc_position + 1) for entry in annotation.entries
+    ))
+    # A scored document's positions are a range, here of another length.
+    other = load_vertical("# doc: d\nWort\twort\tNN\n")[0]
+    for broken in (SurprisalAnnotation(doc.id, annotation.entries[:-1]), shifted,
+                   annotate_document(_TOY_MODEL, other)):
+        with pytest.raises(ValueError, match="align"):
+            accommodate_document(broken, doc)
 
 
 def test_determinism():

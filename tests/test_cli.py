@@ -9,7 +9,8 @@ import pytest
 import helpers
 from rcsurp import cli
 from rcsurp import clauses as cl
-from rcsurp import corpus
+from rcsurp import corpus, surprisal
+from rcsurp import accommodation as accom
 from rcsurp.accommodation import FactorConfig
 from rcsurp.cli import main
 from rcsurp.givenness import SALIENCE_WINDOW
@@ -371,6 +372,35 @@ def test_pipeline_builds_no_token(fixture_model, tmp_path, monkeypatch, capsys):
     doc = corpus.load_vertical_file(FIXTURES / "corpus.vert")[0]
     assert len(doc.tokens) > doc.word_count() > 0
     assert len(built) == len(doc.tokens)
+
+
+def test_pipeline_builds_no_surprisal_entry(fixture_model, tmp_path, monkeypatch):
+    # The writer and the clause chains read the annotations' columns.
+    built = []
+    new_entry = surprisal._new_entry
+
+    def counting_new_entry(fields):
+        built.append(fields)
+        return new_entry(fields)
+
+    monkeypatch.setattr(surprisal, "_new_entry", counting_new_entry)
+    annotations = []
+    accommodate_document = accom.accommodate_document
+
+    def recording_accommodate_document(annotation, *args):
+        annotations.append(annotation)
+        return accommodate_document(annotation, *args)
+
+    monkeypatch.setattr(accom, "accommodate_document", recording_accommodate_document)
+    surprisal_args = ["surprisal", "--model", str(fixture_model),
+                      "--corpus", str(FIXTURES / "corpus.vert"), "-o", str(tmp_path / "s.tsv")]
+    for argv in (surprisal_args, _analyze_args(fixture_model, tmp_path / "out")):
+        assert main(argv) == 0, argv[0]
+        assert built == [], argv[0]
+    # The counter sees every entry that reading an annotation's entries builds.
+    annotation = annotations[0]
+    assert len(annotation.entries) == len(annotation) > 0
+    assert len(built) == len(annotation)
 
 
 def test_analyze_manifest_records_the_stoplist_contents(fixture_model, tmp_path):

@@ -3,7 +3,8 @@
 Most tests change the input in a way the paper's tables must not see and
 check that all five tables (and, where they train, the model) are
 byte-identical to those of the plain run; one checks that a document's
-surprisal rows are the same alone as in a run over every document.
+surprisal rows are the same alone as in a run over every document, and one
+that renaming the lemmas changes no number.
 No reference implementation is needed, so these catch a wrong answer that
 every unit oracle passes, such as a cache that serves one document's
 values for another.
@@ -14,9 +15,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rcsurp.cli import main
+from rcsurp.ngram import RESERVED, import_arpa
 
 FIXTURES = Path(__file__).parent / "fixtures" / "minicorpus"
 CORPUS = FIXTURES / "corpus.vert"
@@ -110,3 +112,60 @@ def test_unreferenced_document_leaves_the_tables(plain_run, tmp_path):
     extra.write_text(re.sub(r"^# doc: .*", "# doc: unreferenced", first), encoding="utf-8")
     for corpora in ([CORPUS, extra], [extra, CORPUS]):
         assert _analyze(model, corpora, tmp_path / "out") == tables
+
+
+def _token_fields(text):
+    """Each line of a vertical text, split at tabs when it is a token line."""
+    return [(line, line.split("\t") if line and not line.startswith("#") else None)
+            for line in text.split("\n")]
+
+
+_CORPUS_LINES = _token_fields(CORPUS.read_text(encoding="utf-8"))
+_LEMMAS = sorted({fields[1] for _, fields in _CORPUS_LINES if fields})
+
+
+def _surprisal_rows(model, corpus, out):
+    assert main(["surprisal", "--model", str(model), "--corpus", str(corpus),
+                 "-o", str(out)]) == 0
+    return [row.split("\t") for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.permutations(_LEMMAS))
+@example(_LEMMAS[::-1])
+def test_renamed_lemmas_leave_every_number(plain_run, renamed):
+    # Every fixture token carries a POS tag, so the content test reads no
+    # lemma, and the corpus holds no reserved symbol; any permutation of its
+    # lemmas is then a renaming that the model, the scores and the tables
+    # must not see.
+    assert all(len(fields) == 3 for _, fields in _CORPUS_LINES if fields)
+    assert not set(RESERVED) & set(_LEMMAS)
+    rename = dict(zip(_LEMMAS, renamed))
+    rename.update((symbol, symbol) for symbol in RESERVED)
+    model, tables = plain_run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        corpus = tmp / "renamed.vert"
+        corpus.write_text("\n".join(
+            line if fields is None else "\t".join([fields[0], rename[fields[1]], *fields[2:]])
+            for line, fields in _CORPUS_LINES
+        ), encoding="utf-8")
+        renamed_model = tmp / "renamed.arpa"
+        assert main(["train", "--corpus", str(corpus), "-o", str(renamed_model)]) == 0
+
+        plain_tables = import_arpa(model.read_text(encoding="utf-8")).string_tables()
+        unigram_p, bow, bigram_p = import_arpa(
+            renamed_model.read_text(encoding="utf-8")).string_tables()
+        assert unigram_p == {rename[w]: p for w, p in plain_tables[0].items()}
+        assert bow == {rename[w]: b for w, b in plain_tables[1].items()}
+        assert bigram_p == {(rename[v], rename[w]): p
+                            for (v, w), p in plain_tables[2].items()}
+
+        plain_rows = _surprisal_rows(model, CORPUS, tmp / "plain.tsv")
+        renamed_rows = _surprisal_rows(renamed_model, corpus, tmp / "renamed.tsv")
+        assert len(renamed_rows) == len(plain_rows) > 0
+        for plain, row in zip(plain_rows, renamed_rows):
+            doc, position, lemma, context, *numbers = plain
+            assert row == [doc, position, rename[lemma], rename[context], *numbers]
+
+        assert _analyze(renamed_model, [corpus], tmp / "out") == tables

@@ -124,8 +124,11 @@ def test_annotate_document_matches_token_loop(sentences):
     loaded = load_vertical(text)[0]
     for doc in (loaded, resegment_sentences(loaded)):
         annotation = annotate_document(model, doc)
-        assert annotation == helpers.reference_annotate_document(model, doc)
-        assert len(annotation) == doc.word_count()
+        reference = helpers.reference_annotate_document(model, doc)
+        # The length comes from the columns, before any entry is built.
+        assert len(annotation) == len(reference) == doc.word_count()
+        assert hash(annotation) == hash(reference)
+        assert annotation == reference
         assert all(type(entry) is SurprisalEntry for entry in annotation.entries)
 
 
@@ -147,10 +150,23 @@ def test_annotate_sequence_matches_chain_loop(chain):
     lemmas, initial_context, positions = chain
     model = train_kn(count_bigrams(helpers.toy_documents()), discount=0.5)
     annotation = annotate_sequence(model, lemmas, initial_context, positions)
-    assert annotation == helpers.reference_annotate_sequence(
-        model, lemmas, initial_context, positions
-    )
+    reference = helpers.reference_annotate_sequence(model, lemmas, initial_context, positions)
+    assert len(annotation) == len(reference) == len(lemmas)
+    assert hash(annotation) == hash(reference)
+    assert annotation == reference
     assert all(type(entry) is SurprisalEntry for entry in annotation.entries)
+
+
+def test_annotate_sequence_keeps_its_inputs_as_they_were(toy_model):
+    # The entries are built on first read, after the caller changed the lists.
+    lemmas, positions = ["the", "cat", "sat"], [4, 5, 9]
+    reference = helpers.reference_annotate_sequence(toy_model, lemmas, START, positions)
+    annotation = annotate_sequence(toy_model, lemmas, START, positions)
+    lemmas[1], positions[1] = "zzz", 7
+    lemmas.append("ran")
+    positions.clear()
+    assert len(annotation) == 3
+    assert annotation.entries == reference.entries
 
 
 def test_entries_align_with_word_tokens(toy_model):
