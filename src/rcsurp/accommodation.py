@@ -226,11 +226,18 @@ def write_weighted_tsv(
     Probabilities, bits, factors and counts repeat across the whole corpus,
     so the row tail from ``prob`` on is formatted once per distinct
     ``(probability, bits, (x, factor))`` for the call, and the rows are
-    joined column by column. ``0.0`` and ``-0.0`` are equal keys that format
-    differently, so a row with a zero among probability, bits and factor is
-    always formatted anew.
+    joined column by column. A new tail joins a ``prob bits`` piece
+    formatted once per distinct ``(probability, bits)`` and an ``x factor``
+    piece formatted once per distinct factor pair to its weighted value.
+    ``0.0`` and ``-0.0`` are equal keys that format differently, so a row
+    with a zero among probability, bits and factor is always formatted
+    whole. Positions that are a ``range`` of step 1 from 0 or above take
+    their text from one list of numerals for the call.
     """
     tails: dict[tuple[float, float, tuple[int | None, float]], str] = {}
+    scores: dict[tuple[float, float], str] = {}
+    weights: dict[tuple[int | None, float], str] = {}
+    numerals: list[str] = []  # numerals[i] == str(i)
     header = _TSV_HEADER
     for annotation, factors in scored:
         lemmas, contexts, probabilities, bits, positions = annotation._columns
@@ -238,20 +245,33 @@ def write_weighted_tsv(
             raise ValueError(
                 f"{len(factors)} factors do not align with {len(lemmas)} entries"
             )
-        keys = list(zip(probabilities, bits, factors))
-        row_tails = list(map(tails.get, keys))
+        row_tails = list(map(tails.get, zip(probabilities, bits, factors)))
         # Only the rows whose tail is not cached yet run Python code.
         for i in compress(count(), map(not_, row_tails)):
-            probability, b, (x, f) = key = keys[i]
+            probability, b, pair = key = probabilities[i], bits[i], factors[i]
             text = tails.get(key)  # an earlier row of this document may have added it
             if text is None:
-                text = "%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
-                    probability, b, "NA" if x is None else x, f, b * f
-                )
+                x, f = pair
                 if probability and b and f:
-                    tails[key] = text
+                    score = scores.get((probability, b))
+                    if score is None:
+                        score = scores[probability, b] = "%.6e\t%.6f\t" % (probability, b)
+                    weight = weights.get(pair)
+                    if weight is None:
+                        weight = weights[pair] = "%s\t%.6f\t" % ("NA" if x is None else x, f)
+                    text = tails[key] = score + weight + "%.6f\n" % (b * f)
+                else:
+                    text = "%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
+                        probability, b, "NA" if x is None else x, f, b * f
+                    )
             row_tails[i] = text
+        if type(positions) is range and positions.step == 1 and 0 <= positions.start:
+            start, stop = positions.start, max(positions.start, positions.stop)
+            numerals.extend(map(str, range(len(numerals), stop)))
+            position_texts = numerals[start:stop]
+        else:
+            position_texts = map(str, positions)
         fh.write(header + "".join(map("\t".join, zip(
-            repeat(str(annotation.doc_id)), map(str, positions), lemmas, contexts, row_tails,
+            repeat(str(annotation.doc_id)), position_texts, lemmas, contexts, row_tails,
         ))))
         header = ""

@@ -68,6 +68,8 @@ class _Row(NamedTuple):
 # directly and get the same ``Token`` without the extra frame.
 _new_token = partial(tuple.__new__, Token)
 _new_row = partial(tuple.__new__, _Row)
+# What the loader's parsed-line cache holds for a blank line.
+_BLANK = object()
 
 
 class Word(Protocol):
@@ -188,25 +190,30 @@ def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
     """Parse vertical-format text into documents.
 
     ``source`` may be a string, an open text file, or any iterable of
-    lines. Raises :class:`ParseError` with a line number on malformed
+    lines. A line of only whitespace is a blank line, which ends the open
+    sentence. Raises :class:`ParseError` with a line number on malformed
     token lines, token lines outside any document, and duplicate
     document ids. An empty source yields an empty list.
+
+    Each distinct token line, and each distinct blank line once a document
+    is open, is parsed once per call; a repeat costs one dict lookup.
     """
     docs: list[Document] = []
     seen_ids: set[str] = set()
     # The open document: its id (None before the first header), its rows,
-    # the row index where each of its sentences starts, and whether the
-    # last sentence has a row yet.
+    # and the row index where each of its sentences starts; the last
+    # sentence has a row when ``len(rows) > starts[-1]``.
     doc_id: str | None = None
     rows: list[_Row] = []
     starts = [0]
-    sentence_open = False
-    # Each token line seen so far, as read, mapped to its checked row: a
-    # repeated line skips the split and the checks, and its documents share
-    # one row. It lives for one call, so no call keeps the lines of an
-    # earlier input alive. Only token lines are stored, and only once a
-    # document is open, so a hit needs no check of the parser state either.
-    parsed: dict[str, _Row] = {}
+    # Each token or blank line seen so far, as read, mapped to its checked
+    # row or to ``blank``: a repeated line skips the split and the checks,
+    # and its documents share one row. It lives for one call, so no call
+    # keeps the lines of an earlier input alive. Only token and blank lines
+    # are stored, and only once a document is open, so a hit needs no check
+    # of the parser state either.
+    parsed: dict[str, _Row | object] = {}
+    blank = _BLANK
     new_row = _new_row
 
     for lineno, raw in enumerate(_iter_lines(source), start=1):
@@ -222,32 +229,35 @@ def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
                 seen_ids.add(new_id)
                 if doc_id is not None:
                     docs.append(_closed(doc_id, rows, starts))
-                doc_id, rows, starts, sentence_open = new_id, [], [0], False
+                doc_id, rows, starts = new_id, [], [0]
                 continue
             if line.startswith("#"):
                 continue  # comment
             if not line.strip():
-                if sentence_open:
-                    starts.append(len(rows))
-                    sentence_open = False
-                continue
-            if doc_id is None:
-                raise ParseError("token line before any '# doc:' header", lineno)
-            columns = line.split("\t")
-            if len(columns) < 2 or len(columns) > 3:
-                raise ParseError(
-                    f"expected 2 or 3 tab-separated columns, got {len(columns)}", lineno
-                )
-            surface, lemma = columns[0], columns[1]
-            pos = columns[2] if len(columns) == 3 and columns[2] else None
-            if not surface:
-                raise ParseError("empty surface form", lineno)
-            punct = not surface.strip(_PUNCTUATION_CHARS)
-            if not lemma and not punct:
-                raise ParseError(f"empty lemma for word token {surface!r}", lineno)
-            row = parsed[raw] = new_row((surface, lemma or surface, pos, punct))
-        rows.append(row)
-        sentence_open = True
+                if doc_id is None:
+                    continue  # no sentence to end
+                row = parsed[raw] = blank
+            else:
+                if doc_id is None:
+                    raise ParseError("token line before any '# doc:' header", lineno)
+                columns = line.split("\t")
+                if len(columns) < 2 or len(columns) > 3:
+                    raise ParseError(
+                        f"expected 2 or 3 tab-separated columns, got {len(columns)}", lineno
+                    )
+                surface, lemma = columns[0], columns[1]
+                pos = columns[2] if len(columns) == 3 and columns[2] else None
+                if not surface:
+                    raise ParseError("empty surface form", lineno)
+                punct = not surface.strip(_PUNCTUATION_CHARS)
+                if not lemma and not punct:
+                    raise ParseError(f"empty lemma for word token {surface!r}", lineno)
+                row = parsed[raw] = new_row((surface, lemma or surface, pos, punct))
+        if row is blank:
+            if len(rows) > starts[-1]:
+                starts.append(len(rows))
+        else:
+            rows.append(row)
 
     if doc_id is not None:
         docs.append(_closed(doc_id, rows, starts))

@@ -102,8 +102,9 @@ class BigramCounts(Value):
         self.c2 = Counter() if c2 is None else c2
 
     def token_count(self) -> int:
-        """Corpus word tokens (padding symbols excluded)."""
-        return sum(n for i, n in self.c1.items() if i >= len(RESERVED))
+        """Corpus word tokens: every count but the reserved symbols'."""
+        c1 = self.c1
+        return sum(c1.values()) - c1[START_ID] - c1[END_ID] - c1[UNK_ID]
 
     def sentence_count(self) -> int:
         return self.c1[START_ID]
@@ -376,18 +377,23 @@ def export_arpa(model: KneserNeyBigramModel) -> str:
 def import_arpa(text: str) -> KneserNeyBigramModel:
     """Reconstruct a model from ARPA text (orders 1 and 2 only).
 
-    Raises :class:`ParseError` with a line number on malformed headers,
-    inconsistent n-gram counts, non-numeric or out-of-range fields (a log
+    A section ends at its first blank (or whitespace-only) line or line
+    starting with ``\\``. Raises :class:`ParseError` with a line number on
+    malformed headers, inconsistent n-gram counts, an entry with the wrong
+    number of fields or words, non-numeric or out-of-range fields (a log
     probability above 0, a power of ten that overflows, or zero mass on
     anything but the start symbol's unigram), a repeated ``ngram``
-    declaration, or truncation. The reserved symbols must be present among
-    the unigrams.
+    declaration, or truncation; the first bad line is the one named. The
+    reserved symbols must be present among the unigrams.
 
     Log10 texts repeat, so each distinct text of a log probability or a
     backoff weight is converted and checked once per call, the mirror of
     ``export_arpa``'s ``log10_text``. A zero power is never reused: it is
     valid only on the start symbol's unigram line, and every other line
-    that carries it fails with its own line number.
+    that carries it fails with its own line number. An entry whose texts
+    are all converted already, and whose shape the cache lookups vouch
+    for, costs two ``str.partition`` calls and the lookups; every other
+    line is split and checked in full.
     """
     declared: dict[int, int] = {}
     # The unigram lines' values by word, until the vocabulary is known.
@@ -396,6 +402,7 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
 
     lines = text.splitlines()
     n = len(lines)
+    lines.append("")  # ends a section that runs to the end of the text
 
     def expect(i: int, marker: str, message: str) -> int:
         # The index after ``marker``, which must be the next non-blank line.
@@ -441,23 +448,32 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     probability_of: dict[str, float] = {}
     weight_of: dict[str, float] = {}
 
+    # Each section is one loop that the appended blank line ends at the
+    # latest. A cached text is never empty and holds no tab, so a line whose
+    # two texts are both cached has exactly two tabs and skips the checks,
+    # which a line with a new text, one of the wrong shape and a section's
+    # end run in full.
     i = expect(i, "\\1-grams:", "missing \\1-grams: section")
-    while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields in 1-gram entry, got {len(fields)}", i + 1)
-        log_p, word, log_bow = fields
+    for i in range(i, len(lines)):
+        line = lines[i]
+        log_p, _, rest = line.partition("\t")
+        word, _, log_bow = rest.partition("\t")
         p = probability_of.get(log_p)
-        if p is None:
-            p = parse_power(log_p, i + 1, word)
-            if p:
-                probability_of[log_p] = p
-        unigram_p[word] = p
         weight = weight_of.get(log_bow)
-        if weight is None:
-            weight = weight_of[log_bow] = parse_power(log_bow, i + 1, word, probability=False)
+        if p is None or weight is None:
+            if not line.strip() or line.startswith("\\"):
+                break
+            fields = line.split("\t")
+            if len(fields) != 3:
+                raise ParseError(f"expected 3 fields in 1-gram entry, got {len(fields)}", i + 1)
+            if p is None:
+                p = parse_power(log_p, i + 1, word)
+                if p:
+                    probability_of[log_p] = p
+            if weight is None:
+                weight = weight_of[log_bow] = parse_power(log_bow, i + 1, word, probability=False)
+        unigram_p[word] = p
         bow[word] = weight
-        i += 1
 
     vocabulary = Vocabulary.from_lemmas(unigram_p)
     index, size = vocabulary.index, len(vocabulary)
@@ -468,30 +484,36 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     # Bigrams come grouped by context, so its id is looked up once per run.
     context, base = None, None
 
+    # A vocabulary word holds no tab, so a line with a cached text whose
+    # two words are both in the vocabulary has exactly one tab. Testing for
+    # the space catches a missing tab or space, and testing ``w`` for one
+    # an extra word, as a unigram line may give a word a space.
     i = expect(i, "\\2-grams:", "missing \\2-grams: section")
-    while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"expected 2 fields in 2-gram entry, got {len(fields)}", i + 1)
-        log_p, words = fields
-        pair = words.split(" ")
-        if len(pair) != 2:
-            raise ParseError(f"expected two words in bigram entry {words!r}", i + 1)
-        p = probability_of.get(log_p)
-        if p is None:  # a bigram's zero power is an error, so ``p`` is not zero
-            p = probability_of[log_p] = parse_power(log_p, i + 1, words)
-        v, w = pair
+    for i in range(i, len(lines)):
+        line = lines[i]
+        log_p, _, words = line.partition("\t")
+        v, space, w = words.partition(" ")
         if v != context:
             context = v
             base = index.get(v)
             if base is not None:
                 base *= size
+        p = probability_of.get(log_p)
         w_id = index.get(w)
-        if base is None or w_id is None:
-            undeclared[v, w] = None
-        else:
-            bigram_p[base + w_id] = p
-        i += 1
+        if p is None or base is None or w_id is None or not space or " " in w:
+            if not line.strip() or line.startswith("\\"):
+                break
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ParseError(f"expected 2 fields in 2-gram entry, got {len(fields)}", i + 1)
+            if len(words.split(" ")) != 2:
+                raise ParseError(f"expected two words in bigram entry {words!r}", i + 1)
+            if p is None:  # a bigram's zero power is an error, so ``p`` is not zero
+                p = probability_of[log_p] = parse_power(log_p, i + 1, words)
+            if base is None or w_id is None:
+                undeclared[v, w] = None
+                continue
+        bigram_p[base + w_id] = p
 
     expect(i, "\\end\\", "missing \\end\\ marker (truncated file?)")
 

@@ -10,9 +10,9 @@ that parses every line afresh, sentence re-segmentation by copying every
 token, mention classification by rescanning the document's history for
 every mention, the accommodated surprisal TSV as one f-string and one
 write per row, the ARPA text as one f-string per entry with bigrams sorted
-by id tuples, the givenness table by scanning every mention for every
-record, and the chi-square tail by Simpson integration of the normal
-density.
+by id tuples, the ARPA reader as one ``split`` per line, the givenness
+table by scanning every mention for every record, and the chi-square tail
+by Simpson integration of the normal density.
 ``write_vertical`` serializes documents back to the vertical format, so the
 loader can be checked by a round trip.
 """
@@ -37,6 +37,7 @@ from rcsurp import (
 )
 from rcsurp.corpus import DEFAULT_PUNCTUATION, DOC_HEADER
 from rcsurp.givenness import SALIENCE_WINDOW, ClassifiedMention, check_salience_window
+from rcsurp.ngram import _LOG10_ZERO, RESERVED, KneserNeyBigramModel, Vocabulary
 
 START = "<s>"
 END = "</s>"
@@ -241,6 +242,138 @@ def reference_export_arpa(model) -> str:
     lines.append("")
     lines.append("\\end\\")
     return "\n".join(lines) + "\n"
+
+
+def reference_import_arpa(text: str):
+    """The ARPA reader as one ``split`` per line: each section is a
+    ``while`` loop that checks every entry's shape, with the same messages,
+    line numbers and check order as ``import_arpa``, and converts each
+    distinct log10 text once."""
+    declared: dict[int, int] = {}
+    # The unigram lines' values by word, until the vocabulary is known.
+    unigram_p: dict[str, float] = {}
+    bow: dict[str, float] = {}
+
+    lines = text.splitlines()
+    n = len(lines)
+
+    def expect(i: int, marker: str, message: str) -> int:
+        # The index after ``marker``, which must be the next non-blank line.
+        while i < n and not lines[i].strip():
+            i += 1
+        if i >= n or lines[i].strip() != marker:
+            raise ParseError(message, i + 1 if i < n else None)
+        return i + 1
+
+    i = expect(0, "\\data\\", "missing \\data\\ header")
+    while i < n and (entry := lines[i].strip()).startswith("ngram "):
+        entry = entry[len("ngram "):]
+        try:
+            order_str, count_str = entry.split("=")
+            order, size = int(order_str), int(count_str)
+        except ValueError:
+            raise ParseError(f"malformed ngram declaration {entry!r}", i + 1)
+        if order in declared:
+            raise ParseError(f"repeated ngram {order} declaration", i + 1)
+        declared[order] = size
+        i += 1
+    if set(declared) != {1, 2}:
+        raise ParseError(f"expected orders 1 and 2, declared {sorted(declared)}")
+
+    def parse_power(field: str, lineno: int, entry: str, probability: bool = True) -> float:
+        # 10 ** field. A backoff weight may be positive, a log probability may
+        # not and reads 0.0 at or below the sentinel. Zero mass would make
+        # ``prob`` return 0.0, so only the start symbol, never an outcome, has it.
+        try:
+            lp = float(field)
+            power = 0.0 if probability and lp <= _LOG10_ZERO else 10.0 ** lp
+            valid = math.isfinite(power) and not (probability and lp > 0.0)
+        except (ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ParseError(f"non-numeric or out-of-range log10 value {field!r}", lineno)
+        if power == 0.0 and not (probability and entry == START):
+            raise ParseError(f"log10 value {field!r} of {entry!r} gives zero mass", lineno)
+        return power
+
+    # Converted powers by log10 text: probabilities (never a zero one) and
+    # backoff weights, which are never zero.
+    probability_of: dict[str, float] = {}
+    weight_of: dict[str, float] = {}
+
+    i = expect(i, "\\1-grams:", "missing \\1-grams: section")
+    while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields in 1-gram entry, got {len(fields)}", i + 1)
+        log_p, word, log_bow = fields
+        p = probability_of.get(log_p)
+        if p is None:
+            p = parse_power(log_p, i + 1, word)
+            if p:
+                probability_of[log_p] = p
+        unigram_p[word] = p
+        weight = weight_of.get(log_bow)
+        if weight is None:
+            weight = weight_of[log_bow] = parse_power(log_bow, i + 1, word, probability=False)
+        bow[word] = weight
+        i += 1
+
+    vocabulary = Vocabulary.from_lemmas(unigram_p)
+    index, size = vocabulary.index, len(vocabulary)
+    bigram_p: dict[int, float] = {}
+    # Pairs with a word that is not a unigram, in order of first occurrence;
+    # they are reported only after the count and reserved-symbol checks.
+    undeclared: dict[tuple[str, str], None] = {}
+    # Bigrams come grouped by context, so its id is looked up once per run.
+    context, base = None, None
+
+    i = expect(i, "\\2-grams:", "missing \\2-grams: section")
+    while i < n and (line := lines[i]).strip() and not line.startswith("\\"):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ParseError(f"expected 2 fields in 2-gram entry, got {len(fields)}", i + 1)
+        log_p, words = fields
+        pair = words.split(" ")
+        if len(pair) != 2:
+            raise ParseError(f"expected two words in bigram entry {words!r}", i + 1)
+        p = probability_of.get(log_p)
+        if p is None:  # a bigram's zero power is an error, so ``p`` is not zero
+            p = probability_of[log_p] = parse_power(log_p, i + 1, words)
+        v, w = pair
+        if v != context:
+            context = v
+            base = index.get(v)
+            if base is not None:
+                base *= size
+        w_id = index.get(w)
+        if base is None or w_id is None:
+            undeclared[v, w] = None
+        else:
+            bigram_p[base + w_id] = p
+        i += 1
+
+    expect(i, "\\end\\", "missing \\end\\ marker (truncated file?)")
+
+    if len(unigram_p) != declared[1]:
+        raise ParseError(
+            f"declared {declared[1]} unigrams but found {len(unigram_p)}"
+        )
+    if len(bigram_p) + len(undeclared) != declared[2]:
+        raise ParseError(
+            f"declared {declared[2]} bigrams but found {len(bigram_p) + len(undeclared)}"
+        )
+    # The vocabulary holds every reserved symbol, so a bigram may name one
+    # that is missing from the unigrams; this check reports it first.
+    for symbol in RESERVED:
+        if symbol not in unigram_p:
+            raise ParseError(f"reserved symbol {symbol!r} missing from unigrams")
+    for (v, w) in undeclared:
+        raise ParseError(f"bigram ({v!r}, {w!r}) uses an undeclared word")
+
+    symbols = vocabulary.words()
+    return KneserNeyBigramModel(vocabulary, list(map(unigram_p.__getitem__, symbols)),
+                                list(map(bow.__getitem__, symbols)), bigram_p)
 
 
 def _all_punctuation(surface: str) -> bool:

@@ -1,5 +1,6 @@
 import io
 import math
+from itertools import cycle, islice
 from pathlib import Path
 
 import pytest
@@ -316,7 +317,9 @@ _toy_lemma = st.sampled_from(["the", "cat", "sat", "ran", "zzz", "ä"])
 @st.composite
 def _scored_annotation(draw):
     """An annotation in the scorer's column form: a document of toy lemmas
-    and virgules, or a lemma chain with or without explicit positions."""
+    and virgules, or a lemma chain with or without explicit positions, or
+    with positions ``range(k, k + len)``, which no public scorer gives for
+    ``k != 0``."""
     if draw(st.booleans()):
         sentences = draw(st.lists(st.lists(_toy_lemma | st.just("/"), min_size=1, max_size=5),
                                   max_size=3))
@@ -326,7 +329,21 @@ def _scored_annotation(draw):
     lemmas = draw(st.lists(_toy_lemma, min_size=1, max_size=8))
     positions = draw(st.none() | st.lists(st.integers(-5, 10**6), min_size=len(lemmas),
                                           max_size=len(lemmas)))
-    return annotate_sequence(_TOY_MODEL, lemmas, draw(_toy_lemma | st.just("<s>")), positions)
+    annotation = annotate_sequence(
+        _TOY_MODEL, lemmas, draw(_toy_lemma | st.just("<s>")), positions)
+    start = draw(st.none() | st.integers(-3, 40))
+    if start is None:
+        return annotation
+    return SurprisalAnnotation._scored(None, annotation._columns._replace(
+        positions=range(start, start + len(lemmas))))
+
+
+def _scored_document(doc_id, length):
+    """A scored toy document of ``length`` words and its factors."""
+    doc = load_vertical(f"# doc: {doc_id}\n" + "".join(
+        f"{lemma}\t{lemma}\tNN\n" for lemma in islice(cycle(["the", "cat", "sat"]), length)))[0]
+    annotation = annotate_document(_TOY_MODEL, doc)
+    return annotation, accommodate_document(annotation, doc)
 
 
 @st.composite
@@ -372,6 +389,14 @@ def _signed_zero_bits(doc_id):
 @given(_weighted_documents())
 @example([])
 @example([_signed_zero_bits("d1"), _signed_zero_bits("d2")])
+# Positions of a longer document after a shorter one, of a chain whose
+# positions are a tuple, and of chains whose positions are ranges from 3
+# and from -2.
+@example([_scored_document("d1", 2), _scored_document("d2", 12),
+          (annotate_sequence(_TOY_MODEL, ["cat", "sat"], positions=(7, 3)), ((1, 4.0), (1, 4.0))),
+          *[(SurprisalAnnotation._scored(None, annotate_sequence(
+              _TOY_MODEL, ["the", "cat"])._columns._replace(positions=range(k, k + 2))),
+             ((None, 1.0), (1, 4.0))) for k in (3, -2)]])
 def test_weighted_tsv_matches_reference_writer(pairs):
     # Scored annotations are written from their columns before any entry is
     # built; the same rows rebuilt from the entries must write the same text.

@@ -334,3 +334,82 @@ def test_repeated_zero_bigram_field_fails_on_its_line(toy_model):
     lines[16] = "-99.000000\tcat sat"
     with pytest.raises(ParseError, match=r"line 17: log10 value '-99\.000000' of 'cat sat' gives zero mass"):
         import_arpa("\n".join(lines) + "\n")
+
+
+# --- reader against the per-line oracle -------------------------------------
+
+# Log10 texts that fail, or that give zero mass, wherever they stand.
+_BAD_LOG10 = ["oops", "", "0.5", "400", "-400", "nan", "-99.000000"]
+# Mutations of one bigram entry. A shape error is reported at its line
+# even where the vocabulary holds the words that the broken line splits
+# into, so each may also add a unigram with an empty word or a space.
+_BIGRAM_MUTATIONS = ["missing-tab", "missing-space", "extra-word", "undeclared-word"]
+
+
+def _mutated(lines, kind, rng):
+    """``lines`` with one mutation of ``kind`` at an entry that ``rng``
+    picks; an insertion lands inside a section."""
+    lines = list(lines)
+    sections = ["\\2-grams:"] if kind in _BIGRAM_MUTATIONS else ["\\1-grams:", "\\2-grams:"]
+    section = rng.choice(sections)
+    start = lines.index(section) + 1
+    end = start
+    while lines[end].strip() and not lines[end].startswith("\\"):
+        end += 1
+    if kind in ("whitespace-line", "backslash-line"):
+        filler = rng.choice([" ", "\t", " \t "]) if kind == "whitespace-line" else "\\x"
+        lines.insert(rng.randint(start, end), filler)
+        return lines
+    if start == end:  # an empty section has no entry to change
+        return lines
+    i = rng.randrange(start, end)
+    line = lines[i]
+    if kind == "extra-tab":
+        at = rng.randint(0, len(line))
+        lines[i] = line[:at] + "\t" + line[at:]
+    elif kind == "repeated-log10":  # one bad text on up to three entries
+        text = rng.choice(_BAD_LOG10)
+        column = rng.choice([0, 2] if section == "\\1-grams:" else [0])
+        for j in sorted(rng.sample(range(start, end), min(3, end - start))):
+            fields = lines[j].split("\t")
+            fields[column] = text
+            lines[j] = "\t".join(fields)
+    else:
+        log_p, _, words = line.partition("\t")
+        v, _, w = words.partition(" ")
+        extra = ""
+        if kind == "missing-tab":
+            lines[i] = rng.choice([log_p, line.replace("\t", " ", 1)])
+        elif kind == "missing-space":
+            lines[i] = rng.choice([f"{log_p}\t{v}", f"{log_p}\t{v}{w}"])
+        elif kind == "extra-word":
+            lines[i], extra = f"{line} zzz", f"{w} zzz"
+        else:  # "undeclared-word"
+            lines[i] = rng.choice([f"{log_p}\t{v} zzz", f"{log_p}\tzzz {w}"])
+        if rng.random() < 0.5:
+            unigrams = lines.index("\\1-grams:") + 1
+            lines.insert(unigrams, f"-0.500000\t{extra}\t0.000000")
+    return lines
+
+
+_MUTATIONS = ["extra-tab", "whitespace-line", "backslash-line", "repeated-log10",
+              *_BIGRAM_MUTATIONS]
+
+
+@given(_corpus, _discount, st.lists(st.sampled_from(_MUTATIONS), max_size=3),
+       st.randoms(use_true_random=False))
+def test_import_matches_reference_on_mutated_models(sentences, discount, mutations, rng):
+    # A mutated export reads as the per-line reader reads it: the same
+    # model, or the same message at the same line.
+    lines = export_arpa(_model_of(sentences, discount)).splitlines()
+    for kind in mutations:
+        lines = _mutated(lines, kind, rng)
+    text = "\n".join(lines) + "\n"
+    try:
+        expected = helpers.reference_import_arpa(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            import_arpa(text)
+        assert (str(got.value), got.value.line) == (str(exc), exc.line)
+    else:
+        assert import_arpa(text) == expected

@@ -173,8 +173,9 @@ _valid_lines = [
     "der\tder\tART", "Mann\tMann\tNN", "sagt\tsagen", "gut\tgut\t",
     "/\t/", "/\t", ".\t.\t$.", ".\t\t$.", "-\t-",
 ]
-# ``None`` opens a new document with a fresh id.
-_structure_lines = ["", "", "  ", "# a comment", None, None]
+# ``None`` opens a new document with a fresh id. Every line of blanks,
+# tabs and carriage returns is a blank line.
+_structure_lines = ["", "", "  ", "\t", " \t ", "\r", "# a comment", None, None]
 # Each breaks one check; "Mann" and "Mann\t" repeat a valid line's surface.
 _malformed_lines = [
     "Mann", "a\tb\tc\td", "\tder", "Mann\t", "sagt\t\tVVFIN", "# doc:", "# doc: d0",

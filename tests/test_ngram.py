@@ -114,6 +114,7 @@ def test_counts_match_reference_random_corpora(corpus):
     counts = count_bigrams(load_vertical("\n".join(lines)))
     c1, c2, left, right, types = helpers.reference_counts(expected_sentences)
     assert counts.string_tables() == (c1, c2)
+    assert counts.token_count() == sum(n for w, n in c1.items() if w not in (START, END, UNK))
     assert len(counts.c2) == types
     discount = 0.5
     if not types:
