@@ -21,7 +21,7 @@ from operator import eq, not_
 from pathlib import Path
 from typing import Callable, Iterable, TextIO
 
-from ._value import Frozen
+from ._value import FACTOR_BONUS, FACTOR_FLOOR, FACTOR_WEAROUT, FACTOR_WINDOW, Frozen
 from .corpus import Document, Word
 from .surprisal import SurprisalAnnotation
 
@@ -39,10 +39,10 @@ class FactorConfig(Frozen):
 
     _fields = ("bonus", "wearout", "window", "floor")
 
-    bonus: float = 4.0   # factor at first mention
-    wearout: int = 4     # effective count at which the bonus is gone
-    window: int = 200    # words of silence per reset point
-    floor: int = 2       # reset never drops the count below this
+    bonus: float = FACTOR_BONUS
+    wearout: int = FACTOR_WEAROUT
+    window: int = FACTOR_WINDOW
+    floor: int = FACTOR_FLOOR
 
     def __init__(self, bonus: float = bonus, wearout: int = wearout,
                  window: int = window, floor: int = floor):

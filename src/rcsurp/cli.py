@@ -10,8 +10,10 @@ Subcommands:
 * ``chi2``       -- chi-square on four raw counts
 
 Exit codes: 0 success, 2 input or I/O error, 3 validation error, 4
-internal invariant violation. Each option's default is written once, in
-:func:`_build_parser`. A ``--config`` file overrides the defaults in a flat
+internal invariant violation. Each subcommand imports the pipeline modules
+it runs when it runs, so a process loads no others. Each option's default
+is written once: in :func:`_build_parser`, or in ``_value`` for the ones the
+library shares. A ``--config`` file overrides the defaults in a flat
 ``key = value`` format, each key the full long name of one of the
 subcommand's options other than ``config`` and ``help``; command-line
 flags override the file. Options are spelled in full on the command line
@@ -27,27 +29,29 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from contextlib import contextmanager
 from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
-from . import accommodation as accom
-from . import clauses as cl
-from . import givenness as giv
 from . import ngram
+from ._value import FACTOR_BONUS, FACTOR_FLOOR, FACTOR_WEAROUT, FACTOR_WINDOW, SALIENCE_WINDOW
 from .corpus import Document, load_vertical_file, resegment_sentences
 from .errors import DegenerateCountsError, ParseError, PipelineError, ValidationError
-from .surprisal import annotate_document
 
-# Collector thresholds while ``main`` runs. The pipeline allocates millions
-# of token, entry and factor tuples that hold only strings and numbers, so
-# they cannot form reference cycles; at the default generation-0 threshold
-# (700) the collector traverses them over and over for nothing.
+if TYPE_CHECKING:
+    from . import accommodation as accom
+    from . import clauses as cl
+    from . import givenness as giv
+
+# Collector thresholds while ``main`` runs. The pipeline allocates tens of
+# thousands of parsed corpus rows, per-word factor pairs and other tuples
+# that hold only strings and numbers, so they cannot form reference cycles;
+# at the default generation-0 threshold (700) the collector traverses them
+# over and over for nothing.
 _BATCH_GC_THRESHOLD = (50_000, 50, 1000)
 
 
@@ -58,10 +62,14 @@ _CONFIG_KEYS = ("corpus", "content_pos", "stoplist", "bonus", "wearout", "window
 
 
 def _factor_config(args: argparse.Namespace) -> accom.FactorConfig:
+    from . import accommodation as accom
+
     return accom.FactorConfig(args.bonus, args.wearout, args.window, args.floor)
 
 
 def _content_predicate(args: argparse.Namespace):
+    from . import accommodation as accom
+
     pos = (
         frozenset(tag for tag in args.content_pos.split(",") if tag)
         if args.content_pos
@@ -131,6 +139,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_surprisal(args: argparse.Namespace) -> int:
+    from . import accommodation as accom
+    from .surprisal import annotate_document
+
     model = _load_model(args.model)
     docs = _load_corpus(args.corpus)
     if args.doc:
@@ -165,6 +176,9 @@ def _load_annotations(
     window is checked first, whether or not there are mentions. Both files
     are read before failing, so one :class:`ValidationError` lists the
     clause problems and then the referent problems."""
+    from . import clauses as cl
+    from . import givenness as giv
+
     giv.check_salience_window(args.salience_window)
     loaded, problems = [], []
     for load, path in ((cl.parse_clause_annotations, args.clauses),
@@ -186,6 +200,9 @@ def _load_annotations(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import clauses as cl
+    from . import givenness as giv
+
     model = _load_model(args.model)
     docs = _load_corpus(args.corpus)
     records, classified = _load_annotations(args, docs)
@@ -215,7 +232,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         with open(outdir / name, "w", encoding="utf-8") as fh:
             write(rows, fh)
 
-    # Only this manifest hashes, so the other subcommands skip the import.
+    # Only this manifest hashes and writes JSON, so the other subcommands
+    # skip both imports.
+    import json
     from hashlib import sha256
 
     inputs = [args.model, args.clauses, args.referents, *args.corpus]
@@ -242,6 +261,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_givenness(args: argparse.Namespace) -> int:
+    from . import givenness as giv
+
     docs = _load_corpus(args.corpus)
     records, classified = _load_annotations(args, docs)
     rows = giv.build_givenness_table(records, classified)
@@ -251,6 +272,8 @@ def cmd_givenness(args: argparse.Namespace) -> int:
 
 
 def cmd_chi2(args: argparse.Namespace) -> int:
+    from . import givenness as giv
+
     statistic, p = giv.chi_square_2x2(args.a, args.b, args.c, args.d)
     print(f"statistic={statistic:.6f}\tp={p:.6f}")
     return 0
@@ -266,16 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
     config_corpus.add_argument("--corpus", action="append", required=True, metavar="PATH",
                                help="corpus file; repeatable")
 
-    defaults = accom.FactorConfig
     accommodation = argparse.ArgumentParser(add_help=False)
-    accommodation.add_argument("--bonus", type=float, default=defaults.bonus,
+    accommodation.add_argument("--bonus", type=float, default=FACTOR_BONUS,
                                help="first-mention factor (default %(default)g)")
-    accommodation.add_argument("--wearout", type=int, default=defaults.wearout,
+    accommodation.add_argument("--wearout", type=int, default=FACTOR_WEAROUT,
                                help="mention count at which the bonus is gone"
                                     " (default %(default)s)")
-    accommodation.add_argument("--window", type=int, default=defaults.window,
+    accommodation.add_argument("--window", type=int, default=FACTOR_WINDOW,
                                help="words of silence per reset point (default %(default)s)")
-    accommodation.add_argument("--floor", type=int, default=defaults.floor,
+    accommodation.add_argument("--floor", type=int, default=FACTOR_FLOOR,
                                help="lowest count a reset can reach (default %(default)s)")
     accommodation.add_argument("--content-pos", default="", metavar="TAGS",
                                help="comma-separated POS tags treated as content words")
@@ -287,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="clause annotation JSON")
     annotations.add_argument("--referents", required=True, metavar="PATH",
                              help="referent annotation TSV")
-    annotations.add_argument("--salience-window", type=int, default=giv.SALIENCE_WINDOW,
+    annotations.add_argument("--salience-window", type=int, default=SALIENCE_WINDOW,
                              help="interveners tolerated for a salient re-mention, >= 0"
                                   " (default %(default)s)")
     annotations.add_argument("--count-distinct", action="store_true",

@@ -17,11 +17,10 @@ from bisect import bisect_left
 from functools import partial
 from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
 
+from ._value import SALIENCE_WINDOW
 from .clauses import ClauseRecord, Variant
 from .corpus import Document
 from .errors import ParseError, ValidationError
-
-SALIENCE_WINDOW = 10
 
 
 class SalienceCategory(enum.Enum):

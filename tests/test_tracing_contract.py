@@ -33,6 +33,13 @@ def _load_tracing():
 _tracing = _load_tracing()
 ENTRIES = _tracing.SPANNED + _tracing.COUNTED
 
+# The tracer wraps functions in the modules already loaded, and ``cli``
+# loads a pipeline module only when a subcommand that runs it runs. So load
+# every traced module here, as the benchmark's set-up does by importing
+# ``scripts/generate_fixture.py``.
+for _module_name in {entry[0] for entry in ENTRIES}:
+    importlib.import_module(f"rcsurp.{_module_name}")
+
 
 @pytest.mark.parametrize("module_name, path, span", ENTRIES, ids=[e[1] for e in ENTRIES])
 def test_traced_name_is_a_plain_function(module_name, path, span):
