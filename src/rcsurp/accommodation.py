@@ -175,17 +175,16 @@ def accommodation_factors(
     Factors depend only on the lemma stream, so they can be applied to
     scores from any re-linearization anchored at the same positions.
 
-    ``content_predicate`` is called with each word as a ``Word``: a loaded
-    document passes its rows, so the predicate may read only ``lemma``,
-    ``pos`` and ``is_punctuation``, by name.
+    ``content_predicate`` is called with each word as a ``Word``, the
+    document's row, so the predicate may read only ``lemma``, ``pos`` and
+    ``is_punctuation``, by name.
     """
     if content_predicate is None:
         content_predicate = _default_content_predicate()
     state = AccommodationState()
-    columns = doc._word_columns
     return tuple(
         state.observe(word.lemma, position, cfg) if content_predicate(word) else (None, 1.0)
-        for word, position in zip(columns.words, columns.positions)
+        for position, word in enumerate(doc._word_columns.words)
     )
 
 
@@ -226,16 +225,15 @@ def write_weighted_tsv(
     Probabilities, bits, factors and counts repeat across the whole corpus,
     so the row tail from ``prob`` on is formatted once per distinct
     ``(probability, bits, (x, factor))`` for the call, and the rows are
-    joined column by column. A new tail joins a ``prob bits`` piece
-    formatted once per distinct ``(probability, bits)`` and an ``x factor``
-    piece formatted once per distinct factor pair to its weighted value.
-    ``0.0`` and ``-0.0`` are equal keys that format differently, so a row
-    with a zero among probability, bits and factor is always formatted
-    whole. Positions that are a ``range`` of step 1 from 0 or above take
-    their text from one list of numerals for the call.
+    joined column by column. A new tail is its ``prob bits`` text, an ``x
+    factor`` piece formatted once per distinct factor pair, and its
+    weighted value. ``0.0`` and ``-0.0`` are equal keys that format
+    differently, so a row with a zero among probability, bits and factor
+    is always formatted whole. Positions that are a ``range`` of step 1
+    from 0 or above take their text from one list of numerals for the
+    call.
     """
     tails: dict[tuple[float, float, tuple[int | None, float]], str] = {}
-    scores: dict[tuple[float, float], str] = {}
     weights: dict[tuple[int | None, float], str] = {}
     numerals: list[str] = []  # numerals[i] == str(i)
     header = _TSV_HEADER
@@ -253,13 +251,10 @@ def write_weighted_tsv(
             if text is None:
                 x, f = pair
                 if probability and b and f:
-                    score = scores.get((probability, b))
-                    if score is None:
-                        score = scores[probability, b] = "%.6e\t%.6f\t" % (probability, b)
                     weight = weights.get(pair)
                     if weight is None:
                         weight = weights[pair] = "%s\t%.6f\t" % ("NA" if x is None else x, f)
-                    text = tails[key] = score + weight + "%.6f\n" % (b * f)
+                    text = tails[key] = "%.6e\t%.6f\t%s%.6f\n" % (probability, b, weight, b * f)
                 else:
                     text = "%.6e\t%.6f\t%s\t%.6f\t%.6f\n" % (
                         probability, b, "NA" if x is None else x, f, b * f

@@ -9,13 +9,13 @@ treated as comments. A file may start with a UTF-8 byte-order mark.
 A ``Token`` is a ``NamedTuple``: it compares equal to, and hashes like, the
 plain tuple of its six fields in order.
 
-A loaded ``Document`` holds the loader's parsed rows, one shared
-``(surface, lemma, pos, is_punctuation)`` tuple per distinct token line,
-and the row index where each sentence starts. Its ``tokens`` are built the
-first time they are asked for. Counting and scoring read the document's
-cached word columns instead (word rows, lemmas, sentence starts and word
-positions), which a document built from its tokens derives from them, so
-they build no ``Token``.
+Every ``Document`` holds one shared ``(surface, lemma, pos,
+is_punctuation)`` row per distinct token and the row index where each
+sentence starts. A loaded document builds its ``tokens`` from them the
+first time they are asked for; a hand-built one keeps the tokens it was
+given, which must be numbered as the loader numbers them. Counting and
+scoring read the document's cached word columns (word rows, lemmas and
+sentence starts), so they build no ``Token``.
 
 Word positions (``doc_position``) count non-punctuation tokens only, so
 that distances measured in "words" are not inflated by delimiters such as
@@ -27,7 +27,7 @@ from __future__ import annotations
 import io
 from functools import cached_property, partial
 from itertools import accumulate, compress, count, repeat
-from operator import eq, itemgetter, ne, not_
+from operator import eq, itemgetter, not_
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence, TextIO
 
@@ -74,8 +74,8 @@ _BLANK = object()
 
 class Word(Protocol):
     """What counting, scoring and a content predicate read of a word: a
-    ``Token``, or a loaded document's row, which has no position or
-    sentence index and is not indexed like a ``Token``."""
+    document's row, which has no position or sentence index and is not
+    indexed like a ``Token``. A ``Token`` reads the same."""
 
     @property
     def lemma(self) -> str: ...
@@ -89,34 +89,48 @@ class _WordColumns(NamedTuple):
     words: Sequence[Word]
     lemmas: list[str]
     starts: Sequence[int]  # the word index where each sentence with a word starts
-    positions: Sequence[int]
 
 
 class Document(Frozen):
     """An id and its tokens; a sentence is a run of one ``sentence_index``.
 
-    A loaded document holds the loader's rows and sentence starts instead
-    and builds its tokens from them on first use; equality and hashing
-    still compare ids and tokens."""
+    A document holds its rows and sentence starts; a loaded one builds its
+    tokens from them on first use. Equality and hashing compare ids and
+    tokens. ``Document(id, tokens)`` takes tokens numbered as the loader
+    numbers them, and raises ``ValueError`` otherwise: word positions 0,
+    1, ... over the non-punctuation tokens, ``None`` for punctuation, and
+    sentence indices that start at 0 and step by 0 or 1."""
 
     _fields = ("id", "tokens")
-    # A loaded document's rows, sentence starts and re-segmentation source,
-    # set by ``_loaded``; a document built from its tokens has no rows.
-    _rows: tuple[_Row, ...] | None = None
-    _starts: tuple[int, ...]
-    _source: Document | None
+    _rows: tuple[_Row, ...]
+    _starts: tuple[int, ...]  # the row index where each sentence starts
 
     def __init__(self, id: str, tokens: tuple[Token, ...]):
-        self.__dict__.update(id=id, tokens=tokens)
+        shared: dict[_Row, _Row] = {}
+        rows: list[_Row] = []
+        starts: list[int] = []
+        position = 0
+        sentence = -1
+        for i, (surface, lemma, pos, doc_position, sentence_index, punct) in enumerate(tokens):
+            if sentence_index != sentence:
+                sentence += 1
+                starts.append(i)
+            expected = sentence, None if punct else position
+            if (sentence_index, doc_position) != expected:
+                raise ValueError(f"document {id!r}, token {i}: (sentence_index, doc_position)"
+                                 f" is {(sentence_index, doc_position)!r}, expected {expected!r}")
+            if not punct:
+                position += 1
+            row = _new_row((surface, lemma, pos, punct))
+            rows.append(shared.setdefault(row, row))
+        self.__dict__.update(id=id, tokens=tokens, _rows=tuple(rows), _starts=tuple(starts))
 
     @classmethod
-    def _loaded(cls, id: str, rows: tuple[_Row, ...], starts: tuple[int, ...],
-                source: Document | None = None) -> Document:
+    def _loaded(cls, id: str, rows: tuple[_Row, ...], starts: tuple[int, ...]) -> Document:
         """A document of parsed rows, ``starts`` the increasing row indices
-        where its sentences start. A re-segmented document names its
-        ``source``, whose unmoved tokens its own tokens share."""
+        where its sentences start."""
         doc = cls.__new__(cls)
-        doc.__dict__.update(id=id, _rows=rows, _starts=starts, _source=source)
+        doc.__dict__.update(id=id, _rows=rows, _starts=starts)
         return doc
 
     # A cached property writes the instance ``__dict__`` directly, past
@@ -124,8 +138,6 @@ class Document(Frozen):
     # this one, and neither cached view is a field.
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
-        if self._source is not None:
-            return tuple(_renumbered(self._source.tokens)[0])
         rows, starts = self._rows, self._starts
         new_token = _new_token
         tokens: list[Token] = []
@@ -145,26 +157,19 @@ class Document(Frozen):
 
     @cached_property
     def _word_columns(self) -> _WordColumns:
-        """The view that counting and scoring read, the same from rows as
-        from tokens."""
+        """The view that counting and scoring read; word ``i`` is at word
+        position ``i``."""
         rows = self._rows
-        if rows is None:
-            words = self._words
-            index = list(map(itemgetter(4), words))
-            starts = [0, *compress(count(1), map(ne, index[1:], index))] if words else []
-            positions = list(map(itemgetter(3), words))
-        else:
-            is_word = list(map(not_, map(itemgetter(3), rows)))
-            words = list(compress(rows, is_word))
-            # A sentence's word start is the count of words before its first
-            # row; a sentence without words shares it with the next, and the
-            # last word is followed by none.
-            words_before = list(accumulate(is_word, initial=0))
-            starts = list(dict.fromkeys(map(words_before.__getitem__, self._starts)))
-            if starts and starts[-1] == len(words):
-                starts.pop()
-            positions = range(len(words))
-        return _WordColumns(words, list(map(itemgetter(1), words)), starts, positions)
+        is_word = list(map(not_, map(itemgetter(3), rows)))
+        words = list(compress(rows, is_word))
+        # A sentence's word start is the count of words before its first
+        # row; a sentence without words shares it with the next, and the
+        # last word is followed by none.
+        words_before = list(accumulate(is_word, initial=0))
+        starts = list(dict.fromkeys(map(words_before.__getitem__, self._starts)))
+        if starts and starts[-1] == len(words):
+            starts.pop()
+        return _WordColumns(words, list(map(itemgetter(1), words)), starts)
 
     def word_tokens(self) -> tuple[Token, ...]:
         """The non-punctuation tokens in order, built once on first use."""
@@ -271,56 +276,24 @@ def load_vertical_file(path: str | Path) -> list[Document]:
         return load_vertical(fh)
 
 
-def _renumbered(tokens: tuple[Token, ...]) -> tuple[list[Token], bool]:
-    """``tokens`` with a sentence boundary after each ``"."`` and indices
-    renumbered densely from 0, and whether any index changed. Tokens whose
-    index stays are the input's objects."""
-    new_tokens: list[Token] = []
-    moved = False
-    sentence_index = 0
-    boundary_pending = False
-    previous_original = tokens[0].sentence_index if tokens else 0
-    for token in tokens:
-        original = token.sentence_index
-        if original != previous_original:
-            boundary_pending = True
-        previous_original = original
-        if boundary_pending:
-            sentence_index += 1
-            boundary_pending = False
-        if original != sentence_index:
-            moved = True
-            token = _new_token((
-                token.surface, token.lemma, token.pos, token.doc_position,
-                sentence_index, token.is_punctuation,
-            ))
-        new_tokens.append(token)
-        if token.surface == ".":
-            boundary_pending = True
-    return new_tokens, moved
-
-
 def resegment_sentences(doc: Document) -> Document:
     """Introduce a sentence boundary after every token whose surface is
     exactly ``"."``, keeping all original boundaries.
 
     Token order and word positions are unchanged; sentence indices are
-    renumbered densely from 0. Tokens whose sentence index stays the same
-    are shared with the input, and the input document itself is returned
-    exactly when no index changes. Idempotent. A loaded document gets the
-    new sentence starts over the same rows, and builds no token.
+    renumbered densely from 0. The input document itself is returned
+    exactly when no index changes. Idempotent. The result shares the
+    input's rows, with the new sentence starts, and builds its tokens
+    afresh when they are read.
     """
     rows = doc._rows
-    if rows is None:
-        tokens, moved = _renumbered(doc.tokens)
-        return Document(doc.id, tuple(tokens)) if moved else doc
     # The row after each "." starts a sentence, if there is one.
     after_stop = set(compress(count(1), map(eq, map(itemgetter(0), rows), repeat("."))))
     after_stop.discard(len(rows))
     added = after_stop.difference(doc._starts)
     if not added:
         return doc
-    return Document._loaded(doc.id, rows, tuple(sorted(added.union(doc._starts))), doc)
+    return Document._loaded(doc.id, rows, tuple(sorted(added.union(doc._starts))))
 
 
 def sentences(doc: Document) -> Iterator[list[str]]:

@@ -1,5 +1,7 @@
 """Shared exception types for the pipeline."""
 
+from __future__ import annotations
+
 
 class PipelineError(Exception):
     """Base class for all errors raised by this package."""

@@ -145,7 +145,8 @@ def test_token_equals_the_plain_tuple_of_its_fields():
 def test_loaded_and_renumbered_tokens_are_tokens():
     # A plain tuple of the same fields would pass every equality check, so
     # look at the type itself, and read the fields by name. Token lines
-    # repeat, some are punctuation, and re-segmentation moves six tokens.
+    # repeat, some are punctuation, and re-segmentation moves six tokens
+    # to new sentences over the same rows.
     text = (
         "# doc: d1\nder\tder\tART\nMann\tMann\n.\t.\t$.\nder\tder\tART\n/\t\n"
         "\nMann\tMann\nder\tder\tART\n.\t.\t$.\nsagt\tsagen\n# doc: d2\nder\tder\tART\n"
@@ -153,9 +154,11 @@ def test_loaded_and_renumbered_tokens_are_tokens():
     docs = load_vertical(text)
     renumbered = [resegment_sentences(doc) for doc in docs]
     loaded = [t for doc in docs for t in doc.tokens]
+    assert all(again._rows is doc._rows for doc, again in zip(docs, renumbered))
     moved = [
         after for doc, again in zip(docs, renumbered)
-        for before, after in zip(doc.tokens, again.tokens) if after is not before
+        for before, after in zip(doc.tokens, again.tokens)
+        if after.sentence_index != before.sentence_index
     ]
     assert len(loaded) == 10 and sum(t.is_punctuation for t in loaded) == 3
     assert len(moved) == 6
@@ -319,18 +322,40 @@ def test_resegment_matches_copying_oracle(stream):
     if [t.sentence_index for t in oracle.tokens] == [t.sentence_index for t in doc.tokens]:
         assert fast is doc
     else:
-        # Only moved tokens are rebuilt; the rest are the input's objects.
-        for before, after in zip(doc.tokens, fast.tokens):
-            assert (after is before) == (after.sentence_index == before.sentence_index)
+        # Only the sentence starts are new; the rows are the input's.
+        assert fast._rows is doc._rows
 
 
-def test_resegment_renumbers_hand_built_documents():
-    # The loader always numbers sentences densely from 0; a hand-built
-    # document need not, and still comes out renumbered.
+def test_hand_built_document_rejects_a_skipped_sentence_index():
+    # The loader numbers sentences densely from 0, and a hand-built
+    # document must too.
     a, b = (Token(w, w, None, i, 0, False) for i, w in enumerate("ab"))
-    sparse = Document("d", (a, b._replace(sentence_index=2)))
-    assert resegment_sentences(sparse) == helpers.reference_resegment(sparse)
-    assert [t.sentence_index for t in resegment_sentences(sparse).tokens] == [0, 1]
+    with pytest.raises(ValueError, match=r"token 1: .* is \(2, 1\), expected \(1, 1\)"):
+        Document("d", (a, b._replace(sentence_index=2)))
+
+
+_DENSE = load_vertical("# doc: d\na\ta\nb\tb\n/\t/\n\nc\tc\na\ta\n")[0].tokens
+
+
+@pytest.mark.parametrize("tokens", [
+    _DENSE[1:],  # word positions from 1
+    _DENSE[:3] + _DENSE[4:],  # a gap in the word positions
+    _DENSE[:2] + (_DENSE[2]._replace(doc_position=2),) + _DENSE[3:],  # punctuation with one
+    (_DENSE[0]._replace(doc_position=None),) + _DENSE[1:],  # a word without one
+    tuple(t._replace(sentence_index=t.sentence_index + 1) for t in _DENSE),  # sentences from 1
+    # Were it accepted, ``relinearize`` of ``Span(1, 2)`` would read "c" at position 1.
+    load_vertical("# doc: d\na\ta\nb\tb\nc\tc\na\ta\n")[0].tokens[1:],
+], ids=["from-one", "gap", "punctuation-position", "word-without-position",
+        "sentence-from-one", "relinearize"])
+def test_hand_built_document_must_be_numbered_as_loaded(tokens):
+    with pytest.raises(ValueError, match="document 'd', token "):
+        Document("d", tokens)
+
+
+def test_empty_hand_built_document():
+    doc = Document("a", ())
+    assert doc.tokens == () and doc._rows == () and doc._starts == ()
+    assert doc.word_count() == 0 and list(sentences(doc)) == []
 
 
 # --- round trip -------------------------------------------------------------
@@ -464,5 +489,6 @@ def test_loaded_rows_read_like_hand_built_tokens(lines, newline, data):
             assert "tokens" not in vars(doc)
             hand = Document(doc.id, doc.tokens)
             assert doc == hand and hash(doc) == hash(hand)
+            assert hand._rows == doc._rows and hand._starts == doc._starts
             assert got == _column_results(hand, records)
             assert got[2] == helpers.reference_annotate_document(_COLUMN_MODEL, hand)

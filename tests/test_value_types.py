@@ -159,7 +159,7 @@ def test_values_of_one_type_with_other_fields_differ(values):
     vocabulary = values["Vocabulary"][0]
     assert BigramCounts(vocabulary) != BigramCounts(vocabulary, Counter({3: 1}))
     doc = values["Document"][0]
-    assert doc != Document("other", doc.tokens) and doc != Document(doc.id, doc.tokens[1:])
+    assert doc != Document("other", doc.tokens) and doc != Document(doc.id, doc.tokens[:-1])
 
 
 def test_span_orders_by_start_then_end():
