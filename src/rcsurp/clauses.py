@@ -25,9 +25,7 @@ from functools import partial, total_ordering
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
 from ._value import Frozen
-from .accommodation import (
-    FactorConfig, Factors, _default_content_predicate, accommodation_factors,
-)
+from .accommodation import FactorConfig, Factors, accommodation_factors
 from .corpus import Document, Word
 from .errors import ParseError, ValidationError
 from .ngram import START, KneserNeyBigramModel
@@ -292,7 +290,7 @@ class ClauseMetrics(NamedTuple):
 
 # A scored chain by column: each token's part, document position and
 # surprisal in bits, in the order of its linearization.
-_Chain = tuple[tuple[str, ...], tuple[int, ...], tuple[float, ...]]
+_Chain = tuple[tuple[str, ...], tuple[int, ...], Sequence[float]]
 
 MODES = ("bare", "accommodated")
 PARTS = ("rc", "matrix", "combined")
@@ -309,8 +307,9 @@ class ClauseScorer:
 
     ``combined_excludes_matrix_first`` keeps the symmetric two-word
     exclusion for the combined metric; set it to False to drop only the
-    relative pronoun there. ``content_predicate`` is called as by
-    ``accommodation_factors``, with ``Word``s.
+    relative pronoun there. ``content_predicate`` is passed to
+    ``accommodation_factors``, which calls it with ``Word``s and resolves
+    None to the default predicate.
     """
 
     def __init__(
@@ -322,9 +321,7 @@ class ClauseScorer:
     ):
         self.model = model
         self.accommodation = accommodation
-        self.content_predicate = (
-            _default_content_predicate() if content_predicate is None else content_predicate
-        )
+        self.content_predicate = content_predicate
         self.combined_excludes_matrix_first = combined_excludes_matrix_first
         # Factors by document id, each with the document they were built for:
         # ids may repeat across corpora, so an entry serves only that object.
@@ -347,15 +344,13 @@ class ClauseScorer:
         if cached is None or cached[0] is not record or cached[1] is not doc:
             target = record.variant if linearization == "attested" else record.variant.other()
             linear = relinearize(record, doc, target)
-            positions = linear.positions()
+            lemmas, positions, parts = zip(*linear.tokens)
             annotation = annotate_sequence(
-                self.model, linear.lemmas(), linear.initial_context, positions
+                self.model, lemmas, linear.initial_context, positions
             )
-            cached = self._chain_cache[key] = (record, doc, (
-                tuple(t.part for t in linear.tokens),
-                tuple(positions),
-                tuple(annotation._columns.bits),
-            ))
+            cached = self._chain_cache[key] = (
+                record, doc, (parts, positions, annotation._columns.bits)
+            )
         return cached[2]
 
     def metrics(
@@ -445,25 +440,19 @@ class TableRow(NamedTuple):
     mean_avS: float | None
 
 
-def _summary_rows(
-    plan: Iterable[tuple[Variant, str, Sequence[ClauseRecord], str, str, str]],
-    documents: Mapping[str, Document],
-    scorer: ClauseScorer,
-) -> list[TableRow]:
-    """One row of mean adS/avS per ``(variant, label, records, mode, part,
-    linearization)`` entry of the plan; the means are None without records."""
-    rows = []
-    for variant, label, records, mode, part, linearization in plan:
-        ms = [
-            scorer.metrics(r, documents[r.doc_id], mode, part, linearization)
-            for r in records
-        ]
-        means = (
-            (math.fsum(m.adS for m in ms) / len(ms), math.fsum(m.avS for m in ms) / len(ms))
-            if ms else (None, None)
-        )
-        rows.append(TableRow(variant, label, len(ms), *means))
-    return rows
+def _summary_row(
+    variant: Variant, label: str, records: Sequence[ClauseRecord],
+    documents: Mapping[str, Document], scorer: ClauseScorer,
+    mode: str, part: str, linearization: str,
+) -> TableRow:
+    """The mean adS/avS of one cell over ``records``, summed in record
+    order; the means are None without records."""
+    ms = [scorer.metrics(r, documents[r.doc_id], mode, part, linearization) for r in records]
+    means = (
+        (math.fsum(m.adS for m in ms) / len(ms), math.fsum(m.avS for m in ms) / len(ms))
+        if ms else (None, None)
+    )
+    return TableRow(variant, label, len(ms), *means)
 
 
 def build_surprisal_table(
@@ -473,15 +462,13 @@ def build_surprisal_table(
     mode: str,
 ) -> list[TableRow]:
     """Per-variant adS/avS summary rows in the standard layout."""
-    return _summary_rows(
-        (
-            (variant, label, [r for r in records if r.variant is variant],
-             mode, part, linearization)
-            for variant, plan in _TABLE_PLAN.items()
-            for label, part, linearization in plan
-        ),
-        documents, scorer,
-    )
+    by_variant = {variant: [r for r in records if r.variant is variant] for variant in _TABLE_PLAN}
+    return [
+        _summary_row(variant, label, by_variant[variant], documents, scorer,
+                     mode, part, linearization)
+        for variant, plan in _TABLE_PLAN.items()
+        for label, part, linearization in plan
+    ]
 
 
 def build_hypothetical_table(
@@ -492,14 +479,11 @@ def build_hypothetical_table(
     """Combined metrics of extraposed records re-linearized in-situ, the
     counterfactual bundled reading, in both modes."""
     extraposed = [r for r in records if r.variant is Variant.EXTRAPOSED]
-    return _summary_rows(
-        (
-            (Variant.EXTRAPOSED, f"{COMBINED_LABEL} (as if in-situ, {mode})",
-             extraposed, mode, "combined", "hypothetical")
-            for mode in MODES
-        ),
-        documents, scorer,
-    )
+    return [
+        _summary_row(Variant.EXTRAPOSED, f"{COMBINED_LABEL} (as if in-situ, {mode})",
+                     extraposed, documents, scorer, mode, "combined", "hypothetical")
+        for mode in MODES
+    ]
 
 
 def _cell(value: float | None) -> str:

@@ -118,6 +118,21 @@ def _load_corpus(paths: list[str]) -> dict[str, Document]:
     return docs
 
 
+def _check_vocabulary(
+    model: ngram.KneserNeyBigramModel, docs: list[Document], args: argparse.Namespace
+) -> None:
+    """Raise a :class:`ValidationError` when ``docs`` hold words and the
+    model knows none of their lemmas, so that every score would be the
+    unknown word's. The scan stops at the first known lemma."""
+    index = model.vocabulary.index
+    known = any(lemma in index and lemma not in ngram.RESERVED
+                for doc in docs for lemma in doc._word_columns.lemmas)
+    if not known and any(doc.word_count() for doc in docs):
+        raise ValidationError([
+            f"model {args.model} knows none of the scored lemmas of {', '.join(args.corpus)}"
+        ])
+
+
 # --- subcommands ------------------------------------------------------------
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -153,6 +168,7 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
         selected = [docs[d] for d in wanted]
     else:
         selected = list(docs.values())
+    _check_vocabulary(model, selected, args)
 
     predicate = _content_predicate(args)
     factor_cfg = _factor_config(args)
@@ -207,6 +223,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     docs = _load_corpus(args.corpus)
     records, classified = _load_annotations(args, docs)
     cl.check_scorable(records)
+    _check_vocabulary(model, [docs[r.doc_id] for r in records], args)
 
     scorer = cl.ClauseScorer(
         model,

@@ -141,11 +141,13 @@ def load_referent_annotations(
         rows.sort()
         doc = None if documents is None else documents.get(doc_id)
         word_count = None if doc is None else doc.word_count()
+        # A mention overlaps an earlier one exactly when it starts before
+        # the furthest end so far.
+        reach = 0
         for i, (start, end, referent_id, inferable, topic) in enumerate(rows):
-            if i > 0 and start < rows[i - 1][1]:
-                problems.append(
-                    f"{doc_id}: overlapping mention intervals at {start}"
-                )
+            if start < reach:
+                problems.append(f"{doc_id}: overlapping mention intervals at {start}")
+            reach = max(reach, end)
             if documents is not None and doc is None:
                 problems.append(f"mention of {referent_id!r}: unknown document {doc_id!r}")
             elif word_count is not None and end > word_count:

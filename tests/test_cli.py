@@ -289,6 +289,60 @@ def test_surprisal_probability_above_one_names_the_word(output, fixture_model, t
     assert out.is_symlink() if output == "symlink" else not out.exists()
 
 
+@pytest.fixture
+def xyz_model(tmp_path):
+    """A model of the lemmas x, y and z, none of which the fixture holds. The
+    discount is given: estimated on 4 tokens it is clamped with a warning."""
+    corpus = tmp_path / "xyz.vert"
+    corpus.write_text("# doc: t\nx\tx\ny\ty\nz\tz\nx\tx\n", encoding="utf-8")
+    model = tmp_path / "xyz.arpa"
+    assert main(["train", "--corpus", str(corpus), "-o", str(model), "--discount", "0.5"]) == 0
+    return model
+
+
+@pytest.mark.parametrize("command", ["surprisal", "surprisal-to-stdout", "analyze"])
+def test_model_that_knows_no_scored_lemma_is_rejected(command, xyz_model, tmp_path, capsys):
+    out, outdir = tmp_path / "s.tsv", tmp_path / "out"
+    corpus = str(FIXTURES / "corpus.vert")
+    if command == "analyze":
+        argv = _analyze_args(xyz_model, outdir)
+    else:
+        argv = ["surprisal", "--model", str(xyz_model), "--corpus", corpus]
+        if command == "surprisal":
+            argv += ["-o", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"validation error: model {xyz_model} knows none of the scored lemmas of {corpus}\n"
+    )
+    assert not out.exists() and not outdir.exists()
+
+
+def test_vocabulary_check_reads_only_the_scored_documents(xyz_model, tmp_path, capsys):
+    # One known lemma in the scored documents is enough; a known lemma in a
+    # document that is not scored is not.
+    corpus = tmp_path / "c.vert"
+    corpus.write_text("# doc: a\nq\tq\nx\tx\n\n# doc: b\nq\tq\n", encoding="utf-8")
+    argv = ["surprisal", "--model", str(xyz_model), "--corpus", str(corpus)]
+    assert main(argv + ["--doc", "a", "-o", str(tmp_path / "a.tsv")]) == 0
+    assert main(argv + ["--doc", "b", "-o", str(tmp_path / "b.tsv")]) == 3
+    assert not (tmp_path / "b.tsv").exists()
+    # The fixture documents, which the clause records name, are all unknown.
+    outdir = tmp_path / "out"
+    assert main(_analyze_args(xyz_model, outdir, "--corpus", str(corpus))) == 3
+    assert "knows none of the scored lemmas" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_vocabulary_check_passes_a_run_without_words(xyz_model, tmp_path):
+    corpus = tmp_path / "punct.vert"
+    corpus.write_text("# doc: p\n.\t.\n", encoding="utf-8")
+    out = tmp_path / "p.tsv"
+    assert main(["surprisal", "--model", str(xyz_model), "--corpus", str(corpus),
+                 "-o", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 1  # the header alone
+
+
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_smoke(fixture_model, tmp_path):

@@ -233,6 +233,16 @@ def test_load_referents_lists_every_problem_together():
     ])
 
 
+def test_load_referents_lists_every_mention_inside_a_long_one():
+    # [5, 6) overlaps [0, 10), not the mention just before it.
+    with pytest.raises(ValidationError) as info:
+        load_referent_annotations("d\t0\t10\ta\t0\t0\nd\t2\t3\tb\t0\t0\nd\t5\t6\tc\t0\t0\n")
+    assert info.value.problems == [
+        "d: overlapping mention intervals at 2",
+        "d: overlapping mention intervals at 5",
+    ]
+
+
 # --- clause givenness -------------------------------------------------------
 
 def _record(rc=(10, 20), matrix=((0, 10),), variant=Variant.EXTRAPOSED):
