@@ -23,6 +23,7 @@ from typing import Callable, Iterable, TextIO
 
 from ._value import FACTOR_BONUS, FACTOR_FLOOR, FACTOR_WEAROUT, FACTOR_WINDOW, Frozen
 from .corpus import Document, Word
+from .errors import ParseError
 from .surprisal import SurprisalAnnotation
 
 # POS tags treated as content words (UD tags plus the common STTS ones).
@@ -34,8 +35,8 @@ DEFAULT_CONTENT_POS = frozenset({
 
 
 class FactorConfig(Frozen):
-    """The factor's parameters, checked when built; the class attributes are
-    the defaults."""
+    """The factor's parameters, checked when built (a value out of range is
+    a :class:`ParseError`); the class attributes are the defaults."""
 
     _fields = ("bonus", "wearout", "window", "floor")
 
@@ -47,13 +48,13 @@ class FactorConfig(Frozen):
     def __init__(self, bonus: float = bonus, wearout: int = wearout,
                  window: int = window, floor: int = floor):
         if not (math.isfinite(bonus) and bonus > 0):
-            raise ValueError("bonus must be positive and finite")
+            raise ParseError("bonus must be positive and finite")
         if wearout < 1:
-            raise ValueError("wearout must be >= 1")
+            raise ParseError("wearout must be >= 1")
         if window < 1:
-            raise ValueError("window must be >= 1")
+            raise ParseError("window must be >= 1")
         if not 1 <= floor <= wearout:
-            raise ValueError("floor must lie in [1, wearout]")
+            raise ParseError("floor must lie in [1, wearout]")
         self.__dict__.update(bonus=bonus, wearout=wearout, window=window, floor=floor)
 
 

@@ -143,7 +143,7 @@ def _bounds_problems(record: ClauseRecord, doc: Document) -> list[str]:
 
 
 def parse_clause_annotations(
-    source: str | TextIO,
+    text: str,
     documents: Mapping[str, Document] | None = None,
 ) -> list[ClauseRecord]:
     """Parse and validate the clause annotation JSON.
@@ -152,16 +152,18 @@ def parse_clause_annotations(
     attachment}`` with word positions as JSON integers, end exclusive. All
     validation problems are collected and raised together as a
     :class:`ValidationError`; when ``documents`` is given, spans are also
-    checked against document bounds. Text that is not JSON, or JSON nested
-    deeper than the interpreter's recursion limit, is a :class:`ParseError`.
+    checked against document bounds. Text that is not JSON, or that nests or
+    holds integers past the interpreter's limits, is a :class:`ParseError`.
     """
     try:
-        raw = json.load(source) if hasattr(source, "read") else json.loads(source)
+        raw = json.loads(text)
     except RecursionError:
         raise ParseError("clause annotations are nested too deeply")
     except json.JSONDecodeError as exc:
         message = f"clause annotations are not valid JSON: {exc.msg} (column {exc.colno})"
         raise ParseError(message, exc.lineno)
+    except ValueError as exc:  # an integer past ``sys.get_int_max_str_digits()``
+        raise ParseError(f"clause annotations: {exc}")
     if not isinstance(raw, list):
         raise ValidationError(["clause annotations must be a JSON array"])
 

@@ -2,22 +2,23 @@
 
 Subcommands:
 
-* ``train``      -- count a corpus and write the smoothed bigram model as ARPA
+* ``train``      -- count a corpus, write the ARPA model and print the report
 * ``surprisal``  -- per-lemma surprisal TSV with accommodation columns
 * ``analyze``    -- full report bundle (givenness, bare and accommodated
                     clause tables, counterfactual orders, chi-square, manifest)
 * ``givenness``  -- the givenness table on its own
 * ``chi2``       -- chi-square on four raw counts
 
-Exit codes: 0 success, 2 input or I/O error, 3 validation error, 4
-internal invariant violation. Each subcommand imports the pipeline modules
-it runs when it runs, so a process loads no others. Each option's default
-is written once: in :func:`_build_parser`, or in ``_value`` for the ones the
+Exit codes: 0 success, 2 input or I/O error, 3 validation error, 4 internal
+fault, a ``ValueError`` that is neither a ``ParseError`` nor a
+``UnicodeError`` included. Each subcommand imports the pipeline modules it
+runs when it runs, so a process loads no others. Each option's default is
+written once: in :func:`_build_parser`, or in ``_value`` for the ones the
 library shares. A ``--config`` file overrides the defaults in a flat
 ``key = value`` format, each key the full long name of one of the
-subcommand's options other than ``config`` and ``help``; command-line
-flags override the file. Options are spelled in full on the command line
-as well: a prefix of an option is an unknown option.
+subcommand's options other than ``config`` and ``help``; command-line flags
+override the file. Options are spelled in full on the command line as well:
+a prefix of an option is an unknown option.
 
 :func:`main` sets a batch threshold for the cyclic garbage collector for
 the duration of the call and restores the caller's threshold on every exit
@@ -140,16 +141,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     counts = ngram.count_bigrams(docs.values())
     model = ngram.train_kn(counts, args.discount)
     Path(args.output).write_text(ngram.export_arpa(model), encoding="utf-8")
-    report = (
+    sys.stdout.write(
         f"vocabulary={model.vocabulary.corpus_size()}"
         f" (+{len(ngram.RESERVED)} reserved)\n"
         f"tokens={counts.token_count()}\n"
         f"sentences={counts.sentence_count()}\n"
         f"D={model.discount:.6g}\n"
     )
-    sys.stdout.write(report)
-    if args.report:
-        Path(args.report).write_text(report, encoding="utf-8")
     return 0
 
 
@@ -163,8 +161,7 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
         wanted = dict.fromkeys(args.doc)  # each id once, in first-given order
         missing = [d for d in wanted if d not in docs]
         if missing:
-            print(f"error: unknown document id(s): {', '.join(missing)}", file=sys.stderr)
-            return 2
+            raise ParseError(f"unknown document id(s): {', '.join(missing)}")
         selected = [docs[d] for d in wanted]
     else:
         selected = list(docs.values())
@@ -199,11 +196,10 @@ def _load_annotations(
     loaded, problems = [], []
     for load, path in ((cl.parse_clause_annotations, args.clauses),
                        (giv.load_referent_annotations, args.referents)):
-        with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-            try:
-                loaded.append(load(fh, docs))
-            except ValidationError as exc:
-                problems.extend(exc.problems)
+        try:  # a leading BOM is dropped
+            loaded.append(load(Path(path).read_text(encoding="utf-8-sig"), docs))
+        except ValidationError as exc:
+            problems.extend(exc.problems)
     if problems:
         raise ValidationError(problems)
     records, mentions = loaded
@@ -346,7 +342,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discount", type=float, help="override the estimated discount")
     p.add_argument("-o", "--output", required=True, metavar="PATH",
                    help="ARPA output path")
-    p.add_argument("--report", metavar="PATH", help="also write the report here")
     p.set_defaults(func=cmd_train)
 
     p = add_parser("surprisal", parents=[config_corpus, accommodation],
@@ -411,6 +406,8 @@ def _expand_config(argv: list[str], parser: argparse.ArgumentParser) -> list[str
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", lineno)
         key, value = (part.strip() for part in line.split("=", 1))
+        if "\0" in value:  # no path, number or document id holds one
+            raise ParseError(f"NUL byte in the value of {key!r}", lineno)
         flag = "--" + key.replace("_", "-")
         if flag not in options:
             raise ParseError(f"config key {key!r} names no option of {command!r}"
@@ -439,10 +436,10 @@ def main(argv: list[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"validation error: {problem}", file=sys.stderr)
         return 3
-    except (ParseError, DegenerateCountsError, OSError, UnicodeDecodeError, ValueError) as exc:
+    except (ParseError, DegenerateCountsError, OSError, UnicodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AssertionError, PipelineError) as exc:
+    except (AssertionError, PipelineError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     finally:

@@ -7,8 +7,9 @@ class PipelineError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(PipelineError):
-    """Malformed input file. Carries the 1-based line number when known."""
+class ParseError(PipelineError, ValueError):
+    """Malformed or out-of-range input, with the 1-based line number when
+    known. Also a ``ValueError``, as ``json.JSONDecodeError`` is."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line

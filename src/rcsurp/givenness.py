@@ -52,10 +52,10 @@ _new_mention = partial(tuple.__new__, ReferentMention)
 
 
 def check_salience_window(window: int) -> None:
-    """Raise ``ValueError`` for a negative window: no count of interveners
-    could satisfy it."""
+    """Raise :class:`ParseError` for a negative window: no count of
+    interveners could satisfy it."""
     if window < 0:
-        raise ValueError(f"salience window must be >= 0, got {window}")
+        raise ParseError(f"salience window must be >= 0, got {window}")
 
 
 def classify_mention(
@@ -65,7 +65,7 @@ def classify_mention(
 ) -> SalienceCategory:
     """Classify one mention from its interveners since the last mention of
     its referent, ``None`` for a first mention. A negative ``window`` is a
-    ``ValueError`` (see :func:`check_salience_window`)."""
+    :class:`ParseError` (see :func:`check_salience_window`)."""
     check_salience_window(window)
     if interveners is None:
         return (
@@ -102,7 +102,7 @@ def classify_document(
 
 
 def load_referent_annotations(
-    source: str | TextIO,
+    text: str,
     documents: Mapping[str, Document] | None = None,
 ) -> list[ReferentMention]:
     """Parse the referent TSV: ``doc start end referent_id inferable topic``.
@@ -112,7 +112,6 @@ def load_referent_annotations(
     is given, mentions of an unknown document or past the document's last
     word are listed together in one :class:`ValidationError`.
     """
-    text = source.read() if hasattr(source, "read") else source
     raw: dict[str, list[tuple[int, int, str, bool, bool]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
@@ -209,14 +208,14 @@ def chi_square_2x2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
     """Pearson chi-square without continuity correction on [[a, b], [c, d]].
 
     Returns the statistic and the upper-tail p-value at one degree of
-    freedom, ``erfc(sqrt(statistic / 2))``. All four marginals must be
-    positive.
+    freedom, ``erfc(sqrt(statistic / 2))``. A negative count, or a
+    marginal that is not positive, is a :class:`ParseError`.
     """
     for count in (a, b, c, d):
         if count < 0:
-            raise ValueError("counts must be non-negative")
+            raise ParseError("counts must be non-negative")
     if min(a + b, c + d, a + c, b + d) == 0:
-        raise ValueError("degenerate table: a marginal is zero")
+        raise ParseError("degenerate table: a marginal is zero")
     n = a + b + c + d
     statistic = n * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
     return statistic, math.erfc(math.sqrt(statistic / 2.0))
@@ -295,7 +294,7 @@ def write_chi_square_tsv(rows: Sequence[GivennessRow], fh: TextIO) -> None:
     """The new-referent chi-square row; ``NA`` when the table is degenerate."""
     try:
         statistic, p = new_referent_chi_square(rows)
-    except (ValueError, KeyError):
+    except (ParseError, KeyError):
         cells = "NA\tNA"
     else:
         cells = f"{statistic:.4f}\t{p:.4f}"

@@ -29,7 +29,6 @@ the tables of counts or of a model keyed by symbol, for tests and oracles.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from itertools import chain, count, islice, repeat
 from operator import add, mul, sub, truediv
@@ -126,13 +125,13 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     builds no pair tuple: it counts each document's adjacent ids at once as
     pair keys, adds the padding pairs, and takes off at the end the pairs
     that straddle a sentence boundary. A corpus lemma that is a reserved
-    symbol is a ``ValueError`` naming every such symbol.
+    symbol is a :class:`ParseError` naming every such symbol.
     """
     columns = [doc._word_columns for doc in docs]
     lemmas = set().union(*[column.lemmas for column in columns])
     reserved = [symbol for symbol in RESERVED if symbol in lemmas]
     if reserved:
-        raise ValueError(
+        raise ParseError(
             "reserved symbols cannot be corpus lemmas: " + ", ".join(map(repr, reserved))
         )
     vocabulary = Vocabulary.from_lemmas(lemmas)
@@ -170,20 +169,19 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
 
 
 def estimate_discount(counts: BigramCounts) -> float:
-    """Count-of-counts discount ``n1 / (n1 + 2*n2)`` over bigram types,
-    clamped into ``[DISCOUNT_EPS, 1 - DISCOUNT_EPS]`` with a warning."""
+    """Count-of-counts discount ``n1 / (n1 + 2*n2)`` over bigram types. It is
+    clamped to ``1 - DISCOUNT_EPS`` when no type is seen twice and to
+    ``DISCOUNT_EPS`` when none is seen once, which ``train`` reports as
+    ``D=0.999999`` and ``D=1e-06``."""
     count_of_counts = Counter(counts.c2.values())
     n1, n2 = count_of_counts[1], count_of_counts[2]
     if n1 == 0 and n2 == 0:
         raise DegenerateCountsError("degenerate counts; supply an explicit discount")
-    discount = n1 / (n1 + 2 * n2)
-    if discount >= 1.0:
-        warnings.warn(f"discount {discount} clamped to {1 - DISCOUNT_EPS}")
+    if n2 == 0:
         return 1 - DISCOUNT_EPS
-    if discount <= 0.0:
-        warnings.warn(f"discount {discount} clamped to {DISCOUNT_EPS}")
+    if n1 == 0:
         return DISCOUNT_EPS
-    return discount
+    return n1 / (n1 + 2 * n2)
 
 
 class KneserNeyBigramModel(Value):
@@ -255,7 +253,7 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
     if discount is None:
         discount = estimate_discount(counts)
     elif not 0.0 < discount < 1.0:
-        raise ValueError(f"discount must be in (0, 1), got {discount}")
+        raise ParseError(f"discount must be in (0, 1), got {discount}")
 
     vocabulary = counts.vocabulary
     size = len(vocabulary)
@@ -332,14 +330,14 @@ def export_arpa(model: KneserNeyBigramModel) -> str:
     written as the ``-99`` sentinel.
 
     ARPA separates the words of an n-gram by whitespace, so a lemma that
-    contains any whitespace character is a ``ValueError`` naming every such
-    lemma.
+    contains any whitespace character is a :class:`ParseError` naming every
+    such lemma.
     """
     words = model.vocabulary.words()
     joined = "".join(words)  # not empty: it holds the reserved symbols
     if joined.split() != [joined]:  # some lemma holds a whitespace character
         spaced = [word for word in words if any(map(str.isspace, word))]
-        raise ValueError(
+        raise ParseError(
             "lemmas containing whitespace cannot be written to ARPA: "
             + ", ".join(map(repr, spaced))
         )

@@ -25,6 +25,7 @@ from typing import NamedTuple, Sequence
 
 from ._value import Frozen
 from .corpus import Document
+from .errors import ParseError
 from .ngram import KneserNeyBigramModel, START
 
 _LOG10_2 = math.log10(2.0)
@@ -104,9 +105,9 @@ def _score(
     ``prob`` query per lemma.
 
     A probability outside (0, 1], which an imported model with a positive
-    backoff weight can give, is a ``ValueError`` naming the document (when
-    ``doc_id`` is given), the first such word's position, its context and
-    its lemma."""
+    backoff weight can give, is a :class:`ParseError` naming the document
+    (when ``doc_id`` is given), the first such word's position, its context
+    and its lemma."""
     probabilities = list(map(model.prob, contexts, lemmas))
     # ``min`` and ``max`` skip a NaN that is not first, but it makes the sum NaN.
     if probabilities and not (
@@ -116,7 +117,7 @@ def _score(
         for lemma, context, p, position in zip(lemmas, contexts, probabilities, positions):
             if not 0.0 < p <= 1.0:  # the check surprisal_from_prob makes
                 where = "" if doc_id is None else f"document {doc_id!r}, "
-                raise ValueError(
+                raise ParseError(
                     f"{where}word position {position}: probability of {lemma!r} after"
                     f" {context!r} must be in (0, 1], got {p}"
                 )

@@ -1,6 +1,8 @@
 import gc
 import json
 import re
+import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -131,21 +133,27 @@ def test_train_discount_override(toy_corpus, tmp_path, capsys):
     assert "D=0.7" in capsys.readouterr().out
 
 
-def test_train_report_file(toy_corpus, tmp_path):
-    report = tmp_path / "report.txt"
-    main(["train", "--corpus", str(toy_corpus), "-o", str(tmp_path / "m.arpa"),
-          "--report", str(report)])
-    assert "vocabulary=4" in report.read_text(encoding="utf-8")
+@pytest.mark.parametrize("text, discount", [
+    ("x\tx\ny\ty\nz\tz\nx\tx\n", "0.999999"),
+    ("x\tx\ny\ty\nz\tz\n\nx\tx\ny\ty\nz\tz\n", "1e-06"),
+], ids=["no-bigram-seen-twice", "no-bigram-seen-once"])
+def test_train_report_of_a_clamped_discount(text, discount, tmp_path, capsys):
+    # The clamp shows in the report's D= line alone: no warning, no stderr.
+    corpus = tmp_path / "c.vert"
+    corpus.write_text("# doc: t\n" + text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--corpus", str(corpus), "-o", str(tmp_path / "m.arpa")]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith(f"\nD={discount}\n") and err == ""
 
 
-def test_train_report_counts_sentences_with_a_word(tmp_path):
+def test_train_report_counts_sentences_with_a_word(tmp_path, capsys):
     # Three sentences; the middle one holds only punctuation.
     corpus = tmp_path / "c.vert"
     corpus.write_text("# doc: d\nthe\tthe\ncat\tcat\n\n/\t/\n\ncat\tcat\n", encoding="utf-8")
-    report = tmp_path / "report.txt"
-    assert main(["train", "--corpus", str(corpus), "-o", str(tmp_path / "m.arpa"),
-                 "--report", str(report)]) == 0
-    assert "sentences=2\n" in report.read_text(encoding="utf-8")
+    assert main(["train", "--corpus", str(corpus), "-o", str(tmp_path / "m.arpa")]) == 0
+    assert "sentences=2\n" in capsys.readouterr().out
 
 
 # --- surprisal --------------------------------------------------------------
@@ -260,6 +268,16 @@ def test_surprisal_rejects_zero_mass_model_entry(entry, column, value, fixture_m
     assert not out.exists()
 
 
+def test_surprisal_names_a_malformed_ngram_declaration(tmp_path, capsys):
+    model = tmp_path / "bad.arpa"
+    model.write_text("\\data\\\nngram 1=x\nngram 2=0\n", encoding="utf-8")
+    out = tmp_path / "ann.tsv"
+    assert main(["surprisal", "--model", str(model),
+                 "--corpus", str(FIXTURES / "corpus.vert"), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: line 2: malformed ngram declaration '1=x'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("output", ["file", "symlink"])
 def test_surprisal_probability_above_one_names_the_word(output, fixture_model, tmp_path,
                                                          capsys):
@@ -292,7 +310,8 @@ def test_surprisal_probability_above_one_names_the_word(output, fixture_model, t
 @pytest.fixture
 def xyz_model(tmp_path):
     """A model of the lemmas x, y and z, none of which the fixture holds. The
-    discount is given: estimated on 4 tokens it is clamped with a warning."""
+    discount is given: estimated on 4 tokens, where no bigram is seen twice,
+    it would be clamped to 0.999999."""
     corpus = tmp_path / "xyz.vert"
     corpus.write_text("# doc: t\nx\tx\ny\ty\nz\tz\nx\tx\n", encoding="utf-8")
     model = tmp_path / "xyz.arpa"
@@ -627,6 +646,38 @@ def test_clause_file_that_is_not_json(command, fixture_model, tmp_path, capsys):
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("command", ["analyze", "givenness"])
+def test_clause_json_with_an_overlong_integer(command, fixture_model, tmp_path, capsys):
+    clauses = tmp_path / "clauses.json"
+    clauses.write_text("[" + "1" * (sys.get_int_max_str_digits() + 1) + "]", encoding="utf-8")
+    args, outputs = _annotation_job(command, fixture_model, tmp_path,
+                                    FIXTURES / "referents.tsv", clauses)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: clause annotations: Exceeds the limit")
+    assert not any(path.exists() for path in outputs)
+
+
+def test_analyze_without_in_situ_records_has_no_chi_square(fixture_model, tmp_path):
+    records = json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8"))
+    clauses = tmp_path / "clauses.json"
+    clauses.write_text(json.dumps([r for r in records if r["variant"] == "extraposed"]),
+                       encoding="utf-8")
+    args, (outdir, _) = _annotation_job("analyze", fixture_model, tmp_path,
+                                        FIXTURES / "referents.tsv", clauses)
+    assert main(args) == 0
+    assert (outdir / "chi_square.tsv").read_text(encoding="utf-8") == (
+        "comparison\tstatistic\tp\nnew referents, in-situ vs. extraposed rc\tNA\tNA\n")
+
+
+def test_analyze_outdir_that_stdout_cannot_encode(fixture_model, tmp_path, capsys):
+    # An undecodable byte of a path arrives as a lone surrogate (PEP 383),
+    # which a strict UTF-8 stdout cannot print: an I/O error, not a fault.
+    assert main(_analyze_args(fixture_model, tmp_path / "out-\udcff")) == 2
+    assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode")
+
+
 def test_analyze_missing_model(tmp_path):
     assert main(_analyze_args(tmp_path / "absent.arpa", tmp_path / "out")) == 2
 
@@ -644,6 +695,20 @@ def test_givenness_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("row\treferents_total")
     assert "Relative clauses: in-situ" in out
+
+
+def test_clause_records_of_unknown_documents_are_all_listed(tmp_path, capsys):
+    records = json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8"))[:2]
+    records[0]["doc"], records[1]["doc"] = "nowhere-1", "nowhere-2"
+    clauses = tmp_path / "clauses.json"
+    clauses.write_text(json.dumps(records), encoding="utf-8")
+    args, (_, output) = _annotation_job("givenness", None, tmp_path,
+                                        FIXTURES / "referents.tsv", clauses)
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", "".join(
+        f"validation error: {record['id']}: unknown document {record['doc']!r}\n"
+        for record in records))
+    assert not output.exists()
 
 
 def _with_bom(source, tmp_path):
@@ -909,6 +974,14 @@ def test_removed_options_are_rejected(command, removed, config, fixture_model, t
     assert "line 1: config key" in capsys.readouterr().err
 
 
+def test_config_value_with_a_nul_byte_names_its_line(tmp_path, capsys):
+    # ``open`` would refuse such a path with a bare ``ValueError``.
+    config = tmp_path / "run.cfg"
+    config.write_text("# corpus\ncorpus = a\0b\n", encoding="utf-8")
+    assert main(["train", "--config", str(config), "-o", str(tmp_path / "m.arpa")]) == 2
+    assert capsys.readouterr().err == "error: line 2: NUL byte in the value of 'corpus'\n"
+
+
 # --- defaults ---------------------------------------------------------------
 
 _ACCOMMODATION_DEFAULTS = {"bonus": f"{FactorConfig.bonus:g}", "wearout": FactorConfig.wearout,
@@ -956,6 +1029,40 @@ def test_internal_invariant_exit_code(toy_corpus, tmp_path, monkeypatch):
     monkeypatch.setattr(ngram, "train_kn", boom)
     code = main(["train", "--corpus", str(toy_corpus), "-o", str(tmp_path / "m.arpa")])
     assert code == 4
+
+
+def test_internal_value_error_exit_code(toy_corpus, tmp_path, monkeypatch, capsys):
+    # A ``ValueError`` that no input check raised is a fault of the program.
+    from rcsurp import ngram
+
+    def boom(*args, **kwargs):
+        raise ValueError("invariant violated")
+
+    monkeypatch.setattr(ngram, "train_kn", boom)
+    assert main(["train", "--corpus", str(toy_corpus), "-o", str(tmp_path / "m.arpa")]) == 4
+    assert capsys.readouterr().err == "internal error: invariant violated\n"
+
+
+def _out_of_range_jobs(model, tmp_path):
+    corpus = ["--corpus", str(FIXTURES / "corpus.vert")]
+    surprisal = ["surprisal", "--model", str(model), *corpus, "-o", str(tmp_path / "s.tsv")]
+    return {
+        "wearout": ([*surprisal, "--wearout", "0"], "wearout must be >= 1"),
+        "window": ([*surprisal, "--window", "0"], "window must be >= 1"),
+        "floor": ([*surprisal, "--floor", "9"], "floor must lie in [1, wearout]"),
+        "discount": (["train", *corpus, "-o", str(tmp_path / "m.arpa"), "--discount", "1.5"],
+                     "discount must be in (0, 1), got 1.5"),
+        "chi2": (["chi2", "-1", "1", "1", "1"], "counts must be non-negative"),
+    }
+
+
+@pytest.mark.parametrize("case", ["wearout", "window", "floor", "discount", "chi2"])
+def test_value_out_of_its_range_exits_2(case, fixture_model, tmp_path, capsys):
+    argv, message = _out_of_range_jobs(fixture_model, tmp_path)[case]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "s.tsv").exists() and not (tmp_path / "m.arpa").exists()
 
 
 

@@ -43,9 +43,10 @@ def _sha256(path: Path) -> str:
 def test_fixture_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     model = tmp_path / "model.arpa"
+    # ``train``'s report is its stdout.
+    assert main(["train", "--corpus", CORPUS, "-o", str(model)]) == 0
+    (tmp_path / "report.txt").write_text(capsys.readouterr().out, encoding="utf-8")
     jobs = [
-        ["train", "--corpus", CORPUS, "-o", str(model),
-         "--report", str(tmp_path / "report.txt")],
         ["surprisal", "--model", str(model), "--corpus", CORPUS,
          "-o", str(tmp_path / "surprisal.tsv")],
         ["analyze", "--model", str(model), "--corpus", CORPUS, *ANNOTATIONS,

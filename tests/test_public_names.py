@@ -67,7 +67,7 @@ SIGNATURES = {
     "Span": "(start: 'int', end: 'int')",
     "Variant": "members 'in_situ', 'extraposed'",
     "parse_clause_annotations":
-        "(source: 'str | TextIO', "
+        "(text: 'str', "
         "documents: 'Mapping[str, Document] | None' = None) -> 'list[ClauseRecord]'",
     "relinearize":
         "(record: 'ClauseRecord', doc: 'Document', target: 'Variant') -> 'Linearization'",
@@ -99,7 +99,7 @@ SIGNATURES = {
         "(record: 'ClauseRecord', classified: 'Sequence[ClassifiedMention]', "
         "part: 'str') -> 'GivennessCounts'",
     "load_referent_annotations":
-        "(source: 'str | TextIO', "
+        "(text: 'str', "
         "documents: 'Mapping[str, Document] | None' = None) -> 'list[ReferentMention]'",
     "BigramCounts":
         "(vocabulary: 'Vocabulary', c1: 'Counter | None' = None, c2: 'Counter | None' = None)",
