@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from bisect import bisect_left
 from functools import partial, total_ordering
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
 
@@ -28,7 +27,7 @@ from ._value import Frozen
 from .accommodation import FactorConfig, Factors, accommodation_factors
 from .corpus import Document, Word
 from .errors import ParseError, ValidationError
-from .ngram import START, KneserNeyBigramModel
+from .ngram import KneserNeyBigramModel
 from .surprisal import annotate_sequence
 
 RC_LABEL = "rel. cl."
@@ -245,9 +244,8 @@ def relinearize(record: ClauseRecord, doc: Document, target: Variant) -> Lineari
     In-situ: matrix up to the attachment point, the relative clause, the
     rest of the matrix. Extraposed: the full matrix, then the relative
     clause. Re-linearizing to the attested variant reproduces the attested
-    word order. The initial context is the lemma preceding the first
-    clause word in the document, or the start symbol when that word opens
-    its sentence.
+    word order. The initial context is the first clause word's context in
+    the document, as ``count_bigrams`` counts it.
     """
     columns = doc._word_columns
     lemmas = columns.lemmas
@@ -261,12 +259,7 @@ def relinearize(record: ClauseRecord, doc: Document, target: Variant) -> Lineari
     else:
         ordered = matrix + rc
 
-    first_position = ordered[0].doc_position
-    starts = columns.starts
-    i = bisect_left(starts, first_position)
-    opens_sentence = i < len(starts) and starts[i] == first_position
-    context = START if opens_sentence else lemmas[first_position - 1]
-    return Linearization(tuple(ordered), context)
+    return Linearization(tuple(ordered), columns.contexts[ordered[0].doc_position])
 
 
 class ClauseMetrics(NamedTuple):

@@ -240,6 +240,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
 
     outdir = Path(args.outdir)
+    # What stdout gets once the bundle is written, encoded first as stdout
+    # will encode it, so that a path it cannot print fails before anything
+    # is written. An ``io.StringIO`` has no encoding and takes any text.
+    report = (f"bare surprisal per clause\n{cl.render_table(table2)}\n"
+              f"accommodated surprisal per clause\n{cl.render_table(table3)}\n"
+              f"report bundle written to {outdir}\n")
+    if sys.stdout.encoding:
+        report.encode(sys.stdout.encoding, sys.stdout.errors)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, (write, rows) in bundle.items():
         with open(outdir / name, "w", encoding="utf-8") as fh:
@@ -265,11 +273,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
-    print("bare surprisal per clause")
-    print(cl.render_table(table2))
-    print("accommodated surprisal per clause")
-    print(cl.render_table(table3))
-    print(f"report bundle written to {outdir}")
+    sys.stdout.write(report)
     return 0
 
 

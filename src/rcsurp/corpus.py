@@ -14,8 +14,13 @@ is_punctuation)`` row per distinct token and the row index where each
 sentence starts. A loaded document builds its ``tokens`` from them the
 first time they are asked for; a hand-built one keeps the tokens it was
 given, which must be numbered as the loader numbers them. Counting and
-scoring read the document's cached word columns (word rows, lemmas and
-sentence starts), so they build no ``Token``.
+scoring read the document's cached word columns (word rows, lemmas,
+sentence starts and bigram contexts), so they build no ``Token``.
+
+A word's bigram context is the lemma of the word before it in its
+sentence, or ``START`` when it opens the sentence, so punctuation is
+transparent. ``_contexts`` is the one place that writes this rule;
+counting, scoring and re-linearization read what it gives.
 
 Word positions (``doc_position``) count non-punctuation tokens only, so
 that distances measured in "words" are not inflated by delimiters such as
@@ -43,6 +48,9 @@ DEFAULT_PUNCTUATION = frozenset('.,;:?!/()„“”"—')
 _PUNCTUATION_CHARS = "".join(DEFAULT_PUNCTUATION)
 
 DOC_HEADER = "# doc:"
+
+# The context of every sentence's first word; a lemma may not be it.
+START = "<s>"
 
 
 class Token(NamedTuple):
@@ -85,10 +93,22 @@ class Word(Protocol):
     def is_punctuation(self) -> bool: ...
 
 
+def _contexts(values: Sequence, starts: Iterable[int], start) -> list:
+    """Each value's bigram context: the value before it, or ``start`` at
+    each index in ``starts``, where a sentence starts. ``values`` is a
+    column of words with a sentence start at 0 unless it is empty."""
+    contexts = [start, *values]
+    contexts.pop()
+    for i in starts:
+        contexts[i] = start
+    return contexts
+
+
 class _WordColumns(NamedTuple):
     words: Sequence[Word]
     lemmas: list[str]
     starts: Sequence[int]  # the word index where each sentence with a word starts
+    contexts: list[str]  # each word's bigram context; shared, never changed
 
 
 class Document(Frozen):
@@ -169,7 +189,8 @@ class Document(Frozen):
         starts = list(dict.fromkeys(map(words_before.__getitem__, self._starts)))
         if starts and starts[-1] == len(words):
             starts.pop()
-        return _WordColumns(words, list(map(itemgetter(1), words)), starts)
+        lemmas = list(map(itemgetter(1), words))
+        return _WordColumns(words, lemmas, starts, _contexts(lemmas, starts, START))
 
     def word_tokens(self) -> tuple[Token, ...]:
         """The non-punctuation tokens in order, built once on first use."""
@@ -295,11 +316,3 @@ def resegment_sentences(doc: Document) -> Document:
         return doc
     return Document._loaded(doc.id, rows, tuple(sorted(added.union(doc._starts))))
 
-
-def sentences(doc: Document) -> Iterator[list[str]]:
-    """The per-sentence lists of word lemmas; punctuation is skipped, so
-    it is transparent to bigram context, and punctuation-only sentences
-    yield nothing."""
-    columns = doc._word_columns
-    lemmas, starts = columns.lemmas, columns.starts
-    return map(lemmas.__getitem__, map(slice, starts, [*starts[1:], len(lemmas)]))

@@ -30,15 +30,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from operator import add, mul, sub, truediv
 from typing import Iterable
 
 from ._value import Frozen, Value
-from .corpus import Document, sentences
+from .corpus import START, Document, _contexts
 from .errors import DegenerateCountsError, ParseError
 
-START = "<s>"
 END = "</s>"
 UNK = "<unk>"
 RESERVED = (START, END, UNK)
@@ -119,12 +118,10 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     """Raw counts of padded within-sentence lemma bigrams in all documents,
     over the vocabulary of their lemmas.
 
-    Punctuation is transparent, as in the scorer. Each sentence is wrapped
-    in one start and one end symbol; no bigram crosses a sentence boundary.
-    Sentences without any countable token contribute nothing. Counting
-    builds no pair tuple: it counts each document's adjacent ids at once as
-    pair keys, adds the padding pairs, and takes off at the end the pairs
-    that straddle a sentence boundary. A corpus lemma that is a reserved
+    Each word is counted after its context, as ``corpus._contexts`` gives
+    it and the scorer reads it, and each sentence with a word adds one pair
+    from its last word to the end symbol. Counting builds no pair tuple: it
+    counts each pair as its integer key. A corpus lemma that is a reserved
     symbol is a :class:`ParseError` naming every such symbol.
     """
     columns = [doc._word_columns for doc in docs]
@@ -139,30 +136,17 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     c1, c2 = counts.c1, counts.c2
     index, size = vocabulary.index, len(vocabulary)
     scaled = list(range(0, size * size, size))  # id * size, by id
-    # Each pair from the last word of one sentence to the first of the next.
-    straddles: Counter = Counter()
     sentence_total = 0
     for column in columns:
         ids = list(map(index.__getitem__, column.lemmas))
         if not ids:
             continue  # no sentence with a word
         starts = column.starts
-        firsts = list(map(ids.__getitem__, starts))
-        lasts = list(map(ids.__getitem__, map(sub, [*starts[1:], len(ids)], repeat(1))))
+        lasts = map(ids.__getitem__, map(sub, [*starts[1:], len(ids)], repeat(1)))
         c1.update(ids)
-        # Every adjacent pair of the document, then each sentence's start
-        # pair (whose key is the first word's id) and end pair.
-        c2.update(map(add, map(scaled.__getitem__, ids), islice(ids, 1, None)))
-        c2.update(firsts)
+        c2.update(map(add, map(scaled.__getitem__, _contexts(ids, starts, START_ID)), ids))
         c2.update(map(add, map(scaled.__getitem__, lasts), repeat(END_ID)))
-        straddles.update(map(add, map(scaled.__getitem__, lasts), islice(firsts, 1, None)))
         sentence_total += len(starts)
-    for key, n in straddles.items():
-        n = c2[key] - n
-        if n:
-            c2[key] = n
-        else:
-            del c2[key]
     if sentence_total:
         c1[START_ID] = c1[END_ID] = sentence_total
     return counts
@@ -287,22 +271,17 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
 
 
 def perplexity(model: KneserNeyBigramModel, docs: Iterable[Document]) -> float:
-    """2 to the mean per-event surprisal in bits.
-
-    Events are every in-sentence token plus the sentence-end symbol; the
-    start symbol conditions but is never itself an event.
+    """2 to the mean surprisal in bits over the events that
+    ``count_bigrams`` counts in ``docs``: every word after its context,
+    and the end symbol after each sentence's last word. A corpus lemma
+    that is a reserved symbol raises ``count_bigrams``' :class:`ParseError`.
     """
-    bits = 0.0
-    events = 0
-    for doc in docs:
-        for sentence in sentences(doc):
-            chain = [START] + sentence + [END]
-            for left, right in zip(chain, chain[1:]):
-                bits += -math.log2(model.prob(left, right))
-                events += 1
-    if events == 0:
+    counts = count_bigrams(docs)
+    pairs = _by_symbol_pair(counts.vocabulary.words(), counts.c2)
+    if not pairs:
         raise ValueError("empty corpus: no events to evaluate")
-    return 2.0 ** (bits / events)
+    bits = math.fsum(n * -math.log2(model.prob(v, w)) for (v, w), n in pairs.items())
+    return 2.0 ** (bits / sum(pairs.values()))
 
 
 # --- ARPA serialization ---------------------------------------------------

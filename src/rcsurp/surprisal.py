@@ -1,13 +1,12 @@
 """Per-token surprisal in bits over documents and arbitrary lemma chains.
 
-Surprisal of a token is -log2 of its conditional bigram probability. The
-context of a token is the preceding non-punctuation lemma within the same
-sentence, or the start symbol for sentence-initial tokens; punctuation is
-transparent (skipped, never conditioned on).
+Surprisal of a token is -log2 of its conditional bigram probability
+after its context. A document word's context is the one that
+``count_bigrams`` counts it after, from the document's context column
+(see ``corpus``); a chain's is the previous lemma, or its initial context.
 
 Documents and lemma chains are scored by one column kernel. The caller
-builds the lemma column and the context column (the previous lemma, or
-the start symbol where a sentence or chain begins); the kernel maps
+gives the lemma column and the context column; the kernel maps
 ``prob`` over the two columns, exactly one query per word, checks the
 whole probability column at once and maps ``log2`` over it, so no Python
 frame runs per word apart from ``prob`` itself. An annotation holds the
@@ -128,17 +127,13 @@ def _score(
 def annotate_document(
     model: KneserNeyBigramModel, doc: Document
 ) -> SurprisalAnnotation:
-    """Score every word token of a sentence-segmented document, the
-    context reset at each sentence that ``count_bigrams`` trains on."""
+    """Score every word token of a sentence-segmented document after the
+    context that ``count_bigrams`` trains on: the document's context
+    column, which the annotation shares."""
     columns = doc._word_columns
     lemmas = columns.lemmas
-    contexts = [START, *lemmas[:-1]] if lemmas else []
-    # Each sentence's first word is scored after the start symbol, as
-    # ``sentences`` splits them.
-    for i in columns.starts:
-        contexts[i] = START
     return SurprisalAnnotation._scored(
-        doc.id, _score(model, lemmas, contexts, range(len(lemmas)), doc.id)
+        doc.id, _score(model, lemmas, columns.contexts, range(len(lemmas)), doc.id)
     )
 
 

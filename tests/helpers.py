@@ -3,8 +3,9 @@
 The reference functions here recompute everything from raw inputs with
 plain loops so the tests never reuse the code paths they check: the
 smoothed bigram probability from scratch counts, a model query as a symbol
-mapping and one table lookup, perplexity as an explicit log sum, per-token
-document surprisal as one loop over every token, chain surprisal as one
+mapping and one table lookup, perplexity as an explicit log sum, each
+word's bigram context by sentence, per-token document surprisal as one
+loop over every token, chain surprisal as one
 loop over the chain, the vertical-format loader as a per-document builder
 that parses every line afresh, sentence re-segmentation by copying every
 token, mention classification by rescanning the document's history for
@@ -152,6 +153,19 @@ def reference_chi2_upper_tail(statistic: float) -> float:
     z = math.sqrt(statistic)
     density = lambda t: math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     return 2.0 * simpson(density, z, z + 45.0, 20000)
+
+
+def reference_contexts(doc: Document) -> list[str]:
+    """Each word's bigram context as a loop over sentences: a sentence's
+    word tokens take ``<s>`` and then their own lemmas but the last."""
+    sentences: dict[int, list[str]] = {}
+    for token in doc.tokens:
+        if not token.is_punctuation:
+            sentences.setdefault(token.sentence_index, []).append(token.lemma)
+    contexts = []
+    for lemmas in sentences.values():
+        contexts += [START] + lemmas[:-1]
+    return contexts
 
 
 def reference_annotate_document(model, doc: Document) -> SurprisalAnnotation:

@@ -676,6 +676,7 @@ def test_analyze_outdir_that_stdout_cannot_encode(fixture_model, tmp_path, capsy
     # which a strict UTF-8 stdout cannot print: an I/O error, not a fault.
     assert main(_analyze_args(fixture_model, tmp_path / "out-\udcff")) == 2
     assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode")
+    assert not (tmp_path / "out-\udcff").exists()
 
 
 def test_analyze_missing_model(tmp_path):

@@ -13,7 +13,7 @@ from rcsurp import (
 )
 from rcsurp.accommodation import accommodation_factors
 from rcsurp.clauses import ClauseRecord, Span, Variant, relinearize
-from rcsurp.corpus import DEFAULT_PUNCTUATION, Token, sentences
+from rcsurp.corpus import DEFAULT_PUNCTUATION, Token
 from rcsurp.ngram import count_bigrams, train_kn
 from rcsurp.surprisal import annotate_document
 
@@ -355,7 +355,7 @@ def test_hand_built_document_must_be_numbered_as_loaded(tokens):
 def test_empty_hand_built_document():
     doc = Document("a", ())
     assert doc.tokens == () and doc._rows == () and doc._starts == ()
-    assert doc.word_count() == 0 and list(sentences(doc)) == []
+    assert doc.word_count() == 0 and doc._word_columns.contexts == []
 
 
 # --- round trip -------------------------------------------------------------
@@ -467,7 +467,7 @@ def _column_results(doc, records):
     """Everything the pipeline reads from a document's word columns."""
     return (
         doc.word_count(),
-        list(sentences(doc)),
+        doc._word_columns.contexts,
         annotate_document(_COLUMN_MODEL, doc),
         accommodation_factors(doc),
         [relinearize(r, doc, target) for r in records for target in Variant],
@@ -491,4 +491,24 @@ def test_loaded_rows_read_like_hand_built_tokens(lines, newline, data):
             assert doc == hand and hash(doc) == hash(hand)
             assert hand._rows == doc._rows and hand._starts == doc._starts
             assert got == _column_results(hand, records)
+            assert got[1] == helpers.reference_contexts(hand)
             assert got[2] == helpers.reference_annotate_document(_COLUMN_MODEL, hand)
+
+
+# --- the bigram context rule --------------------------------------------------
+
+@pytest.mark.parametrize("sentences, expected", [
+    ((), []),
+    ((["."],), []),
+    ((["a", "/", "b"],), ["<s>", "a"]),
+    ((["a", "."], [","], ["b", ".", "c"]), ["<s>", "<s>", "b"]),
+], ids=["no-sentence", "punctuation-only", "transparent", "mixed"])
+def test_context_column_of_hand_built_sentences(sentences, expected):
+    tokens, position = [], 0
+    for index, sentence in enumerate(sentences):
+        for surface in sentence:
+            punct = surface in DEFAULT_PUNCTUATION
+            tokens.append(Token(surface, surface, None, None if punct else position, index, punct))
+            position += not punct
+    doc = Document("d", tuple(tokens))
+    assert doc._word_columns.contexts == helpers.reference_contexts(doc) == expected

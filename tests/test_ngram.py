@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from rcsurp import (
     DegenerateCountsError,
+    ParseError,
     Vocabulary,
     count_bigrams,
     estimate_discount,
@@ -111,7 +112,8 @@ def test_counts_match_reference_random_corpora(corpus):
             words = [w for w in sentence if w not in "/,."]
             if words:
                 expected_sentences.append(words)
-    counts = count_bigrams(load_vertical("\n".join(lines)))
+    docs = load_vertical("\n".join(lines))
+    counts = count_bigrams(docs)
     c1, c2, left, right, types = helpers.reference_counts(expected_sentences)
     assert counts.string_tables() == (c1, c2)
     assert counts.token_count() == sum(n for w, n in c1.items() if w not in (START, END, UNK))
@@ -123,11 +125,15 @@ def test_counts_match_reference_random_corpora(corpus):
         return
     # The model's continuation and backoff tables are the distinct left
     # contexts and continuations of the reference.
-    unigram_p, bow, _ = train_kn(counts, discount).string_tables()
+    model = train_kn(counts, discount)
+    unigram_p, bow, _ = model.string_tables()
     for w, vs in left.items():
         assert unigram_p[w] == len(vs) / types
     for v, ws in right.items():
         assert bow[v] == discount * len(ws) / c1[v]
+    # Perplexity averages over the same events, sentence by sentence.
+    assert perplexity(model, docs) == pytest.approx(
+        helpers.reference_perplexity(expected_sentences, model.prob), rel=1e-12)
 
 
 # --- discount estimation ----------------------------------------------------
@@ -396,3 +402,8 @@ def test_perplexity_deterministic_bound():
 def test_perplexity_empty_corpus_is_error(toy_model):
     with pytest.raises(ValueError):
         perplexity(toy_model, [])
+
+
+def test_perplexity_of_a_reserved_lemma_is_the_counting_error(toy_model):
+    with pytest.raises(ParseError, match="reserved symbols cannot be corpus lemmas: '<s>'"):
+        perplexity(toy_model, load_vertical(f"# doc: d\na\t{START}\n"))
