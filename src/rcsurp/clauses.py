@@ -21,7 +21,7 @@ import enum
 import json
 import math
 from functools import partial, total_ordering
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ._value import Frozen
 from .accommodation import FactorConfig, Factors, accommodation_factors
@@ -485,13 +485,12 @@ def _cell(value: float | None) -> str:
     return "NA" if value is None else f"{value:.4f}"
 
 
-def write_table_tsv(rows: Iterable[TableRow], fh: TextIO) -> None:
-    fh.write("variant\trow\tn\tadS\tavS\n")
-    for row in rows:
-        fh.write(
-            f"{row.variant.value}\t{row.label}\t{row.n}"
-            f"\t{_cell(row.mean_adS)}\t{_cell(row.mean_avS)}\n"
-        )
+def table_tsv(rows: Iterable[TableRow]) -> str:
+    return "variant\trow\tn\tadS\tavS\n" + "".join(
+        f"{row.variant.value}\t{row.label}\t{row.n}"
+        f"\t{_cell(row.mean_adS)}\t{_cell(row.mean_avS)}\n"
+        for row in rows
+    )
 
 
 def render_table(rows: Sequence[TableRow]) -> str:

@@ -33,14 +33,14 @@ import gc
 import sys
 from contextlib import contextmanager
 from functools import partial
-from itertools import groupby
+from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, TextIO
 
 from . import ngram
 from ._value import FACTOR_BONUS, FACTOR_FLOOR, FACTOR_WEAROUT, FACTOR_WINDOW, SALIENCE_WINDOW
-from .corpus import Document, load_vertical_file, resegment_sentences
+from .corpus import Document, Word, load_vertical_file, resegment_sentences
 from .errors import DegenerateCountsError, ParseError, PipelineError, ValidationError
 
 if TYPE_CHECKING:
@@ -68,7 +68,7 @@ def _factor_config(args: argparse.Namespace) -> accom.FactorConfig:
     return accom.FactorConfig(args.bonus, args.wearout, args.window, args.floor)
 
 
-def _content_predicate(args: argparse.Namespace):
+def _content_predicate(args: argparse.Namespace) -> Callable[[Word], bool]:
     from . import accommodation as accom
 
     pos = (
@@ -119,19 +119,27 @@ def _load_corpus(paths: list[str]) -> dict[str, Document]:
     return docs
 
 
-def _check_vocabulary(
-    model: ngram.KneserNeyBigramModel, docs: list[Document], args: argparse.Namespace
+def _check_scored_words(
+    model: ngram.KneserNeyBigramModel, predicate: Callable[[Word], bool],
+    docs: list[Document], args: argparse.Namespace,
 ) -> None:
-    """Raise a :class:`ValidationError` when ``docs`` hold words and the
+    """Raise one :class:`ValidationError` when ``docs`` hold words and the
     model knows none of their lemmas, so that every score would be the
-    unknown word's. The scan stops at the first known lemma."""
+    unknown word's, or the content predicate selects none of them, so that
+    accommodation would weight nothing. Each scan stops at its first hit."""
+    if not any(doc.word_count() for doc in docs):
+        return
     index = model.vocabulary.index
-    known = any(lemma in index and lemma not in ngram.RESERVED
-                for doc in docs for lemma in doc._word_columns.lemmas)
-    if not known and any(doc.word_count() for doc in docs):
-        raise ValidationError([
-            f"model {args.model} knows none of the scored lemmas of {', '.join(args.corpus)}"
-        ])
+    corpus = ", ".join(args.corpus)
+    problems = []
+    if not any(lemma in index and lemma not in ngram.RESERVED
+               for doc in docs for lemma in doc._word_columns.lemmas):
+        problems.append(f"model {args.model} knows none of the scored lemmas of {corpus}")
+    if not any(map(predicate, chain.from_iterable(doc._word_columns.words for doc in docs))):
+        problems.append(f"--content-pos {args.content_pos!r} and --stoplist {args.stoplist!r}"
+                        f" select no content word among the scored words of {corpus}")
+    if problems:
+        raise ValidationError(problems)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -165,9 +173,8 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
         selected = [docs[d] for d in wanted]
     else:
         selected = list(docs.values())
-    _check_vocabulary(model, selected, args)
-
     predicate = _content_predicate(args)
+    _check_scored_words(model, predicate, selected, args)
     factor_cfg = _factor_config(args)
 
     def scored():
@@ -212,6 +219,10 @@ def _load_annotations(
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # Only this manifest hashes and writes JSON; other subcommands skip both.
+    import json
+    from hashlib import sha256
+
     from . import clauses as cl
     from . import givenness as giv
 
@@ -219,25 +230,37 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     docs = _load_corpus(args.corpus)
     records, classified = _load_annotations(args, docs)
     cl.check_scorable(records)
-    _check_vocabulary(model, [docs[r.doc_id] for r in records], args)
+    predicate = _content_predicate(args)
+    scored = [docs[doc_id] for doc_id in dict.fromkeys(r.doc_id for r in records)]
+    _check_scored_words(model, predicate, scored, args)
 
-    scorer = cl.ClauseScorer(
-        model,
-        _factor_config(args),
-        _content_predicate(args),
-        combined_excludes_matrix_first=not args.combined_single_exclusion,
-    )
+    scorer = cl.ClauseScorer(model, _factor_config(args), predicate,
+                             combined_excludes_matrix_first=not args.combined_single_exclusion)
     givenness_rows = giv.build_givenness_table(records, classified)
     table2 = cl.build_surprisal_table(records, docs, scorer, "bare")
     table3 = cl.build_surprisal_table(records, docs, scorer, "accommodated")
     hypothetical = cl.build_hypothetical_table(records, docs, scorer)
+    # Each file of the bundle as the UTF-8 bytes that are hashed, then written.
     bundle = {
-        "table1.tsv": (giv.write_givenness_tsv, givenness_rows),
-        "table2.tsv": (cl.write_table_tsv, table2),
-        "table3.tsv": (cl.write_table_tsv, table3),
-        "hypotheticals.tsv": (cl.write_table_tsv, hypothetical),
-        "chi_square.tsv": (giv.write_chi_square_tsv, givenness_rows),
+        "table1.tsv": giv.givenness_tsv(givenness_rows).encode(),
+        "table2.tsv": cl.table_tsv(table2).encode(),
+        "table3.tsv": cl.table_tsv(table3).encode(),
+        "hypotheticals.tsv": cl.table_tsv(hypothetical).encode(),
+        "chi_square.tsv": giv.chi_square_tsv(givenness_rows).encode(),
     }
+
+    inputs = [args.model, args.clauses, args.referents, *args.corpus]
+    if args.stoplist:
+        inputs.append(args.stoplist)
+    config = {name: getattr(args, name, None) for name in _CONFIG_KEYS}
+    canonical = json.dumps(config, sort_keys=True).encode("utf-8")
+    manifest = {
+        "config": config,
+        "config_sha256": sha256(canonical).hexdigest(),
+        "inputs": {str(name): sha256(Path(name).read_bytes()).hexdigest() for name in inputs},
+        "outputs": {name: sha256(data).hexdigest() for name, data in bundle.items()},
+    }
+    bundle["manifest.json"] = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()
 
     outdir = Path(args.outdir)
     # What stdout gets once the bundle is written, encoded first as stdout
@@ -249,30 +272,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if sys.stdout.encoding:
         report.encode(sys.stdout.encoding, sys.stdout.errors)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name, (write, rows) in bundle.items():
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            write(rows, fh)
-
-    # Only this manifest hashes and writes JSON, so the other subcommands
-    # skip both imports.
-    import json
-    from hashlib import sha256
-
-    inputs = [args.model, args.clauses, args.referents, *args.corpus]
-    if args.stoplist:
-        inputs.append(args.stoplist)
-    config = {name: getattr(args, name, None) for name in _CONFIG_KEYS}
-    canonical = json.dumps(config, sort_keys=True).encode("utf-8")
-    manifest = {
-        "config": config,
-        "config_sha256": sha256(canonical).hexdigest(),
-        "inputs": {str(name): sha256(Path(name).read_bytes()).hexdigest() for name in inputs},
-        "outputs": {name: sha256((outdir / name).read_bytes()).hexdigest() for name in bundle},
-    }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
+    for name, data in bundle.items():
+        (outdir / name).write_bytes(data)
     sys.stdout.write(report)
     return 0
 
@@ -282,9 +283,9 @@ def cmd_givenness(args: argparse.Namespace) -> int:
 
     docs = _load_corpus(args.corpus)
     records, classified = _load_annotations(args, docs)
-    rows = giv.build_givenness_table(records, classified)
+    text = giv.givenness_tsv(giv.build_givenness_table(records, classified))
     with _open_output(args.output) as fh:
-        giv.write_givenness_tsv(rows, fh)
+        fh.write(text)
     return 0
 
 

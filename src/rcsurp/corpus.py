@@ -34,7 +34,7 @@ from functools import cached_property, partial
 from itertools import accumulate, compress, count, repeat
 from operator import eq, itemgetter, not_
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Protocol, Sequence, TextIO
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from ._value import Frozen
 from .errors import ParseError
@@ -200,19 +200,13 @@ class Document(Frozen):
         return len(self._word_columns.words)
 
 
-def _iter_lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, str):
-        return iter(io.StringIO(source))
-    return iter(source)
-
-
 def _closed(doc_id: str, rows: list[_Row], starts: list[int]) -> Document:
     if starts[-1] == len(rows):  # no row followed the last boundary
         starts.pop()
     return Document._loaded(doc_id, tuple(rows), tuple(starts))
 
 
-def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
+def load_vertical(source: str | Iterable[str]) -> list[Document]:
     """Parse vertical-format text into documents.
 
     ``source`` may be a string, an open text file, or any iterable of
@@ -242,7 +236,9 @@ def load_vertical(source: str | TextIO | Iterable[str]) -> list[Document]:
     blank = _BLANK
     new_row = _new_row
 
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    for lineno, raw in enumerate(source, start=1):
         row = parsed.get(raw)
         if row is None:
             line = raw.rstrip("\n").rstrip("\r")

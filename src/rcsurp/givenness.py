@@ -15,7 +15,7 @@ import enum
 import math
 from bisect import bisect_left
 from functools import partial
-from typing import Iterable, Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._value import SALIENCE_WINDOW
 from .clauses import ClauseRecord, Variant
@@ -261,14 +261,14 @@ def _pct(ratio: float | None) -> str:
     return "NA" if ratio is None else f"{100.0 * ratio:.1f}%"
 
 
-def write_givenness_tsv(rows: Iterable[GivennessRow], fh: TextIO) -> None:
-    fh.write(
+def givenness_tsv(rows: Iterable[GivennessRow]) -> str:
+    lines = [
         "row\treferents_total\tnew\tnew_pct\tsalient\tsalient_pct"
         "\tinferable_new\tgiven_non_salient\tgiven_salient\tsalient_topic\n"
-    )
+    ]
     for row in rows:
         c = row.counts
-        fh.write(
+        lines.append(
             f"{row.label}\t{c.total}\t{c.new}\t{_pct(c.ratio(c.new))}"
             f"\t{c.salient}\t{_pct(c.ratio(c.salient))}"
             f"\t{c.by_category[SalienceCategory.INFERABLE_NEW]}"
@@ -276,6 +276,7 @@ def write_givenness_tsv(rows: Iterable[GivennessRow], fh: TextIO) -> None:
             f"\t{c.by_category[SalienceCategory.GIVEN_SALIENT]}"
             f"\t{c.by_category[SalienceCategory.SALIENT_TOPIC]}\n"
         )
+    return "".join(lines)
 
 
 def new_referent_chi_square(rows: Sequence[GivennessRow]) -> tuple[float, float]:
@@ -290,7 +291,7 @@ def new_referent_chi_square(rows: Sequence[GivennessRow]) -> tuple[float, float]
     )
 
 
-def write_chi_square_tsv(rows: Sequence[GivennessRow], fh: TextIO) -> None:
+def chi_square_tsv(rows: Sequence[GivennessRow]) -> str:
     """The new-referent chi-square row; ``NA`` when the table is degenerate."""
     try:
         statistic, p = new_referent_chi_square(rows)
@@ -298,5 +299,4 @@ def write_chi_square_tsv(rows: Sequence[GivennessRow], fh: TextIO) -> None:
         cells = "NA\tNA"
     else:
         cells = f"{statistic:.4f}\t{p:.4f}"
-    fh.write("comparison\tstatistic\tp\n")
-    fh.write(f"new referents, in-situ vs. extraposed rc\t{cells}\n")
+    return f"comparison\tstatistic\tp\nnew referents, in-situ vs. extraposed rc\t{cells}\n"

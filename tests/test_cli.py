@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import re
 import sys
@@ -362,6 +363,52 @@ def test_vocabulary_check_passes_a_run_without_words(xyz_model, tmp_path):
     assert out.read_text(encoding="utf-8").count("\n") == 1  # the header alone
 
 
+@pytest.mark.parametrize("content_pos", [",", "noun"])
+@pytest.mark.parametrize("command", ["surprisal", "analyze"])
+def test_content_predicate_that_selects_no_scored_word_is_rejected(
+        command, content_pos, fixture_model, tmp_path, capsys):
+    # The fixture's tags are STTS tags: neither an empty tag set nor a
+    # lower-case tag matches one, so accommodation would weight nothing.
+    out, outdir = tmp_path / "s.tsv", tmp_path / "out"
+    corpus = str(FIXTURES / "corpus.vert")
+    flags = ["--content-pos", content_pos]
+    if command == "analyze":
+        argv = _analyze_args(fixture_model, outdir, *flags)
+    else:
+        argv = ["surprisal", "--model", str(fixture_model), "--corpus", corpus, "-o", str(out),
+                *flags]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", (
+        f"validation error: --content-pos {content_pos!r} and --stoplist ''"
+        f" select no content word among the scored words of {corpus}\n"))
+    assert not out.exists() and not outdir.exists()
+
+
+def test_unknown_lemmas_and_no_content_word_are_listed_together(xyz_model, tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(_analyze_args(xyz_model, outdir, "--content-pos", ",")) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert "knows none of the scored lemmas" in err[0]
+    assert "select no content word" in err[1]
+    assert not outdir.exists()
+
+
+def test_analyze_checks_each_scored_document_once(fixture_model, tmp_path, monkeypatch):
+    checked = []
+    check = cli._check_scored_words
+
+    def recording_check(model, predicate, docs, args):
+        checked.append([doc.id for doc in docs])
+        return check(model, predicate, docs, args)
+
+    monkeypatch.setattr(cli, "_check_scored_words", recording_check)
+    assert main(_analyze_args(fixture_model, tmp_path / "out")) == 0
+    records = json.loads((FIXTURES / "clauses.json").read_text(encoding="utf-8"))
+    assert checked == [list(dict.fromkeys(record["doc"] for record in records))]
+
+
 # --- analyze ----------------------------------------------------------------
 
 def test_analyze_smoke(fixture_model, tmp_path):
@@ -372,7 +419,10 @@ def test_analyze_smoke(fixture_model, tmp_path):
     for name in names:
         assert (outdir / name).exists(), name
     manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
-    assert set(manifest["outputs"]) == {n for n in names if n != "manifest.json"}
+    assert manifest["outputs"] == {
+        name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+        for name in names if name != "manifest.json"
+    }
     for name in ["table1.tsv", "table2.tsv", "table3.tsv"]:
         lines = (outdir / name).read_text(encoding="utf-8").splitlines()
         assert len(lines) > 1
@@ -677,6 +727,24 @@ def test_analyze_outdir_that_stdout_cannot_encode(fixture_model, tmp_path, capsy
     assert main(_analyze_args(fixture_model, tmp_path / "out-\udcff")) == 2
     assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't encode")
     assert not (tmp_path / "out-\udcff").exists()
+
+
+def test_analyze_writes_nothing_when_an_input_cannot_be_hashed(fixture_model, tmp_path,
+                                                               monkeypatch, capsys):
+    # The model is read once to load it and once more to hash it; the second
+    # read fails after every table is computed, and before any is written.
+    read_bytes = Path.read_bytes
+
+    def failing_read_bytes(path):
+        if path == fixture_model:
+            raise PermissionError(f"cannot read {path}")
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", failing_read_bytes)
+    outdir = tmp_path / "out"
+    assert main(_analyze_args(fixture_model, outdir)) == 2
+    assert capsys.readouterr() == ("", f"error: cannot read {fixture_model}\n")
+    assert not outdir.exists()
 
 
 def test_analyze_missing_model(tmp_path):

@@ -76,7 +76,7 @@ SIGNATURES = {
         "(surface: 'str', lemma: 'str', pos: 'str | None', doc_position: 'int | None', "
         "sentence_index: 'int', is_punctuation: 'bool')",
     "Word": "(*args, **kwargs)",
-    "load_vertical": "(source: 'str | TextIO | Iterable[str]') -> 'list[Document]'",
+    "load_vertical": "(source: 'str | Iterable[str]') -> 'list[Document]'",
     "load_vertical_file": "(path: 'str | Path') -> 'list[Document]'",
     "resegment_sentences": "(doc: 'Document') -> 'Document'",
     "DegenerateCountsError": "bases PipelineError",
