@@ -56,12 +56,6 @@ if TYPE_CHECKING:
 _BATCH_GC_THRESHOLD = (50_000, 50, 1000)
 
 
-# The settings recorded in ``manifest.json``, each read from the parsed
-# arguments; one the subcommand lacks is recorded as null.
-_CONFIG_KEYS = ("corpus", "content_pos", "stoplist", "bonus", "wearout", "window", "floor",
-                "salience_window", "count_distinct", "combined_single_exclusion", "discount")
-
-
 def _factor_config(args: argparse.Namespace) -> accom.FactorConfig:
     from . import accommodation as accom
 
@@ -72,7 +66,7 @@ def _content_predicate(args: argparse.Namespace) -> Callable[[Word], bool]:
     from . import accommodation as accom
 
     pos = (
-        frozenset(tag for tag in args.content_pos.split(",") if tag)
+        frozenset(filter(None, map(str.strip, args.content_pos.split(","))))
         if args.content_pos
         else accom.DEFAULT_CONTENT_POS
     )
@@ -249,15 +243,22 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "chi_square.tsv": giv.chi_square_tsv(givenness_rows).encode(),
     }
 
-    inputs = [args.model, args.clauses, args.referents, *args.corpus]
-    if args.stoplist:
-        inputs.append(args.stoplist)
-    config = {name: getattr(args, name, None) for name in _CONFIG_KEYS}
+    def digest(path: str) -> str:
+        return sha256(Path(path).read_bytes()).hexdigest()
+
+    # Each input by its role and contents, so that no path reaches the
+    # manifest; every other parsed name but the output directory and the
+    # parser's own is a setting.
+    inputs = {"model": digest(args.model), "clauses": digest(args.clauses),
+              "referents": digest(args.referents), "corpus": list(map(digest, args.corpus)),
+              "stoplist": digest(args.stoplist) if args.stoplist else None}
+    config = {name: value for name, value in vars(args).items()
+              if name not in inputs and name not in ("outdir", "config", "command", "func")}
     canonical = json.dumps(config, sort_keys=True).encode("utf-8")
     manifest = {
         "config": config,
         "config_sha256": sha256(canonical).hexdigest(),
-        "inputs": {str(name): sha256(Path(name).read_bytes()).hexdigest() for name in inputs},
+        "inputs": inputs,
         "outputs": {name: sha256(data).hexdigest() for name, data in bundle.items()},
     }
     bundle["manifest.json"] = (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode()

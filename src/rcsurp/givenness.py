@@ -208,8 +208,9 @@ def chi_square_2x2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
     """Pearson chi-square without continuity correction on [[a, b], [c, d]].
 
     Returns the statistic and the upper-tail p-value at one degree of
-    freedom, ``erfc(sqrt(statistic / 2))``. A negative count, or a
-    marginal that is not positive, is a :class:`ParseError`.
+    freedom, ``erfc(sqrt(statistic / 2))``. A negative count, a marginal
+    that is not positive, or counts whose statistic exceeds the float range
+    is a :class:`ParseError`.
     """
     for count in (a, b, c, d):
         if count < 0:
@@ -217,7 +218,11 @@ def chi_square_2x2(a: int, b: int, c: int, d: int) -> tuple[float, float]:
     if min(a + b, c + d, a + c, b + d) == 0:
         raise ParseError("degenerate table: a marginal is zero")
     n = a + b + c + d
-    statistic = n * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
+    try:
+        statistic = n * (a * d - b * c) ** 2 / ((a + b) * (c + d) * (a + c) * (b + d))
+    except OverflowError:
+        raise ParseError("counts too large: the chi-square statistic exceeds"
+                         " the float range") from None
     return statistic, math.erfc(math.sqrt(statistic / 2.0))
 
 

@@ -227,8 +227,9 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
 
     Continuation counts, fertilities and the number of bigram types are
     derived here from ``counts.c2``. ``discount`` defaults to the
-    count-of-counts estimate and must lie in (0, 1) when given. The
-    continuation mass of the unknown symbol is ``1 / (len(c2) + 1)``.
+    count-of-counts estimate and must lie in (0, 1) when given; one so small
+    that a backoff weight underflows to 0.0 is a :class:`ParseError` too.
+    The continuation mass of the unknown symbol is ``1 / (len(c2) + 1)``.
     """
     c1, c2 = counts.c1, counts.c2
     total_types = len(c2)
@@ -257,6 +258,8 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
     # D * fertility(v) / c1(v) for every context, 1.0 for other symbols.
     weight = dict(zip(fertility, map(truediv, map(mul, repeat(discount), fertility.values()),
                                      map(tokens.__getitem__, fertility))))
+    if 0.0 in weight.values():  # ARPA has no log10 for it
+        raise ParseError(f"discount {discount} too small: a backoff weight underflows to 0")
     bow = list(map(weight.get, range(size), repeat(1.0)))
 
     # max(c2(v,w) - D, 0) / c1(v) + bow(v) * p_cont(w); bigram counts take

@@ -1,10 +1,13 @@
 import gc
 import hashlib
 import json
+import os
 import re
+import shutil
 import sys
 import warnings
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -385,6 +388,22 @@ def test_content_predicate_that_selects_no_scored_word_is_rejected(
     assert not out.exists() and not outdir.exists()
 
 
+def test_spaced_content_pos_list_weights_the_same_words(fixture_model, tmp_path):
+    # The tags of a list are read with or without spaces after the commas,
+    # given as a flag or as a config line.
+    config = tmp_path / "run.cfg"
+    config.write_text("content-pos = NN, VVFIN\n", encoding="utf-8")
+    runs = {"unspaced": ["--content-pos", "NN,VVFIN"], "spaced": ["--content-pos", "NN, VVFIN"],
+            "config": ["--config", str(config)]}
+    for name, flags in runs.items():
+        assert main(["surprisal", "--model", str(fixture_model),
+                     "--corpus", str(FIXTURES / "corpus.vert"), *flags,
+                     "-o", str(tmp_path / f"{name}.tsv")]) == 0
+    unspaced = (tmp_path / "unspaced.tsv").read_bytes()
+    assert (tmp_path / "spaced.tsv").read_bytes() == unspaced
+    assert (tmp_path / "config.tsv").read_bytes() == unspaced
+
+
 def test_unknown_lemmas_and_no_content_word_are_listed_together(xyz_model, tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(_analyze_args(xyz_model, outdir, "--content-pos", ",")) == 3
@@ -536,7 +555,52 @@ def test_analyze_manifest_records_the_stoplist_contents(fixture_model, tmp_path)
         manifests.append(json.loads((outdir / "manifest.json").read_text(encoding="utf-8")))
     first, second = manifests
     assert first["config"] == second["config"]
-    assert first["inputs"][str(stoplist)] != second["inputs"][str(stoplist)]
+    assert first["inputs"]["stoplist"] != second["inputs"]["stoplist"]
+
+
+def test_analyze_manifest_records_every_setting_and_no_path(fixture_model, tmp_path):
+    stoplist = tmp_path / "stop.txt"
+    stoplist.write_text("und\n", encoding="utf-8")
+    # Each of analyze's settings away from its default.
+    settings = {"bonus": 2.5, "combined_single_exclusion": True, "content_pos": "NN,VVFIN",
+                "count_distinct": True, "floor": 1, "salience_window": 3, "wearout": 3,
+                "window": 50}
+    flags = []
+    for name, value in settings.items():
+        flag = "--" + name.replace("_", "-")
+        flags += [flag] if value is True else [flag, str(value)]
+    outdir = tmp_path / "out"
+    assert main(_analyze_args(fixture_model, outdir, "--stoplist", str(stoplist), *flags)) == 0
+    text = (outdir / "manifest.json").read_text(encoding="utf-8")
+    manifest = json.loads(text)
+    assert manifest["config"] == settings
+    assert manifest["inputs"]["stoplist"] == hashlib.sha256(b"und\n").hexdigest()
+    for part in (str(tmp_path), str(FIXTURES), "stop.txt", "model.arpa", "corpus.vert",
+                 "clauses.json", "referents.tsv", os.sep):
+        assert part not in text, part
+
+
+def test_analyze_bundle_is_the_same_wherever_its_inputs_sit(fixture_model, tmp_path,
+                                                            monkeypatch):
+    files = {"--model": fixture_model, "--corpus": FIXTURES / "corpus.vert",
+             "--clauses": FIXTURES / "clauses.json", "--referents": FIXTURES / "referents.tsv"}
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    for path in files.values():
+        shutil.copy(path, elsewhere / path.name)
+    monkeypatch.chdir(tmp_path)
+    runs = {
+        "relative": {flag: os.path.relpath(path) for flag, path in files.items()},
+        "absolute": {flag: str(path.resolve()) for flag, path in files.items()},
+        "copied": {flag: str(elsewhere / path.name) for flag, path in files.items()},
+    }
+    for name, paths in runs.items():
+        assert main(["analyze", *chain.from_iterable(paths.items()), "--outdir", name]) == 0
+    relative, absolute, copied = (
+        {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()} for name in runs)
+    assert "manifest.json" in relative and len(relative) == 6
+    assert absolute == relative
+    assert copied == relative
 
 
 def test_analyze_validation_lists_all_offenders(fixture_model, tmp_path, capsys):
@@ -820,12 +884,12 @@ def test_model_accepts_a_leading_byte_order_mark(fixture_model, tmp_path):
     for table in ("table1.tsv", "table2.tsv", "table3.tsv", "hypotheticals.tsv",
                   "chi_square.tsv"):
         assert (marked_dir / table).read_bytes() == (plain_dir / table).read_bytes()
-    manifests = [json.loads((d / "manifest.json").read_text(encoding="utf-8"))
-                 for d in (plain_dir, marked_dir)]
-    # Only the model's own digest and path differ.
-    for manifest in manifests:
-        manifest.pop("inputs")
-    assert manifests[0] == manifests[1]
+    plain, with_bom = (json.loads((d / "manifest.json").read_text(encoding="utf-8"))
+                       for d in (plain_dir, marked_dir))
+    # Only the model's own digest differs.
+    assert with_bom["inputs"]["model"] != plain["inputs"]["model"]
+    with_bom["inputs"]["model"] = plain["inputs"]["model"]
+    assert with_bom == plain
 
 def test_chi2_command(capsys):
     assert main(["chi2", "2", "20", "11", "35"]) == 0
@@ -1122,10 +1186,17 @@ def _out_of_range_jobs(model, tmp_path):
         "discount": (["train", *corpus, "-o", str(tmp_path / "m.arpa"), "--discount", "1.5"],
                      "discount must be in (0, 1), got 1.5"),
         "chi2": (["chi2", "-1", "1", "1", "1"], "counts must be non-negative"),
+        # A backoff weight of 0.0 has no log10 for the ARPA file.
+        "discount-underflow": (
+            ["train", *corpus, "-o", str(tmp_path / "m.arpa"), "--discount", "5e-324"],
+            "discount 5e-324 too small: a backoff weight underflows to 0"),
+        "chi2-overflow": (["chi2", str(10**400), "1", "1", str(10**400)],
+                          "counts too large: the chi-square statistic exceeds the float range"),
     }
 
 
-@pytest.mark.parametrize("case", ["wearout", "window", "floor", "discount", "chi2"])
+@pytest.mark.parametrize("case", ["wearout", "window", "floor", "discount", "chi2",
+                                  "discount-underflow", "chi2-overflow"])
 def test_value_out_of_its_range_exits_2(case, fixture_model, tmp_path, capsys):
     argv, message = _out_of_range_jobs(fixture_model, tmp_path)[case]
     capsys.readouterr()

@@ -1,10 +1,9 @@
 """Pins every output of the CLI jobs on the committed fixture.
 
-Each digest is the sha256 of the file the job writes. The corpus path is
-passed relative to the repository root, so the run configuration (and the
-``config_sha256`` recorded in ``manifest.json``) does not depend on where
-the repository is checked out; the manifest's ``inputs`` name temporary
-paths and are left out.
+Each digest is the sha256 of the file the job writes, ``manifest.json``
+included. The fixture is read by absolute path: the manifest names each
+input by its role and digest, never by its path, so no output depends on
+where the repository is checked out or the model is written.
 """
 
 import hashlib
@@ -15,8 +14,7 @@ import pytest
 
 from rcsurp.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = Path("tests") / "fixtures" / "minicorpus"
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "minicorpus"
 CORPUS = str(FIXTURES / "corpus.vert")
 ANNOTATIONS = ["--clauses", str(FIXTURES / "clauses.json"),
                "--referents", str(FIXTURES / "referents.tsv")]
@@ -32,16 +30,16 @@ EXPECTED = {
     "out/table3.tsv": "a669a52be29d1d6cf221671b9d5789dbb6c62ab2bb46086b59f0f8d0bcaff9c2",
     "out/hypotheticals.tsv": "11f1323de2111000086cfc2a8441d41d747bdb42a28a00a4db767fb221e4d788",
     "out/chi_square.tsv": "1618d90ccf9178b54ee0e374b5aaee8b488a97d076bdef3254aac44b4fa3ba3c",
+    "out/manifest.json": "0fab87a56cd0027aec052ac0960c738ea08b210ca05fb18f3fd92d9c4123dc8f",
 }
-CONFIG_SHA256 = "bb6b4d7739b0600647333c8865380714808aafca0273feabc66d1a9af5999b3a"
+CONFIG_SHA256 = "f78395baeb909f99f4c2fab588b2ef5eea6a15648a3efbfc2abec951378d9914"
 
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_fixture_outputs_are_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(ROOT)
+def test_fixture_outputs_are_pinned(tmp_path, capsys):
     model = tmp_path / "model.arpa"
     # ``train``'s report is its stdout.
     assert main(["train", "--corpus", CORPUS, "-o", str(model)]) == 0
@@ -64,7 +62,8 @@ def test_fixture_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     assert manifest["config_sha256"] == CONFIG_SHA256
     assert manifest["outputs"] == {
         name.removeprefix("out/"): digest
-        for name, digest in EXPECTED.items() if name.startswith("out/")
+        for name, digest in EXPECTED.items()
+        if name.startswith("out/") and name != "out/manifest.json"
     }
 
 
@@ -77,8 +76,7 @@ def test_fixture_outputs_are_pinned(tmp_path, monkeypatch, capsys):
     (["--count-distinct", "--salience-window", "3"],
      "daf56295cfd7ca2941fd7259b2f10b240b64928d38672a1ca224e491933f3e5c"),
 ], ids=["count-distinct", "window-3", "count-distinct-window-3"])
-def test_givenness_modes_are_pinned(flags, digest, tmp_path, monkeypatch):
-    monkeypatch.chdir(ROOT)
+def test_givenness_modes_are_pinned(flags, digest, tmp_path):
     out = tmp_path / "givenness.tsv"
     assert main(["givenness", "--corpus", CORPUS, *ANNOTATIONS, *flags, "-o", str(out)]) == 0
     assert _sha256(out) == digest

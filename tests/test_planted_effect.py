@@ -9,9 +9,12 @@ so the two corpora differ in those nouns alone.
 
 A noun seen once is a new referent and has a high bigram surprisal, so
 the plant must raise the extraposed relative clauses' new-referent rate
-and their bare adS. It fixes nothing about avS: the word after a
+and their bare adS. It fixes nothing about bare avS: the word after a
 once-seen noun has a confident bigram context, which can offset the
-noun's own surprisal, so avS is not asserted.
+noun's own surprisal, so bare avS is not asserted. The accommodated
+measure weighs each first mention by the bonus factor, so the plant must
+widen its extraposed − in-situ gap, in adS and in avS, beyond the bare
+gap.
 """
 
 import csv
@@ -97,9 +100,16 @@ def _new_rates(report: Path) -> dict[str, float]:
             for variant in ("in-situ", "extraposed")}
 
 
-def _rc_adS(report: Path) -> dict[str, float]:
-    return {row["variant"]: float(row["adS"]) for row in _table(report / "table2.tsv")
+def _rc_values(report: Path, table: str, column: str) -> dict[str, float]:
+    """``column`` of the relative-clause rows of ``table``, by variant."""
+    return {row["variant"]: float(row[column]) for row in _table(report / table)
             if row["row"] == "rel. cl."}
+
+
+def _rc_gap(report: Path, table: str, column: str) -> float:
+    """Extraposed − in-situ ``column`` of the relative-clause rows of ``table``."""
+    values = _rc_values(report, table, column)
+    return values["extraposed"] - values["in_situ"]
 
 
 def test_plant_raises_the_extraposed_new_referent_rate(reports):
@@ -118,7 +128,16 @@ def test_plant_makes_the_chi_square_significant(reports):
 
 
 def test_plant_raises_the_extraposed_bare_rc_adS(reports):
-    null, planted = _rc_adS(reports["null"]), _rc_adS(reports["planted"])
+    null, planted = (_rc_values(reports[name], "table2.tsv", "adS")
+                     for name in ("null", "planted"))
     assert planted["extraposed"] > null["extraposed"]
     assert planted["extraposed"] - planted["in_situ"] > null["extraposed"] - null["in_situ"]
     assert planted["extraposed"] > planted["in_situ"]
+
+
+@pytest.mark.parametrize("column", ["adS", "avS"])
+def test_plant_widens_the_accommodated_rc_gap_beyond_the_bare_one(column, reports):
+    null, planted = (_rc_gap(reports[name], "table3.tsv", column)
+                     for name in ("null", "planted"))
+    assert planted > null
+    assert planted > _rc_gap(reports["planted"], "table2.tsv", column)
