@@ -66,7 +66,7 @@ def _content_predicate(args: argparse.Namespace) -> Callable[[Word], bool]:
     from . import accommodation as accom
 
     pos = (
-        frozenset(filter(None, map(str.strip, args.content_pos.split(","))))
+        frozenset(filter(None, args.content_pos.split(",")))
         if args.content_pos
         else accom.DEFAULT_CONTENT_POS
     )
@@ -126,8 +126,7 @@ def _check_scored_words(
     index = model.vocabulary.index
     corpus = ", ".join(args.corpus)
     problems = []
-    if not any(lemma in index and lemma not in ngram.RESERVED
-               for doc in docs for lemma in doc._word_columns.lemmas):
+    if not any(lemma in index for doc in docs for lemma in doc._word_columns.lemmas):
         problems.append(f"model {args.model} knows none of the scored lemmas of {corpus}")
     if not any(map(predicate, chain.from_iterable(doc._word_columns.words for doc in docs))):
         problems.append(f"--content-pos {args.content_pos!r} and --stoplist {args.stoplist!r}"
@@ -300,6 +299,16 @@ def cmd_chi2(args: argparse.Namespace) -> int:
 
 # --- argument plumbing ------------------------------------------------------
 
+def _tag_list(text: str) -> str:
+    """A ``--content-pos`` list spelled one way per tag set: its distinct
+    tags, stripped of spaces, sorted and joined by commas. The default
+    ``""`` stays as it is, and a given list that names no tag is ``","``,
+    which selects no tag rather than the default ones."""
+    if not text:
+        return text
+    return ",".join(sorted(set(filter(None, map(str.strip, text.split(",")))))) or ","
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # Option groups shared between subcommands, passed on as ``parents=``.
     config_corpus = argparse.ArgumentParser(add_help=False)
@@ -318,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="words of silence per reset point (default %(default)s)")
     accommodation.add_argument("--floor", type=int, default=FACTOR_FLOOR,
                                help="lowest count a reset can reach (default %(default)s)")
-    accommodation.add_argument("--content-pos", default="", metavar="TAGS",
+    accommodation.add_argument("--content-pos", type=_tag_list, default="", metavar="TAGS",
                                help="comma-separated POS tags treated as content words")
     accommodation.add_argument("--stoplist", default="", metavar="PATH",
                                help="function-word lemma list for untagged corpora")

@@ -11,11 +11,11 @@ plain tuple of its six fields in order.
 
 Every ``Document`` holds one shared ``(surface, lemma, pos,
 is_punctuation)`` row per distinct token and the row index where each
-sentence starts. A loaded document builds its ``tokens`` from them the
-first time they are asked for; a hand-built one keeps the tokens it was
-given, which must be numbered as the loader numbers them. Counting and
-scoring read the document's cached word columns (word rows, lemmas,
-sentence starts and bigram contexts), so they build no ``Token``.
+sentence starts, and builds its ``tokens`` from them when first asked.
+Where a document is built, no word lemma may be empty or ``RESERVED``;
+later stages trust that. Counting and scoring read the document's cached
+word columns (word rows, lemmas, sentence starts and bigram contexts), so
+they build no ``Token``.
 
 A word's bigram context is the lemma of the word before it in its
 sentence, or ``START`` when it opens the sentence, so punctuation is
@@ -49,8 +49,8 @@ _PUNCTUATION_CHARS = "".join(DEFAULT_PUNCTUATION)
 
 DOC_HEADER = "# doc:"
 
-# The context of every sentence's first word; a lemma may not be it.
-START = "<s>"
+# The bigram model's own sentence start, sentence end and unknown word.
+START, END, UNK = RESERVED = ("<s>", "</s>", "<unk>")
 
 
 class Token(NamedTuple):
@@ -93,6 +93,15 @@ class Word(Protocol):
     def is_punctuation(self) -> bool: ...
 
 
+def _word_lemma_fault(surface: str, lemma: str) -> str | None:
+    """Why the word token ``surface`` may not have ``lemma``, or None."""
+    if not lemma:
+        return f"empty lemma for word token {surface!r}"
+    if lemma in RESERVED:
+        return f"reserved lemma {lemma!r} for word token {surface!r}"
+    return None
+
+
 def _contexts(values: Sequence, starts: Iterable[int], start) -> list:
     """Each value's bigram context: the value before it, or ``start`` at
     each index in ``starts``, where a sentence starts. ``values`` is a
@@ -114,12 +123,13 @@ class _WordColumns(NamedTuple):
 class Document(Frozen):
     """An id and its tokens; a sentence is a run of one ``sentence_index``.
 
-    A document holds its rows and sentence starts; a loaded one builds its
-    tokens from them on first use. Equality and hashing compare ids and
-    tokens. ``Document(id, tokens)`` takes tokens numbered as the loader
-    numbers them, and raises ``ValueError`` otherwise: word positions 0,
-    1, ... over the non-punctuation tokens, ``None`` for punctuation, and
-    sentence indices that start at 0 and step by 0 or 1."""
+    A document holds its rows and sentence starts, and builds its tokens
+    from them on first use. Equality and hashing compare ids and tokens.
+    ``Document(id, tokens)`` derives its rows and starts from ``tokens``,
+    and raises ``ValueError`` on a word's empty or reserved lemma or a
+    token that differs from the document's own, whose word positions are
+    0, 1, ... over the non-punctuation tokens, ``None`` for punctuation,
+    and whose sentence indices start at 0 and step by 0 or 1."""
 
     _fields = ("id", "tokens")
     _rows: tuple[_Row, ...]
@@ -129,21 +139,19 @@ class Document(Frozen):
         shared: dict[_Row, _Row] = {}
         rows: list[_Row] = []
         starts: list[int] = []
-        position = 0
-        sentence = -1
-        for i, (surface, lemma, pos, doc_position, sentence_index, punct) in enumerate(tokens):
-            if sentence_index != sentence:
-                sentence += 1
+        for i, (surface, lemma, pos, _, sentence_index, punct) in enumerate(tokens):
+            if not punct and (fault := _word_lemma_fault(surface, lemma)):
+                raise ValueError(f"document {id!r}, token {i}: {fault}")
+            if not starts or sentence_index != sentence:
+                sentence = sentence_index
                 starts.append(i)
-            expected = sentence, None if punct else position
-            if (sentence_index, doc_position) != expected:
-                raise ValueError(f"document {id!r}, token {i}: (sentence_index, doc_position)"
-                                 f" is {(sentence_index, doc_position)!r}, expected {expected!r}")
-            if not punct:
-                position += 1
             row = _new_row((surface, lemma, pos, punct))
             rows.append(shared.setdefault(row, row))
-        self.__dict__.update(id=id, tokens=tokens, _rows=tuple(rows), _starts=tuple(starts))
+        self.__dict__.update(id=id, _rows=tuple(rows), _starts=tuple(starts))
+        for i, (given, own) in enumerate(zip(tokens, self.tokens)):
+            if given != own:
+                raise ValueError(f"document {id!r}, token {i}: (sentence_index, doc_position)"
+                                 f" is {(given[4], given[3])!r}, expected {(own[4], own[3])!r}")
 
     @classmethod
     def _loaded(cls, id: str, rows: tuple[_Row, ...], starts: tuple[int, ...]) -> Document:
@@ -154,8 +162,7 @@ class Document(Frozen):
         return doc
 
     # A cached property writes the instance ``__dict__`` directly, past
-    # ``__setattr__``; the ``tokens`` that ``__init__`` stores there shadow
-    # this one, and neither cached view is a field.
+    # ``__setattr__``; no cached view is a field.
     @cached_property
     def tokens(self) -> tuple[Token, ...]:
         rows, starts = self._rows, self._starts
@@ -212,8 +219,9 @@ def load_vertical(source: str | Iterable[str]) -> list[Document]:
     ``source`` may be a string, an open text file, or any iterable of
     lines. A line of only whitespace is a blank line, which ends the open
     sentence. Raises :class:`ParseError` with a line number on malformed
-    token lines, token lines outside any document, and duplicate
-    document ids. An empty source yields an empty list.
+    token lines (a word's empty or reserved lemma too), token lines
+    outside any document, and duplicate document ids. An empty source
+    yields an empty list.
 
     Each distinct token line, and each distinct blank line once a document
     is open, is parsed once per call; a repeat costs one dict lookup.
@@ -272,8 +280,8 @@ def load_vertical(source: str | Iterable[str]) -> list[Document]:
                 if not surface:
                     raise ParseError("empty surface form", lineno)
                 punct = not surface.strip(_PUNCTUATION_CHARS)
-                if not lemma and not punct:
-                    raise ParseError(f"empty lemma for word token {surface!r}", lineno)
+                if not punct and (fault := _word_lemma_fault(surface, lemma)):
+                    raise ParseError(fault, lineno)
                 row = parsed[raw] = new_row((surface, lemma or surface, pos, punct))
         if row is blank:
             if len(rows) > starts[-1]:

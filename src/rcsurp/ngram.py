@@ -35,12 +35,9 @@ from operator import add, mul, sub, truediv
 from typing import Iterable
 
 from ._value import Frozen, Value
-from .corpus import START, Document, _contexts
+from .corpus import END, RESERVED, START, UNK, Document, _contexts
 from .errors import DegenerateCountsError, ParseError
 
-END = "</s>"
-UNK = "<unk>"
-RESERVED = (START, END, UNK)
 START_ID, END_ID, UNK_ID = range(len(RESERVED))  # their ids in every vocabulary
 
 DISCOUNT_EPS = 1e-6
@@ -121,17 +118,11 @@ def count_bigrams(docs: Iterable[Document]) -> BigramCounts:
     Each word is counted after its context, as ``corpus._contexts`` gives
     it and the scorer reads it, and each sentence with a word adds one pair
     from its last word to the end symbol. Counting builds no pair tuple: it
-    counts each pair as its integer key. A corpus lemma that is a reserved
-    symbol is a :class:`ParseError` naming every such symbol.
+    counts each pair as its integer key. No lemma is a reserved symbol:
+    ``corpus`` rejects one where a document is built.
     """
     columns = [doc._word_columns for doc in docs]
-    lemmas = set().union(*[column.lemmas for column in columns])
-    reserved = [symbol for symbol in RESERVED if symbol in lemmas]
-    if reserved:
-        raise ParseError(
-            "reserved symbols cannot be corpus lemmas: " + ", ".join(map(repr, reserved))
-        )
-    vocabulary = Vocabulary.from_lemmas(lemmas)
+    vocabulary = Vocabulary.from_lemmas(set().union(*[column.lemmas for column in columns]))
     counts = BigramCounts(vocabulary)
     c1, c2 = counts.c1, counts.c2
     index, size = vocabulary.index, len(vocabulary)
@@ -276,8 +267,8 @@ def train_kn(counts: BigramCounts, discount: float | None = None) -> KneserNeyBi
 def perplexity(model: KneserNeyBigramModel, docs: Iterable[Document]) -> float:
     """2 to the mean surprisal in bits over the events that
     ``count_bigrams`` counts in ``docs``: every word after its context,
-    and the end symbol after each sentence's last word. A corpus lemma
-    that is a reserved symbol raises ``count_bigrams``' :class:`ParseError`.
+    and the end symbol after each sentence's last word. Raises
+    ``ValueError`` when ``docs`` hold no word.
     """
     counts = count_bigrams(docs)
     pairs = _by_symbol_pair(counts.vocabulary.words(), counts.c2)
@@ -285,6 +276,38 @@ def perplexity(model: KneserNeyBigramModel, docs: Iterable[Document]) -> float:
         raise ValueError("empty corpus: no events to evaluate")
     bits = math.fsum(n * -math.log2(model.prob(v, w)) for (v, w), n in pairs.items())
     return 2.0 ** (bits / sum(pairs.values()))
+
+
+def _unbounded_contexts(unigram_p: list[float], bow: list[float]) -> list[int]:
+    """The ids of the contexts whose unlisted pairs a bound does not clear.
+
+    ``prob`` backs off to ``bow[v] * unigram_p[w]`` for an unlisted pair,
+    over the outcome ids: all but the start symbol's, id 0. With ``lo`` and
+    ``hi`` the least and greatest outcome unigrams, ``bow[v] * lo > 0`` and
+    ``bow[v] * hi <= 1`` put every such pair of ``v`` in (0, 1]. A NaN
+    backoff weight fails both; a NaN unigram clears no context, since
+    ``min`` and ``max`` skip a NaN that is not first."""
+    outcomes = unigram_p[1:]
+    if math.isnan(sum(outcomes)):
+        return list(range(len(bow)))
+    lo, hi = min(outcomes), max(outcomes)
+    return [v for v, weight in enumerate(bow) if not (weight * lo > 0.0 and weight * hi <= 1.0)]
+
+
+def _check_backoff(model: KneserNeyBigramModel) -> None:
+    """Scan each context that ``_unbounded_contexts`` does not clear, over
+    the outcomes not listed after it, and raise :class:`ParseError` at the
+    first whose probability lies outside (0, 1], naming the context and
+    the word."""
+    unigram_p, bow, bigram_p = model.unigram_p, model.bow, model.bigram_p
+    size = len(bow)
+    for v in _unbounded_contexts(unigram_p, bow):
+        for w in range(1, size):
+            p = bow[v] * unigram_p[w]
+            if v * size + w not in bigram_p and not 0.0 < p <= 1.0:
+                words = model.vocabulary.words()
+                raise ParseError(f"probability of {words[w]!r} after {words[v]!r} must be in"
+                                 f" (0, 1], got {p} (backoff weight {bow[v]} of {words[v]!r})")
 
 
 # --- ARPA serialization ---------------------------------------------------
@@ -365,6 +388,12 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
     anything but the start symbol's unigram), a repeated ``ngram``
     declaration, or truncation; the first bad line is the one named. The
     reserved symbols must be present among the unigrams.
+
+    Every ``p(w | v)`` the model can give is checked before it is
+    returned, whatever is queried later: a listed bigram's as its line is
+    parsed, and the backed-off pairs by ``_check_backoff``, which names the
+    context and word of the first one outside (0, 1], such as a positive
+    backoff weight can give.
 
     Log10 texts repeat, so each distinct text of a log probability or a
     backoff weight is converted and checked once per call, the mirror of
@@ -514,5 +543,7 @@ def import_arpa(text: str) -> KneserNeyBigramModel:
         raise ParseError(f"bigram ({v!r}, {w!r}) uses an undeclared word")
 
     symbols = vocabulary.words()
-    return KneserNeyBigramModel(vocabulary, list(map(unigram_p.__getitem__, symbols)),
-                                list(map(bow.__getitem__, symbols)), bigram_p)
+    model = KneserNeyBigramModel(vocabulary, list(map(unigram_p.__getitem__, symbols)),
+                                 list(map(bow.__getitem__, symbols)), bigram_p)
+    _check_backoff(model)
+    return model

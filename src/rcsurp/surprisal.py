@@ -49,16 +49,16 @@ class _ScoreColumns(NamedTuple):
 class SurprisalAnnotation(Frozen):
     """A document's (or a chain's, with ``doc_id`` None) scored entries.
 
-    The scores are held as columns, one per entry field; an annotation
-    built by scoring builds its ``entries`` on first read. Equality and
-    hashing compare the id and the entries."""
+    The scores are held as columns, one per entry field, and ``entries``
+    is built from them on first read, for a hand-built annotation as for a
+    scored one. Equality and hashing compare the id and the entries."""
 
     _fields = ("doc_id", "entries")
     _columns: _ScoreColumns
 
     def __init__(self, doc_id: str | None, entries: tuple[SurprisalEntry, ...]):
         self.__dict__.update(
-            doc_id=doc_id, entries=entries,
+            doc_id=doc_id,
             _columns=_ScoreColumns(*zip(*entries)) if entries else _ScoreColumns(*[()] * 5),
         )
 
@@ -68,7 +68,6 @@ class SurprisalAnnotation(Frozen):
         annotation.__dict__.update(doc_id=doc_id, _columns=columns)
         return annotation
 
-    # The ``entries`` that ``__init__`` stores shadow this cached view.
     @cached_property
     def entries(self) -> tuple[SurprisalEntry, ...]:
         return tuple(map(_new_entry, zip(*self._columns)))
@@ -103,10 +102,10 @@ def _score(
     """The score columns of ``lemmas`` after their ``contexts``, with one
     ``prob`` query per lemma.
 
-    A probability outside (0, 1], which an imported model with a positive
-    backoff weight can give, is a :class:`ParseError` naming the document
-    (when ``doc_id`` is given), the first such word's position, its context
-    and its lemma."""
+    A probability outside (0, 1], which ``import_arpa`` rules out but a
+    model whose tables are changed afterwards can give, is a
+    :class:`ParseError` naming the document (when ``doc_id`` is given),
+    the first such word's position, its context and its lemma."""
     probabilities = list(map(model.prob, contexts, lemmas))
     # ``min`` and ``max`` skip a NaN that is not first, but it makes the sum NaN.
     if probabilities and not (

@@ -460,8 +460,11 @@ def reference_load_vertical(source: str) -> list[Document]:
         pos = columns[2] if len(columns) == 3 and columns[2] else None
         if not surface:
             raise ParseError("empty surface form", lineno)
-        if not lemma and not _all_punctuation(surface):
-            raise ParseError(f"empty lemma for word token {surface!r}", lineno)
+        if not _all_punctuation(surface):
+            if not lemma:
+                raise ParseError(f"empty lemma for word token {surface!r}", lineno)
+            if lemma in ("<s>", "</s>", "<unk>"):
+                raise ParseError(f"reserved lemma {lemma!r} for word token {surface!r}", lineno)
         builder.add_token(surface, lemma or surface, pos)
     if builder is not None:
         docs.append(builder.build())

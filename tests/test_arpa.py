@@ -237,8 +237,13 @@ def test_import_out_of_range_log10(toy_model, section, column, value):
 
 
 def test_import_positive_backoff_weight(toy_model):
+    # A positive log10 backoff weight is accepted while every pair that backs
+    # off through it stays in (0, 1]; 10 ** 0.5 lifts p(</s> | <s>) above 1.
+    text, _ = _set_first_entry_field(export_arpa(toy_model), "\\1-grams:", 2, "0.1")
+    assert import_arpa(text).string_tables()[1][START] == pytest.approx(10 ** 0.1)
     text, _ = _set_first_entry_field(export_arpa(toy_model), "\\1-grams:", 2, "0.5")
-    assert import_arpa(text).string_tables()[1][START] == pytest.approx(10 ** 0.5)
+    with pytest.raises(ParseError, match="^probability of '</s>' after '<s>' must be in "):
+        import_arpa(text)
 
 
 def test_import_inconsistent_counts(toy_model):

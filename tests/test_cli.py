@@ -101,9 +101,35 @@ def test_train_rejects_reserved_symbols_as_lemmas(tmp_path, capsys):
     out = tmp_path / "model.arpa"
     assert main(["train", "--corpus", str(corpus), "-o", str(out)]) == 2
     assert not out.exists()
-    assert capsys.readouterr().err == (
-        "error: reserved symbols cannot be corpus lemmas: '<s>', '</s>', '<unk>'\n"
-    )
+    # The loader names the first reserved lemma, with its line.
+    assert capsys.readouterr().err == "error: line 3: reserved lemma '<s>' for word token '<s>'\n"
+
+
+@pytest.mark.parametrize("symbol", ["<s>", "</s>", "<unk>"])
+@pytest.mark.parametrize("command", ["train", "surprisal", "analyze", "givenness"])
+def test_reserved_lemma_stops_every_command_at_its_line(command, symbol, fixture_model,
+                                                        tmp_path, capsys):
+    # The fixture's first "Mann" line, line 3, with a reserved symbol as its
+    # lemma: every command that reads the corpus names that line and writes
+    # nothing, not even a model that the corpus never queries.
+    text = (FIXTURES / "corpus.vert").read_text(encoding="utf-8")
+    corpus = tmp_path / "reserved.vert"
+    corpus.write_text(text.replace("Mann\tMann\tNN\n", f"Mann\t{symbol}\tNN\n", 1),
+                      encoding="utf-8")
+    out, outdir = tmp_path / "out", tmp_path / "outdir"
+    annotations = ["--clauses", str(FIXTURES / "clauses.json"),
+                   "--referents", str(FIXTURES / "referents.tsv")]
+    argv = {
+        "train": ["-o", str(out)],
+        "surprisal": ["--model", str(fixture_model)],
+        "analyze": ["--model", str(fixture_model), *annotations, "--outdir", str(outdir)],
+        "givenness": annotations,
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--corpus", str(corpus), *argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: line 3: reserved lemma {symbol!r} for word token 'Mann'\n")
+    assert not out.exists() and not outdir.exists()
 
 
 def test_train_lists_every_repeated_document_id(tmp_path, capsys):
@@ -282,11 +308,12 @@ def test_surprisal_names_a_malformed_ngram_declaration(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("output", ["file", "symlink"])
+@pytest.mark.parametrize("output", ["file", "symlink", "stdout"])
 def test_surprisal_probability_above_one_names_the_word(output, fixture_model, tmp_path,
                                                          capsys):
     # ARPA allows a positive backoff weight; 10 ** 5.0 on Mann's unigram line
-    # makes p(Mann | Mann), a bigram the fixture never has, exceed 1.
+    # makes p(</s> | Mann), a bigram the fixture never has, exceed 1. The
+    # model is checked whole when it is read, before any output is opened.
     lines = fixture_model.read_text(encoding="utf-8").splitlines()
     i = next(i for i, line in enumerate(lines) if line.split("\t")[1:2] == ["Mann"])
     fields = lines[i].split("\t")
@@ -300,15 +327,18 @@ def test_surprisal_probability_above_one_names_the_word(output, fixture_model, t
     out = tmp_path / "out.tsv"
     if output == "symlink":  # stands in for a device such as /dev/null
         out.symlink_to(tmp_path / "target.tsv")
+    flags = [] if output == "stdout" else ["-o", str(out)]
+    capsys.readouterr()
     assert main(["surprisal", "--model", str(fixture_model), "--corpus", str(corpus),
-                 "-o", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: document 'b', word position 1: probability of 'Mann' after 'Mann'"
-        " must be in (0, 1], got 609.7558842176561\n"
-    )
-    # Doc a's rows were written before doc b failed; a regular file is
-    # removed, anything else at the path is left in place.
+                 *flags]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: probability of '</s>' after 'Mann' must be in (0, 1], got 2439.0235855733004"
+        " (backoff weight 100000.0 of 'Mann')\n"
+    ))
+    # Nothing was written: no row reached stdout, no file was made, and
+    # whatever was at the path is left in place.
     assert out.is_symlink() if output == "symlink" else not out.exists()
+    assert not (tmp_path / "target.tsv").exists()
 
 
 @pytest.fixture
@@ -402,6 +432,19 @@ def test_spaced_content_pos_list_weights_the_same_words(fixture_model, tmp_path)
     unspaced = (tmp_path / "unspaced.tsv").read_bytes()
     assert (tmp_path / "spaced.tsv").read_bytes() == unspaced
     assert (tmp_path / "config.tsv").read_bytes() == unspaced
+
+
+def test_content_pos_spellings_of_one_tag_set_give_one_bundle(fixture_model, tmp_path):
+    # The manifest records the tag set, so the spellings of one set give
+    # byte-identical bundles, config_sha256 included.
+    bundles = []
+    for n, tags in enumerate(["NN, VVFIN", "NN,VVFIN", "VVFIN,NN,NN"]):
+        outdir = tmp_path / f"out{n}"
+        assert main(_analyze_args(fixture_model, outdir, "--content-pos", tags)) == 0
+        bundles.append({path.name: path.read_bytes() for path in outdir.iterdir()})
+    assert bundles[0] == bundles[1] == bundles[2]
+    manifest = json.loads(bundles[0]["manifest.json"])
+    assert manifest["config"]["content_pos"] == "NN,VVFIN"
 
 
 def test_unknown_lemmas_and_no_content_word_are_listed_together(xyz_model, tmp_path, capsys):

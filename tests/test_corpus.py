@@ -182,6 +182,7 @@ _structure_lines = ["", "", "  ", "\t", " \t ", "\r", "# a comment", None, None]
 # Each breaks one check; "Mann" and "Mann\t" repeat a valid line's surface.
 _malformed_lines = [
     "Mann", "a\tb\tc\td", "\tder", "Mann\t", "sagt\t\tVVFIN", "# doc:", "# doc: d0",
+    "x\t</s>",
 ]
 
 
@@ -350,6 +351,25 @@ _DENSE = load_vertical("# doc: d\na\ta\nb\tb\n/\t/\n\nc\tc\na\ta\n")[0].tokens
 def test_hand_built_document_must_be_numbered_as_loaded(tokens):
     with pytest.raises(ValueError, match="document 'd', token "):
         Document("d", tokens)
+
+
+@pytest.mark.parametrize("lemma", ["", "<s>", "</s>", "<unk>"])
+def test_hand_built_document_checks_word_lemmas_as_the_loader_does(lemma):
+    # The rule holds for word tokens; a punctuation token may carry any lemma.
+    tokens = (Token("a", "a", None, 0, 0, False), Token("b", lemma, None, 1, 0, False))
+    with pytest.raises(ValueError, match="^document 'd', token 1: .* word token 'b'$"):
+        Document("d", tokens)
+    punctuation = Token("/", lemma, None, None, 0, True)
+    assert Document("d", (tokens[0], punctuation)).tokens == (tokens[0], punctuation)
+
+
+def test_hand_built_document_holds_its_own_tokens():
+    # The document builds its tokens from its rows, as a loaded one does,
+    # and keeps nothing of the tuple it was given.
+    given = [tuple(t) for t in _DENSE]
+    doc = Document("d", tuple(given))
+    assert doc.tokens == _DENSE and all(type(t) is Token for t in doc.tokens)
+    assert doc == load_vertical("# doc: d\na\ta\nb\tb\n/\t/\n\nc\tc\na\ta\n")[0]
 
 
 def test_empty_hand_built_document():

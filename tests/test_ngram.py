@@ -16,6 +16,7 @@ from rcsurp import (
     perplexity,
     train_kn,
 )
+from rcsurp import ngram
 from rcsurp.ngram import END, START, UNK, BigramCounts, export_arpa, import_arpa
 
 
@@ -354,6 +355,35 @@ def test_id_tables_match_string_oracles(corpus, discount):
     assert export_arpa(model) == helpers.reference_export_arpa(model)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_kernel_corpora, st.one_of(st.none(), st.floats(1e-6, 1 - 1e-6)))
+def test_trained_models_clear_the_backoff_bound(corpus, discount):
+    # A seen context's backoff weight D * fertility / count is below 1, an
+    # unseen one's is 1.0, and every outcome unigram lies in (0, 1], so the
+    # import check of every trained model scans no context exactly.
+    lines = []
+    for i, doc in enumerate(corpus):
+        lines.append(f"# doc: d{i}")
+        for sentence in doc:
+            lines += [f"{surface}\t{lemma}" for surface, lemma in sentence]
+            lines.append("")
+    counts = count_bigrams(load_vertical("\n".join(lines)))
+    try:
+        model = train_kn(counts, discount)
+    except DegenerateCountsError:
+        return
+    assert ngram._unbounded_contexts(model.unigram_p, model.bow) == []
+
+
+def test_backoff_bound_clears_no_context_past_a_nan():
+    # ``min`` and ``max`` skip a NaN that is not first, so a NaN unigram
+    # sends every context to the exact scan; a NaN or too large backoff
+    # weight sends its own context there.
+    unigram_p = [0.0, 0.5, 0.25, 0.25]
+    assert ngram._unbounded_contexts(unigram_p, [1.0, 0.5, math.nan, 3.0]) == [2, 3]
+    assert ngram._unbounded_contexts([0.0, 0.5, math.nan, 0.25], [1.0] * 4) == [0, 1, 2, 3]
+
+
 def test_pair_tables_are_keyed_by_integers(toy_counts, toy_model):
     imported = import_arpa(export_arpa(toy_model))
     for table in (toy_counts.c1, toy_counts.c2, toy_model.bigram_p, imported.bigram_p):
@@ -404,6 +434,7 @@ def test_perplexity_empty_corpus_is_error(toy_model):
         perplexity(toy_model, [])
 
 
-def test_perplexity_of_a_reserved_lemma_is_the_counting_error(toy_model):
-    with pytest.raises(ParseError, match="reserved symbols cannot be corpus lemmas: '<s>'"):
+def test_perplexity_of_a_reserved_lemma_is_the_loader_error(toy_model):
+    # No document holds a reserved lemma, so counting and perplexity never see one.
+    with pytest.raises(ParseError, match="^line 2: reserved lemma '<s>' for word token 'a'$"):
         perplexity(toy_model, load_vertical(f"# doc: d\na\t{START}\n"))

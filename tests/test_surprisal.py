@@ -17,7 +17,7 @@ from rcsurp import (
     train_kn,
 )
 from rcsurp.ngram import START, KneserNeyBigramModel
-from rcsurp.surprisal import SurprisalEntry
+from rcsurp.surprisal import SurprisalAnnotation, SurprisalEntry
 
 
 @pytest.fixture
@@ -173,6 +173,16 @@ def test_entries_align_with_word_tokens(toy_model):
     doc = load_vertical("# doc: d\nthe\tthe\n.\t.\n\ncat\tcat\n")[0]
     annotation = annotate_document(toy_model, doc)
     assert [e.doc_position for e in annotation.entries] == [0, 1]
+
+
+def test_hand_built_annotation_keeps_one_form(toy_model):
+    # A hand-built annotation holds only its columns, as a scored one does,
+    # and builds its entries from them when they are read.
+    scored = annotate_document(toy_model, helpers.toy_documents()[0])
+    hand = SurprisalAnnotation(scored.doc_id, tuple(map(tuple, scored.entries)))
+    assert "entries" not in vars(hand)
+    assert hand._columns == tuple(map(tuple, scored._columns))
+    assert hand == scored and all(type(entry) is SurprisalEntry for entry in hand.entries)
 
 
 # --- SurprisalEntry ---------------------------------------------------------
