@@ -23,7 +23,11 @@ a prefix of an option is an unknown option.
 :func:`main` sets a batch threshold for the cyclic garbage collector for
 the duration of the call and restores the caller's threshold on every exit
 path, argparse's ``SystemExit`` included, so in-process callers see no
-global change.
+global change. The process entry point, :func:`run`, freezes the heap
+(``gc.freeze``) once ``main`` has returned, so the collections of
+interpreter shutdown do not walk it; in-process callers of ``main`` are
+unaffected. A frozen object in a reference cycle is never finalized, so
+every output handle must be closed before ``main`` returns.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from functools import partial
 from itertools import chain, groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, TextIO
 
 from . import ngram
 from ._value import FACTOR_BONUS, FACTOR_FLOOR, FACTOR_WEAROUT, FACTOR_WINDOW, SALIENCE_WINDOW
@@ -461,5 +465,14 @@ def main(argv: list[str] | None = None) -> int:
         gc.set_threshold(*threshold)
 
 
+def run() -> NoReturn:
+    """The process entry point: exit with ``main``'s code, the heap frozen
+    first. An exception from ``main``, ``SystemExit`` included, propagates
+    before the freeze."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

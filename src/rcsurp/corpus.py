@@ -126,10 +126,13 @@ class Document(Frozen):
     A document holds its rows and sentence starts, and builds its tokens
     from them on first use. Equality and hashing compare ids and tokens.
     ``Document(id, tokens)`` derives its rows and starts from ``tokens``,
-    and raises ``ValueError`` on a word's empty or reserved lemma or a
-    token that differs from the document's own, whose word positions are
-    0, 1, ... over the non-punctuation tokens, ``None`` for punctuation,
-    and whose sentence indices start at 0 and step by 0 or 1."""
+    and raises ``ValueError`` on an empty surface, an ``is_punctuation``
+    that the surface does not give (punctuation exactly when the surface
+    is all ``DEFAULT_PUNCTUATION``, as the loader reads it), a word's
+    empty or reserved lemma, or a token that differs from the document's
+    own, whose word positions are 0, 1, ... over the non-punctuation
+    tokens, ``None`` for punctuation, and whose sentence indices start at
+    0 and step by 0 or 1."""
 
     _fields = ("id", "tokens")
     _rows: tuple[_Row, ...]
@@ -139,7 +142,13 @@ class Document(Frozen):
         shared: dict[_Row, _Row] = {}
         rows: list[_Row] = []
         starts: list[int] = []
-        for i, (surface, lemma, pos, _, sentence_index, punct) in enumerate(tokens):
+        for i, (surface, lemma, pos, _, sentence_index, given) in enumerate(tokens):
+            if not surface:
+                raise ValueError(f"document {id!r}, token {i}: empty surface form")
+            punct = not surface.strip(_PUNCTUATION_CHARS)
+            if given != punct:
+                raise ValueError(f"document {id!r}, token {i}: is_punctuation is {given!r}"
+                                 f" for surface {surface!r}, expected {punct!r}")
             if not punct and (fault := _word_lemma_fault(surface, lemma)):
                 raise ValueError(f"document {id!r}, token {i}: {fault}")
             if not starts or sentence_index != sentence:

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -361,6 +362,21 @@ def test_hand_built_document_checks_word_lemmas_as_the_loader_does(lemma):
         Document("d", tokens)
     punctuation = Token("/", lemma, None, None, 0, True)
     assert Document("d", (tokens[0], punctuation)).tokens == (tokens[0], punctuation)
+
+
+@pytest.mark.parametrize("tokens, fault", [
+    # Were it accepted, the document would score "." as its one word.
+    ((Token("Mann", "Mann", None, None, 0, True), Token(".", ".", None, 0, 0, False)),
+     "token 0: is_punctuation is True for surface 'Mann', expected False"),
+    ((Token("Mann", "Mann", None, 0, 0, False), Token(".", ".", None, 1, 0, False)),
+     "token 1: is_punctuation is False for surface '.', expected True"),
+    ((Token("", "x", None, 0, 0, False),), "token 0: empty surface form"),
+], ids=["word-as-punctuation", "punctuation-as-word", "empty-surface"])
+def test_hand_built_document_reads_punctuation_from_the_surface(tokens, fault):
+    # The loader's rule: punctuation exactly when the surface is all
+    # punctuation characters; an empty surface is no token.
+    with pytest.raises(ValueError, match=f"^document 'd', {re.escape(fault)}$"):
+        Document("d", tokens)
 
 
 def test_hand_built_document_holds_its_own_tokens():
